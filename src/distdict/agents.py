@@ -117,19 +117,21 @@ def init_agents(problem: ProblemData, seed: int = 0) -> list:
 
 
 def dictionary_step(state: AgentState, S, gamma: float, sched: StepSchedule,
-                    alpha: float) -> bool:
+                    alpha: float, grad) -> bool:
     """Solve the local dictionary surrogate and damp it with ``gamma``.
 
-    Writes ``state.D_half = D + gamma (D_tilde - D)``. Returns False when
-    the plain-mode inner solver hit its iteration cap.
+    ``grad`` is the local gradient ``grad_dict(state.D, state.X, S)`` at the
+    current point, which the round loop already holds; the linearized mode
+    steps along it and the plain mode does not need it. Writes
+    ``state.D_half = D + gamma (D_tilde - D)``. Returns False when the
+    plain-mode inner solver hit its iteration cap.
     """
     if sched.d_mode == "plain":
         d_tilde, ok = d_update_plain(state.D, state.X, S, state.grad_rest,
                                      sched.tau_d, alpha,
                                      sched.inner_tol, sched.inner_max_iter)
     else:
-        g = grad_dict(state.D, state.X, S)
-        d_tilde = d_update_linearized(state.D, g, state.grad_rest,
+        d_tilde = d_update_linearized(state.D, grad, state.grad_rest,
                                       sched.tau_d, alpha)
         ok = True
     state.D_half = state.D + gamma * (d_tilde - state.D)

@@ -144,35 +144,19 @@ def soft_threshold(x, thresh):
     return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
 
 
-def sigma_max(A, tol: float = 1e-12, max_iter: int = 1000):
-    """Largest singular value of A by power iteration on the smaller Gram
-    matrix, with a deterministic all-ones start vector.
+def sigma_max(A):
+    """Largest singular value of A: the square root of the top eigenvalue
+    of the smaller Gram matrix, computed exactly by ``np.linalg.eigvalsh``.
 
-    Returns ``(value, converged)``; ``converged`` is False when the relative
-    change of the Rayleigh quotient was still above ``tol`` after
-    ``max_iter`` sweeps (the current estimate is returned regardless).
+    Returns ``(value, converged)``; ``converged`` is always True and is kept
+    so that callers unpacking a pair need no change.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise ValueError("a nonempty 2-d array is required")
     B = A.T @ A if A.shape[1] <= A.shape[0] else A @ A.T
-    n = B.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam_prev = np.inf
-    lam = 0.0
-    converged = False
-    for _ in range(max_iter):
-        w = B @ v
-        lam = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, True
-        v = w / nw
-        if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-            converged = True
-            break
-        lam_prev = lam
-    return float(np.sqrt(max(lam, 0.0))), converged
+    lam = float(np.linalg.eigvalsh(B)[-1])
+    return float(np.sqrt(max(0.0, lam))), True
 
 
 def x_update_linearized(X, U, S, tau: float, lam: float, mu: float):
@@ -197,7 +181,8 @@ def x_update_plain(X, U, S, tau: float, lam: float, mu: float,
         min_X 1/2 ||S - U X||_F^2 + tau/2 ||X - X0||_F^2
               + lam ||X||_1 + mu ||X||_F^2
 
-    by accelerated proximal gradient started at X0. Returns
+    by accelerated proximal gradient started at X0, with the step
+    1/(sigma_max(U)^2 + tau + 2 mu) from the exact spectral norm. Returns
     ``(X_new, converged)``; non-convergence within ``inner_max_iter`` is
     reported through the flag, not raised.
     """

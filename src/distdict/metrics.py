@@ -148,7 +148,8 @@ def centralized_oracle(problem: ProblemData, config: RunConfig,
     record(0, 0)
     flags = 0
     for nu in range(config.max_rounds):
-        ok_d = dictionary_step(agent, S, gammas[nu], sched, pooled.alpha)
+        ok_d = dictionary_step(agent, S, gammas[nu], sched, pooled.alpha,
+                               grad_dict(agent.D, agent.X, S))
         tau_x = coding_prox_weight(agent.D_half, sched.eps_tau)
         ok_x = coding_step(agent, S, tau_x, pooled.lam, pooled.mu, sched)
         agent.D = agent.D_half.copy()

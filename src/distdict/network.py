@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 DEFAULT_THETA_MIN = 0.01
 STOCHASTICITY_TOL = 1e-12
@@ -74,14 +72,21 @@ class GraphSchedule:
         return self.weights[nu % self.period]
 
 
+def _reaches_everyone(adj) -> bool:
+    # Breadth-first search from node 0 along the edges j -> i of adj[i, j].
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[:, frontier].any(axis=1) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
 def _strongly_connected(adj) -> bool:
-    # adj[i, j] means j -> i; csgraph expects row -> column edges.
-    n = adj.shape[0]
-    if n == 1:
-        return True
-    ncomp, _ = connected_components(csr_matrix(adj.T), directed=True,
-                                    connection="strong")
-    return ncomp == 1
+    """True iff node 0 reaches every node and every node reaches node 0."""
+    adj = np.asarray(adj, dtype=bool)
+    return _reaches_everyone(adj) and _reaches_everyone(adj.T)
 
 
 def is_b_strongly_connected(schedule: GraphSchedule, window: int = None) -> bool:

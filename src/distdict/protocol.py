@@ -74,7 +74,9 @@ def run(problem: ProblemData, config: RunConfig, schedule: GraphSchedule = None,
         Pre-built schedule; built from ``config.graph`` when omitted.
     observer : callable, optional
         Called as ``observer(state)`` with the RoundState after every
-        round's combine step (regardless of the metric stride).
+        round's combine step (regardless of the metric stride). It must not
+        modify the agents' ``D`` or ``X``: the next dictionary step reuses
+        the gradient computed at them in the combine step.
 
     Returns
     -------
@@ -121,8 +123,8 @@ def run(problem: ProblemData, config: RunConfig, schedule: GraphSchedule = None,
     flags = 0
     for nu in range(config.max_rounds):
         W = schedule.weights_at(nu)
-        for a, S in zip(agents, problem.S_blocks):
-            ok_d = dictionary_step(a, S, gammas[nu], sched, problem.alpha)
+        for a, S, g in zip(agents, problem.S_blocks, grads_prev):
+            ok_d = dictionary_step(a, S, gammas[nu], sched, problem.alpha, g)
             tau_x = coding_prox_weight(a.D_half, sched.eps_tau)
             ok_x = coding_step(a, S, tau_x, problem.lam, problem.mu, sched)
             flags += (not ok_d) + (not ok_x)

@@ -108,8 +108,9 @@ def test_dictionary_step_gamma_zero_freezes_the_blend():
     rng = np.random.default_rng(32)
     problem = toy_problem(rng)
     agent = init_agents(problem, seed=0)[0]
-    ok = dictionary_step(agent, problem.S_blocks[0], 0.0, StepSchedule(),
-                         problem.alpha)
+    S = problem.S_blocks[0]
+    ok = dictionary_step(agent, S, 0.0, StepSchedule(), problem.alpha,
+                         grad_dict(agent.D, agent.X, S))
     assert ok
     assert np.array_equal(agent.D_half, agent.D)
 
@@ -120,8 +121,10 @@ def test_dictionary_step_gamma_one_jumps_to_the_surrogate_solution():
     sched = StepSchedule()
     a = init_agents(problem, seed=0)[0]
     b = init_agents(problem, seed=0)[0]
-    dictionary_step(a, problem.S_blocks[0], 1.0, sched, problem.alpha)
-    dictionary_step(b, problem.S_blocks[0], 0.5, sched, problem.alpha)
+    S = problem.S_blocks[0]
+    g = grad_dict(a.D, a.X, S)
+    dictionary_step(a, S, 1.0, sched, problem.alpha, g)
+    dictionary_step(b, S, 0.5, sched, problem.alpha, g)
     # the half step lands exactly between the start and the full step
     assert np.allclose(b.D_half, 0.5 * (b.D + a.D_half), atol=1e-12)
 
@@ -136,7 +139,8 @@ def test_dictionary_step_fixed_point_is_preserved_for_any_gamma():
     S = problem.S_blocks[0]
     agent.grad_rest = -grad_dict(agent.D, agent.X, S)
     for gamma in (0.0, 0.3, 1.0):
-        dictionary_step(agent, S, gamma, StepSchedule(), problem.alpha)
+        dictionary_step(agent, S, gamma, StepSchedule(), problem.alpha,
+                        grad_dict(agent.D, agent.X, S))
         assert np.allclose(agent.D_half, agent.D, atol=1e-14)
 
 
@@ -147,7 +151,8 @@ def test_dictionary_step_output_stays_feasible():
         agent.X = rng.normal(size=agent.X.shape)
         refresh_grad_rest(agent, S, problem.num_agents)
         for gamma in (0.25, 0.9):
-            dictionary_step(agent, S, gamma, StepSchedule(), problem.alpha)
+            dictionary_step(agent, S, gamma, StepSchedule(), problem.alpha,
+                            grad_dict(agent.D, agent.X, S))
             norms = np.linalg.norm(agent.D_half, axis=0)
             assert np.all(norms <= problem.alpha + 1e-12)
 

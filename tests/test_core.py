@@ -3,6 +3,7 @@ independent oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from distdict import (ProblemData, d_update_linearized, d_update_plain,
                       grad_codes, grad_dict, objective_global,
@@ -362,6 +363,47 @@ def test_sigma_max_matches_dense_svd():
     value, converged = sigma_max(A)
     assert converged
     assert abs(value - want) / want <= 1e-8
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Tall, wide and square matrices of any rank from 0 (all zeros) up to
+    full, over six orders of magnitude of scale."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    rank = draw(st.integers(0, min(m, n)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return scale * rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_rank_matrices())
+@example(np.zeros((1, 1)))
+@example(np.zeros((3, 7)))
+@example(np.zeros((7, 3)))
+def test_sigma_max_equals_the_top_singular_value(A):
+    value, converged = sigma_max(A)
+    want = np.linalg.svd(A, compute_uv=False)[0]
+    assert converged
+    if not A.any():
+        assert value == 0.0 and np.copysign(1.0, value) == 1.0
+    else:
+        assert abs(value - want) <= 1e-12 * want
+
+
+def test_sigma_max_resolves_a_near_tied_top_pair():
+    # diag(1, 1 - 1e-7) turned by random rotations on both sides; an
+    # iterative solver separates these two only after ~1e7 sweeps
+    rng = np.random.default_rng(22)
+    left, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    right, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    A = (left[:, :2] * np.array([1.0, 1.0 - 1e-7])) @ right.T
+    value, converged = sigma_max(A)
+    assert converged
+    assert abs(value - 1.0) <= 1e-12
+    assert abs(value - np.linalg.svd(A, compute_uv=False)[0]) <= 1e-12
+    assert abs(sigma_max(A.T)[0] - value) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

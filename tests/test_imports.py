@@ -1,0 +1,20 @@
+"""What a bare ``import distdict`` pulls in."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import distdict
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(distdict.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, distdict; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,10 +3,11 @@ loop-based oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from distdict import (GraphSchedule, build_schedule, is_b_strongly_connected,
                       metropolis_weights, validate_weights)
-from distdict.network import SCHEDULE_KINDS
+from distdict.network import SCHEDULE_KINDS, _strongly_connected
 
 from oracles import metropolis_scalar, strongly_connected_bfs
 
@@ -121,6 +122,37 @@ def test_connectivity_checker_agrees_with_bfs_oracle_on_random_graphs():
                                  window=1)
         assert is_b_strongly_connected(schedule) == \
             strongly_connected_bfs(A)
+
+
+def closure_is_full(A):
+    """Strong connectivity from the transitive closure of A | I, found by
+    squaring the boolean reachability matrix until it stops growing."""
+    R = A | np.eye(A.shape[0], dtype=bool)
+    while True:
+        grown = (R.astype(np.int64) @ R.astype(np.int64)) > 0
+        if np.array_equal(grown, R):
+            return bool(R.all())
+        R = grown
+
+
+@st.composite
+def directed_graphs(draw):
+    n = draw(st.integers(1, 12))
+    density = draw(st.floats(0.0, 0.6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (rng.random((n, n)) < density) | np.eye(n, dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(directed_graphs())
+@example(np.ones((1, 1), dtype=bool))
+# two components, {0, 1} and {2, 3}
+@example(np.kron(np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool)))
+# the one-way path 0 -> 1 -> 2 and its reverse
+@example(np.eye(3, dtype=bool) | np.eye(3, k=-1, dtype=bool))
+@example(np.eye(3, dtype=bool) | np.eye(3, k=1, dtype=bool))
+def test_strong_connectivity_agrees_with_the_transitive_closure(A):
+    assert _strongly_connected(A) == closure_is_full(A)
 
 
 # ---------------------------------------------------------------------------

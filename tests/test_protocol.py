@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import distdict.agents as agents_mod
+import distdict.protocol as protocol_mod
 from distdict import (GraphSpec, ProblemData, build_run_config,
                       build_schedule, consensus_step, grad_dict, run,
                       tracking_step)
@@ -182,3 +184,38 @@ def test_run_keeps_every_dictionary_copy_feasible():
                           <= problem.alpha + 1e-12)
 
     run(problem, config, observer=check)
+
+
+def test_linearized_round_computes_each_gradient_and_norm_once(monkeypatch):
+    counts = {"grad_dict": 0, "sigma_max": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(agents_mod, "grad_dict",
+                        counted("grad_dict", agents_mod.grad_dict))
+    monkeypatch.setattr(protocol_mod, "grad_dict",
+                        counted("grad_dict", protocol_mod.grad_dict))
+    monkeypatch.setattr(agents_mod, "sigma_max",
+                        counted("sigma_max", agents_mod.sigma_max))
+    per_round = []
+
+    def observer(state):
+        per_round.append(dict(counts))
+        counts.update(grad_dict=0, sigma_max=0)
+
+    rng = np.random.default_rng(48)
+    problem = toy_problem(rng)
+    # a zero-round run counts the set-up, which the first round's tally holds
+    run(problem, config_for(problem, max_rounds=0))
+    setup = dict(counts)
+    counts.update(grad_dict=0, sigma_max=0)
+    config = config_for(problem, max_rounds=6, metric_stride=1000,
+                        variant="linearized", d_mode="linearized")
+    run(problem, config, observer=observer)
+    per_round[0] = {k: v - setup[k] for k, v in per_round[0].items()}
+    I = problem.num_agents
+    assert per_round == [{"grad_dict": I, "sigma_max": I}] * 6
