@@ -8,8 +8,8 @@ together.
 """
 
 from .agents import (AgentState, StepSchedule, coding_prox_weight,
-                     coding_step, dictionary_step, gamma_schedule,
-                     gamma_sequence, init_agents, refresh_grad_rest)
+                     coding_step, dictionary_step, gamma_sequence,
+                     init_agents)
 from .config import GraphSpec, RunConfig, build_run_config, load_config
 from .core import (ProblemData, d_update_linearized, d_update_plain,
                    grad_codes, grad_dict, objective_global,
@@ -37,13 +37,13 @@ __all__ = [
     "build_run_config", "build_schedule", "centralized_oracle",
     "coding_prox_weight", "coding_step", "consensus_error", "consensus_step",
     "d_update_linearized", "d_update_plain", "denoise_image",
-    "dictionary_step", "diffusion_baseline", "extract_patches", "gamma_schedule",
+    "dictionary_step", "diffusion_baseline", "extract_patches",
     "gamma_sequence", "grad_codes", "grad_dict", "init_agents",
     "is_b_strongly_connected", "load_config", "make_standard_problem",
     "make_synthetic", "make_test_image", "mean_dictionary",
     "metropolis_weights", "objective_global", "partition_columns",
     "patch_count", "project_dictionary", "psnr_mse", "read_pgm",
-    "reconstruct_image", "refresh_grad_rest", "run", "sigma_max",
+    "reconstruct_image", "run", "sigma_max",
     "soft_threshold", "stationarity_gap", "tracking_step",
     "validate_weights", "write_pgm", "x_update_linearized", "x_update_plain",
     "__version__",

@@ -5,6 +5,10 @@ Each agent keeps a private copy ``D`` of the dictionary, its own codes
 gradients, and ``grad_rest``, the running estimate of the summed gradient
 of all other agents. ``D_half`` is the damped local dictionary update that
 gets broadcast in the consensus step.
+
+The steps work the same on one agent's matrices and on a group of agents
+held as stacks with a leading agent axis (see ``core``); the round engine
+calls them once per group.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ProblemData, d_update_linearized, d_update_plain,
+from .core import (AgentGroups, ProblemData, d_update_linearized, d_update_plain,
                    grad_dict, sigma_max, x_update_linearized, x_update_plain)
 
 VARIANTS = ("plain", "linearized")
@@ -68,6 +72,25 @@ class AgentState:
     D_half: np.ndarray = None
 
 
+def agent_views(groups: AgentGroups, D, X, tracker, grad_rest) -> list:
+    """One AgentState per agent, of views into stacked state: ``D``,
+    ``tracker`` and ``grad_rest`` of shape ``(I, M, K)``, ``X`` as the group
+    stacks of ``groups``."""
+    return [AgentState(D=D[i], X=x, tracker=tracker[i],
+                       grad_rest=grad_rest[i])
+            for i, x in enumerate(groups.unstack(X))]
+
+
+def stack_agents(groups: AgentGroups, agents) -> tuple:
+    """The inverse of ``agent_views``: ``(D, X, tracker, grad_rest)`` with
+    ``X`` as the group stacks of ``groups`` and the others as
+    ``(I, M, K)`` stacks."""
+    return (np.stack([a.D for a in agents]),
+            groups.stack([a.X for a in agents]),
+            np.stack([a.tracker for a in agents]),
+            np.stack([a.grad_rest for a in agents]))
+
+
 def gamma_sequence(count: int, gamma0: float, eps: float) -> np.ndarray:
     """First ``count`` values of gamma[n] = gamma[n-1] (1 - eps gamma[n-1])."""
     g = np.empty(count)
@@ -79,16 +102,15 @@ def gamma_sequence(count: int, gamma0: float, eps: float) -> np.ndarray:
     return g
 
 
-def gamma_schedule(nu: int, gamma0: float, eps: float) -> float:
-    """Value of the diminishing step size at round ``nu``."""
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    return float(gamma_sequence(nu + 1, gamma0, eps)[-1])
+def coding_prox_weight(D_half, eps_tau: float):
+    """Proximal weight of the coding step: max(eps_tau, sigma_max(D_half)^2).
 
-
-def coding_prox_weight(D_half, eps_tau: float) -> float:
-    """Proximal weight of the coding step: max(eps_tau, sigma_max(D_half)^2)."""
+    For a stack of ``c`` dictionaries, one weight per agent with shape
+    ``(c, 1, 1)``, which broadcasts over the agents' codes.
+    """
     sig, _ = sigma_max(D_half)
+    if np.ndim(sig):
+        return np.maximum(eps_tau, sig * sig)[:, None, None]
     return max(eps_tau, sig * sig)
 
 
@@ -124,7 +146,8 @@ def dictionary_step(state: AgentState, S, gamma: float, sched: StepSchedule,
     current point, which the round loop already holds; the linearized mode
     steps along it and the plain mode does not need it. Writes
     ``state.D_half = D + gamma (D_tilde - D)``. Returns False when the
-    plain-mode inner solver hit its iteration cap.
+    plain-mode inner solver hit its iteration cap; for a stacked state, one
+    such flag per agent.
     """
     if sched.d_mode == "plain":
         d_tilde, ok = d_update_plain(state.D, state.X, S, state.grad_rest,
@@ -142,7 +165,8 @@ def coding_step(state: AgentState, S, tau_x: float, lam: float, mu: float,
                 sched: StepSchedule) -> bool:
     """Update the private codes against the blended dictionary ``D_half``.
 
-    Returns False when the plain-variant inner solver hit its iteration cap.
+    Returns False when the plain-variant inner solver hit its iteration cap;
+    for a stacked state, one such flag per agent.
     """
     if sched.variant == "plain":
         X_new, ok = x_update_plain(state.X, state.D_half, S, tau_x, lam, mu,
@@ -153,9 +177,3 @@ def coding_step(state: AgentState, S, tau_x: float, lam: float, mu: float,
     state.X = X_new
     return ok
 
-
-def refresh_grad_rest(state: AgentState, S, num_agents: int) -> None:
-    """Re-derive the others-gradient estimate from the tracker:
-    grad_rest = num_agents * tracker - own gradient at the current point."""
-    state.grad_rest = (num_agents * state.tracker
-                       - grad_dict(state.D, state.X, S))

@@ -7,7 +7,15 @@ The global problem is
     s.t.        ||D e_k||_2 <= alpha  for every atom k,
 
 where the data matrix S is split into column blocks S_i owned by the agents.
-Everything in this module is single-matrix math; networking lives elsewhere.
+Everything in this module is local math; networking lives elsewhere.
+
+The kernels take either one agent's matrices or stacks of them with a
+leading agent axis, as the round engine holds them: ``D`` of shape
+``(c, M, K)``, ``X`` of shape ``(c, K, n)`` and ``S`` of shape ``(c, M, n)``
+for a group of ``c`` agents. A 2-d call is the single-agent case and returns
+what it always did. Stacked blocks narrower than ``n`` are padded with zero
+columns, and the padding is exact: a zero data column with a zero code gives
+a zero gradient, and the shrinkage keeps that code at zero.
 """
 
 from __future__ import annotations
@@ -15,6 +23,53 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Float64 entries a group's stacked temporaries may span (128 KiB each): the
+# round engine stacks max(1, BUDGET // (max(M, K) * n_max)) agents per group.
+BUDGET = 2 ** 14
+
+
+@dataclass(frozen=True)
+class AgentGroups:
+    """The agent groups of the round engine: contiguous agent ranges that
+    are stepped as one stack each.
+
+    ``slices`` holds the ranges, ``sizes`` the column count of every
+    agent's block. ``ProblemData`` builds the layout once, with
+    ``max(1, BUDGET // (max(M, K) * n_max))`` agents per group, the last
+    group shorter, where ``n_max`` is the widest block.
+    """
+
+    slices: tuple
+    sizes: tuple
+
+    def stack(self, blocks) -> list:
+        """Stack one matrix per agent, each with its agent's column count,
+        into one array per group.
+
+        A group of one agent gets a ``[None]`` view of its block, with no
+        copy. A group of several agents gets a new ``(c, rows, n_g)`` array,
+        ``n_g`` the widest block of the group, with the narrower blocks
+        padded by zero columns on the right.
+        """
+        out = []
+        for sl in self.slices:
+            part = blocks[sl]
+            if len(part) == 1:
+                out.append(part[0][None])
+                continue
+            width = max(self.sizes[sl])
+            st = np.zeros((len(part), part[0].shape[0], width))
+            for j, B in enumerate(part):
+                st[j, :, :B.shape[1]] = B
+            out.append(st)
+        return out
+
+    def unstack(self, stacks) -> list:
+        """Per-agent views ``(rows, n_i)`` into the group stacks of
+        ``stack``, padding left out."""
+        return [st[j, :, :n] for sl, st in zip(self.slices, stacks)
+                for j, n in enumerate(self.sizes[sl])]
 
 
 @dataclass
@@ -33,6 +88,13 @@ class ProblemData:
         Weight of the squared-Frobenius coding penalty (> 0).
     alpha : float
         Column-norm bound of the dictionary constraint set (> 0).
+
+    Attributes
+    ----------
+    groups : AgentGroups
+        The agent groups of the round engine.
+    S_groups : list of ndarray
+        The data blocks of each group as one stack (``AgentGroups.stack``).
     """
 
     S_blocks: list
@@ -58,6 +120,29 @@ class ProblemData:
             raise ValueError("lam and mu must be positive")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        size = max(1, BUDGET // (max(M, self.K) * max(self.block_sizes)))
+        I = len(self.S_blocks)
+        self.groups = AgentGroups(
+            slices=tuple(slice(lo, min(lo + size, I))
+                         for lo in range(0, I, size)),
+            sizes=tuple(self.block_sizes))
+        self.S_groups = self.groups.stack(self.S_blocks)
+
+    def code_groups(self, X) -> list:
+        """Codes as group stacks. ``X`` is either such a list of stacks,
+        as the round engine holds them, or one ``(K, n_i)`` block per
+        agent, which is checked and stacked."""
+        if len(X) == len(self.groups.slices) and all(np.ndim(x) == 3
+                                                     for x in X):
+            return X
+        if len(X) != self.num_agents:
+            raise ValueError("one code block per data block is required")
+        X = [np.asarray(x, dtype=float) for x in X]
+        for i, (x, n) in enumerate(zip(X, self.block_sizes)):
+            if x.shape != (self.K, n):
+                raise ValueError(f"code block {i} has shape {x.shape}, "
+                                 f"expected ({self.K}, {n})")
+        return self.groups.stack(X)
 
     @property
     def M(self) -> int:
@@ -77,19 +162,15 @@ class ProblemData:
 
 
 def objective_global(D, X_blocks, problem: ProblemData) -> float:
-    """Evaluate the full objective at a common dictionary D and codes X_i."""
+    """Evaluate the full objective at a common dictionary D and codes X_i,
+    given per agent or as group stacks (``ProblemData.code_groups``); the
+    sum runs over the groups."""
     D = np.asarray(D, dtype=float)
     if D.shape != (problem.M, problem.K):
         raise ValueError(f"D has shape {D.shape}, expected "
                          f"({problem.M}, {problem.K})")
-    if len(X_blocks) != problem.num_agents:
-        raise ValueError("one code block per data block is required")
     total = 0.0
-    for i, (S, X) in enumerate(zip(problem.S_blocks, X_blocks)):
-        X = np.asarray(X, dtype=float)
-        if X.shape != (problem.K, S.shape[1]):
-            raise ValueError(f"code block {i} has shape {X.shape}, expected "
-                             f"({problem.K}, {S.shape[1]})")
+    for S, X in zip(problem.S_groups, problem.code_groups(X_blocks)):
         R = S - D @ X
         total += (0.5 * np.sum(R * R)
                   + problem.lam * np.sum(np.abs(X))
@@ -101,29 +182,32 @@ def _check_triplet(D, X, S):
     D = np.asarray(D, dtype=float)
     X = np.asarray(X, dtype=float)
     S = np.asarray(S, dtype=float)
-    if D.ndim != 2 or X.ndim != 2 or S.ndim != 2:
-        raise ValueError("D, X and S must be 2-d arrays")
-    if D.shape[1] != X.shape[0] or D.shape[0] != S.shape[0] \
-            or X.shape[1] != S.shape[1]:
+    if D.ndim not in (2, 3) or X.ndim not in (2, 3) or S.ndim not in (2, 3):
+        raise ValueError("D, X and S must be 2-d arrays or stacks of them")
+    if D.shape[-1] != X.shape[-2] or D.shape[-2] != S.shape[-2] \
+            or X.shape[-1] != S.shape[-1]:
         raise ValueError(f"incompatible shapes D{D.shape} X{X.shape} "
                          f"S{S.shape}")
     return D, X, S
 
 
 def grad_dict(D, X, S) -> np.ndarray:
-    """Gradient of the local fit term 1/2 ||S - D X||_F^2 with respect to D."""
+    """Gradient of the local fit term 1/2 ||S - D X||_F^2 with respect to D;
+    one per agent for stacked input, and a 2-d D is shared by the stack."""
     D, X, S = _check_triplet(D, X, S)
-    return (D @ X - S) @ X.T
+    return (D @ X - S) @ X.swapaxes(-1, -2)
 
 
 def grad_codes(D, X, S) -> np.ndarray:
-    """Gradient of the local fit term 1/2 ||S - D X||_F^2 with respect to X."""
+    """Gradient of the local fit term 1/2 ||S - D X||_F^2 with respect to X;
+    one per agent for stacked input, and a 2-d D is shared by the stack."""
     D, X, S = _check_triplet(D, X, S)
-    return D.T @ (D @ X - S)
+    return D.swapaxes(-1, -2) @ (D @ X - S)
 
 
 def project_dictionary(D, alpha: float) -> np.ndarray:
-    """Euclidean projection onto {D : ||D e_k||_2 <= alpha for all k}.
+    """Euclidean projection onto {D : ||D e_k||_2 <= alpha for all k}, for
+    one dictionary or each of a stack.
 
     Columns with norm above alpha are rescaled onto the ball boundary,
     columns already inside are untouched.
@@ -131,7 +215,7 @@ def project_dictionary(D, alpha: float) -> np.ndarray:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     D = np.asarray(D, dtype=float)
-    norms = np.linalg.norm(D, axis=0)
+    norms = np.linalg.norm(D, axis=-2, keepdims=True)
     scale = np.ones_like(norms)
     over = norms > alpha
     scale[over] = alpha / norms[over]
@@ -148,33 +232,55 @@ def sigma_max(A):
     """Largest singular value of A: the square root of the top eigenvalue
     of the smaller Gram matrix, computed exactly by ``np.linalg.eigvalsh``.
 
-    Returns ``(value, converged)``; ``converged`` is always True and is kept
-    so that callers unpacking a pair need no change.
+    For a stack ``(c, m, n)`` one batched ``eigvalsh`` gives the ``c``
+    values as an array. Returns ``(value, converged)``; ``converged`` is
+    always True and is kept so that callers unpacking a pair need no change.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.size == 0:
-        raise ValueError("a nonempty 2-d array is required")
-    B = A.T @ A if A.shape[1] <= A.shape[0] else A @ A.T
-    lam = float(np.linalg.eigvalsh(B)[-1])
-    return float(np.sqrt(max(0.0, lam))), True
+    if A.ndim not in (2, 3) or A.size == 0:
+        raise ValueError("a nonempty 2-d array or stack of them is required")
+    At = A.swapaxes(-1, -2)
+    B = At @ A if A.shape[-1] <= A.shape[-2] else A @ At
+    lam = np.linalg.eigvalsh(B)[..., -1]
+    if A.ndim == 3:
+        return np.sqrt(np.maximum(0.0, lam)), True
+    return float(np.sqrt(max(0.0, float(lam)))), True
 
 
-def x_update_linearized(X, U, S, tau: float, lam: float, mu: float):
+def _lift(*arrays):
+    """The arrays as float stacks: 2-d ones get a leading axis of one."""
+    arrays = [np.asarray(A, dtype=float) for A in arrays]
+    return [A if A.ndim == 3 else A[None] for A in arrays]
+
+
+def x_update_linearized(X, U, S, tau, lam: float, mu: float):
     """Closed-form coding step for the linearized local surrogate.
 
     Minimizes, entrywise,
         <grad, X - X0> + tau/2 ||X - X0||_F^2 + lam ||X||_1 + mu ||X||_F^2
     with grad evaluated at (U, X0), which gives
         tau / (2 mu + tau) * shrink(X0 - grad / tau, lam / tau).
+    For stacked input ``tau`` may hold one weight per agent, shape
+    ``(c, 1, 1)``.
     """
-    if tau <= 0:
+    if np.any(np.asarray(tau) <= 0):
         raise ValueError("tau must be positive")
     X = np.asarray(X, dtype=float)
     g = grad_codes(U, X, S)
     return (tau / (2.0 * mu + tau)) * soft_threshold(X - g / tau, lam / tau)
 
 
-def x_update_plain(X, U, S, tau: float, lam: float, mu: float,
+def _freeze(out, done, Xn, change, inner_tol):
+    """Keep the iterate of every agent whose step ``change`` met the
+    tolerance for the first time; returns True once all have."""
+    now = (change <= inner_tol) & ~done
+    if now.any():
+        out[now] = Xn[now]
+        done |= now
+    return bool(done.all())
+
+
+def x_update_plain(X, U, S, tau, lam: float, mu: float,
                    inner_tol: float = 1e-8, inner_max_iter: int = 2000):
     """Solve the proximal elastic-net coding subproblem
 
@@ -185,39 +291,48 @@ def x_update_plain(X, U, S, tau: float, lam: float, mu: float,
     1/(sigma_max(U)^2 + tau + 2 mu) from the exact spectral norm. Returns
     ``(X_new, converged)``; non-convergence within ``inner_max_iter`` is
     reported through the flag, not raised.
+
+    For stacked input (``tau`` of shape ``(c, 1, 1)`` or a scalar) the
+    agents iterate in lockstep, and each one stops on its own: an agent
+    whose step falls to ``inner_tol`` keeps the iterate a lone solve would
+    return, and ``converged`` is one flag per agent.
     """
-    if tau < 0:
+    if np.any(np.asarray(tau) < 0):
         raise ValueError("tau must be nonnegative")
-    X0 = np.asarray(X, dtype=float)
-    U = np.asarray(U, dtype=float)
-    S = np.asarray(S, dtype=float)
-    G = U.T @ U
-    B = U.T @ S
+    flat = np.ndim(X) == 2
+    X0, U, S = _lift(X, U, S)
+    Ut = U.swapaxes(-1, -2)
+    G = Ut @ U
+    B = Ut @ S
     sig, _ = sigma_max(U)
-    step = 1.0 / (sig * sig + tau + 2.0 * mu)
+    step = 1.0 / ((sig * sig)[:, None, None] + tau + 2.0 * mu)
     Xk = X0.copy()
     Y = X0.copy()
+    out = X0.copy()
+    done = np.zeros(len(X0), dtype=bool)
     t = 1.0
-    converged = False
     for _ in range(inner_max_iter):
         grad = G @ Y - B + tau * (Y - X0) + 2.0 * mu * Y
         Xn = soft_threshold(Y - step * grad, step * lam)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         Y = Xn + ((t - 1.0) / t_next) * (Xn - Xk)
-        change = np.max(np.abs(Xn - Xk))
+        change = np.max(np.abs(Xn - Xk), axis=(-2, -1))
         Xk = Xn
         t = t_next
-        if change <= inner_tol:
-            converged = True
+        if _freeze(out, done, Xn, change, inner_tol):
             break
-    return Xk, converged
+    else:
+        out[~done] = Xk[~done]
+    return (out[0], bool(done[0])) if flat else (out, done)
 
 
 def d_update_linearized(D, grad_local, grad_rest, tau: float, alpha: float):
     """Closed-form dictionary step: one projected gradient step that solves
 
         min_{D in the column-norm ball}
-            <grad_local + grad_rest, D - D0> + tau/2 ||D - D0||_F^2.
+            <grad_local + grad_rest, D - D0> + tau/2 ||D - D0||_F^2,
+
+    for one agent or each agent of a stack.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -234,26 +349,28 @@ def d_update_plain(D, X, S, grad_rest, tau: float, alpha: float,
 
     by projected gradient with step 1/(sigma_max(X)^2 + tau). Returns
     ``(D_new, converged)`` with the same non-fatal flag convention as the
-    coding solver.
+    coding solver, and the same lockstep with per-agent stopping for
+    stacked input.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    D0 = np.asarray(D, dtype=float)
-    X = np.asarray(X, dtype=float)
-    S = np.asarray(S, dtype=float)
-    grad_rest = np.asarray(grad_rest, dtype=float)
-    XXt = X @ X.T
-    SXt = S @ X.T
+    flat = np.ndim(D) == 2
+    D0, X, S, grad_rest = _lift(D, X, S, grad_rest)
+    Xt = X.swapaxes(-1, -2)
+    XXt = X @ Xt
+    SXt = S @ Xt
     sig, _ = sigma_max(X)
-    step = 1.0 / (sig * sig + tau)
+    step = (1.0 / (sig * sig + tau))[:, None, None]
     Dk = D0.copy()
-    converged = False
+    out = D0.copy()
+    done = np.zeros(len(D0), dtype=bool)
     for _ in range(inner_max_iter):
         grad = Dk @ XXt - SXt + tau * (Dk - D0) + grad_rest
         Dn = project_dictionary(Dk - step * grad, alpha)
-        change = np.max(np.abs(Dn - Dk))
+        change = np.max(np.abs(Dn - Dk), axis=(-2, -1))
         Dk = Dn
-        if change <= inner_tol:
-            converged = True
+        if _freeze(out, done, Dn, change, inner_tol):
             break
-    return Dk, converged
+    else:
+        out[~done] = Dk[~done]
+    return (out[0], bool(done[0])) if flat else (out, done)

@@ -52,9 +52,10 @@ def denoise_image(noisy, config: RunConfig, *, patch_side: int = 8,
                           alpha=config.alpha)
     holder = {}
     trace = run(problem, config,
-                observer=lambda state: holder.update(agents=state.agents))
-    agents = holder.get("agents") or init_agents(problem, seed=config.seed)
-    dictionary = mean_dictionary(agents)
+                observer=lambda state: holder.update(state=state))
+    agents = (holder["state"].agents if holder
+              else init_agents(problem, seed=config.seed))
+    dictionary = mean_dictionary([agent.D for agent in agents])
     codes = [agent.X for agent in agents]
     decoded = PIXEL_SCALE * (dictionary @ np.hstack(codes)) + offsets
     image = assemble_patches(decoded, dataset.image_shape, patch_side, stride)

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import (coding_prox_weight, coding_step, dictionary_step,
-                     gamma_sequence, init_agents)
+from .agents import (AgentState, agent_views, coding_prox_weight,
+                     coding_step, dictionary_step, gamma_sequence, init_agents,
+                     stack_agents)
 from .config import RunConfig
 from .core import (ProblemData, grad_dict, objective_global,
                    project_dictionary, x_update_linearized)
@@ -79,19 +80,24 @@ class MetricsTrace:
             fh.write("\n".join(lines) + "\n")
 
 
-def mean_dictionary(agents) -> np.ndarray:
-    stack = np.stack([a.D for a in agents])
-    return stack.mean(axis=0)
+def mean_dictionary(D_list) -> np.ndarray:
+    """Network mean of the dictionary copies, given as an ``(I, M, K)``
+    stack or a list of ``(M, K)`` arrays."""
+    return np.asarray(D_list, dtype=float).mean(axis=0)
 
 
 def stationarity_gap(D_bar, X_blocks, problem: ProblemData) -> float:
     """Max-norm distance of (D_bar, X) from its unit-weight prox/projection
-    update, evaluated with gradients at the common dictionary D_bar."""
+    update, evaluated with gradients at the common dictionary D_bar.
+
+    The codes are given per agent or as group stacks
+    (``ProblemData.code_groups``); the gradients are summed per group.
+    """
     D_bar = np.asarray(D_bar, dtype=float)
     grad_sum = np.zeros_like(D_bar)
     gap = 0.0
-    for S, X in zip(problem.S_blocks, X_blocks):
-        grad_sum += grad_dict(D_bar, X, S)
+    for S, X in zip(problem.S_groups, problem.code_groups(X_blocks)):
+        grad_sum += grad_dict(D_bar, X, S).sum(axis=0)
         X_hat = x_update_linearized(X, D_bar, S, 1.0, problem.lam, problem.mu)
         gap = max(gap, float(np.max(np.abs(X - X_hat))))
     D_hat = project_dictionary(D_bar - grad_sum / problem.num_agents,
@@ -101,9 +107,9 @@ def stationarity_gap(D_bar, X_blocks, problem: ProblemData) -> float:
 
 
 def consensus_error(D_list, D_bar=None) -> float:
-    """Worst entrywise deviation of the local dictionary copies from their
-    mean."""
-    stack = np.stack([np.asarray(D, dtype=float) for D in D_list])
+    """Worst entrywise deviation of the local dictionary copies, given as an
+    ``(I, M, K)`` stack or a list, from their mean."""
+    stack = np.asarray(D_list, dtype=float)
     if D_bar is None:
         D_bar = stack.mean(axis=0)
     return float(np.max(np.abs(stack - D_bar)))
@@ -164,6 +170,13 @@ def centralized_oracle(problem: ProblemData, config: RunConfig,
     return trace
 
 
+def _record(trace, problem, D, X, nu, messages, gamma, flags):
+    D_bar = mean_dictionary(D)
+    trace.add_row(nu, messages, objective_global(D_bar, X, problem),
+                  stationarity_gap(D_bar, X, problem),
+                  consensus_error(D, D_bar), gamma, flags)
+
+
 def diffusion_baseline(problem: ProblemData, config: RunConfig,
                        schedule=None, observer=None) -> MetricsTrace:
     """Simplified adapt-then-combine diffusion stand-in, no tracking.
@@ -172,6 +185,9 @@ def diffusion_baseline(problem: ProblemData, config: RunConfig,
     copy driven only by its own gradient with the shared diminishing step
     size, the copies are mixed over the graph (the single message exchange
     of the round), and the codes are refreshed against the mixed dictionary.
+    The state is held as stacks over the agent groups of ``problem``, as in
+    ``protocol.run``. ``observer(nu, agents)`` gets per-agent views with
+    zero trackers.
     """
     if schedule is None:
         schedule = build_schedule(config.graph.kind, config.graph.num_agents,
@@ -183,40 +199,34 @@ def diffusion_baseline(problem: ProblemData, config: RunConfig,
     if not is_b_strongly_connected(schedule):
         raise ValueError("schedule violates its connectivity window")
     sched = config.steps
-    agents = init_agents(problem, seed=config.seed)
-    for a in agents:
-        a.tracker = np.zeros_like(a.D)
-        a.grad_rest = np.zeros_like(a.D)
+    D, X, _, _ = stack_agents(problem.groups,
+                              init_agents(problem, seed=config.seed))
+    zeros = np.zeros_like(D)
     gammas = gamma_sequence(config.max_rounds + 1, sched.gamma0,
                             sched.eps_gamma)
     trace = MetricsTrace()
-
-    def record(nu, messages, flags):
-        D_bar = mean_dictionary(agents)
-        X_blocks = [a.X for a in agents]
-        trace.add_row(nu, messages, objective_global(D_bar, X_blocks, problem),
-                      stationarity_gap(D_bar, X_blocks, problem),
-                      consensus_error([a.D for a in agents], D_bar),
-                      gammas[nu], flags)
-
-    record(0, 0, 0)
+    _record(trace, problem, D, X, 0, 0, gammas[0], 0)
     flags = 0
     for nu in range(config.max_rounds):
         W = schedule.weights_at(nu)
-        adapted = [project_dictionary(
-            a.D - gammas[nu] * grad_dict(a.D, a.X, S), problem.alpha)
-            for a, S in zip(agents, problem.S_blocks)]
-        mixed = np.tensordot(W, np.stack(adapted), axes=1)
-        for a, S, D_new in zip(agents, problem.S_blocks, mixed):
-            a.D = D_new
-            a.D_half = D_new
-            tau_x = coding_prox_weight(a.D, sched.eps_tau)
-            flags += not coding_step(a, S, tau_x, problem.lam, problem.mu,
-                                     sched)
+        grads = np.concatenate([grad_dict(D[sl], Xg, S) for sl, S, Xg in
+                                zip(problem.groups.slices, problem.S_groups,
+                                    X)])
+        adapted = project_dictionary(D - gammas[nu] * grads, problem.alpha)
+        D = np.tensordot(W, adapted, axes=1)
+        for g, (sl, S) in enumerate(zip(problem.groups.slices,
+                                        problem.S_groups)):
+            group = AgentState(D=D[sl], X=X[g], tracker=None, grad_rest=None,
+                               D_half=D[sl])
+            tau_x = coding_prox_weight(group.D, sched.eps_tau)
+            ok = coding_step(group, S, tau_x, problem.lam, problem.mu, sched)
+            flags += np.size(ok) - np.count_nonzero(ok)
+            X[g] = group.X
         if observer is not None:
-            observer(nu + 1, agents)
+            observer(nu + 1, agent_views(problem.groups, D, X, zeros, zeros))
         if (nu + 1) % config.metric_stride == 0 or nu + 1 == config.max_rounds:
-            record(nu + 1, nu + 1, flags)
+            _record(trace, problem, D, X, nu + 1, nu + 1, gammas[nu + 1],
+                    flags)
             flags = 0
             if trace.delta[-1] <= config.stop_tol:
                 break

@@ -10,6 +10,10 @@ One round is
   combine : dictionaries are mixed with the doubly stochastic weights, the
             trackers absorb the local gradient increments, and the
             others-gradient estimates are refreshed.
+
+The agents' state is held as stacks with a leading agent axis, and the
+local steps run once per agent group of the problem (``ProblemData.groups``)
+rather than once per agent; the mixing runs once over all agents.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import (coding_prox_weight, coding_step, dictionary_step,
-                     gamma_sequence, init_agents)
+from .agents import (AgentState, agent_views, coding_prox_weight,
+                     coding_step, dictionary_step, gamma_sequence, init_agents,
+                     stack_agents)
 from .config import RunConfig
-from .core import ProblemData, grad_dict, objective_global
+from .core import AgentGroups, ProblemData, grad_dict, objective_global
 from .metrics import (MetricsTrace, consensus_error, mean_dictionary,
                       stationarity_gap)
 from .network import (GraphSchedule, build_schedule, is_b_strongly_connected,
@@ -30,34 +35,70 @@ from .network import (GraphSchedule, build_schedule, is_b_strongly_connected,
 
 @dataclass
 class RoundState:
-    """Global snapshot handed to observers at the end of each round."""
+    """Global snapshot handed to observers at the end of each round.
 
-    agents: list
+    ``D``, ``tracker`` and ``grad_rest`` are ``(I, M, K)`` stacks over the
+    agents, and ``X`` holds one ``(c, K, n_g)`` stack per agent group of
+    ``groups``. Every round binds new arrays and writes none it handed out
+    before, so an array an observer keeps stays as it was.
+    """
+
+    groups: AgentGroups
+    D: np.ndarray
+    X: list
+    tracker: np.ndarray
+    grad_rest: np.ndarray
     nu: int = 0
     messages: int = 0
 
+    @property
+    def agents(self) -> list:
+        """One AgentState per agent, of views into the stacks; ``X`` has
+        the agent's own shape ``(K, n_i)``."""
+        return agent_views(self.groups, self.D, self.X, self.tracker,
+                           self.grad_rest)
 
-def consensus_step(W, mats) -> list:
-    """Mix per-agent matrices: out[i] = sum_j W[i, j] mats[j]."""
+
+def consensus_step(W, mats) -> np.ndarray:
+    """Mix per-agent matrices: out[i] = sum_j W[i, j] mats[j].
+
+    ``mats`` is an ``(I, M, K)`` stack or a list of I matrices; the result
+    is a new stack, from one ``tensordot``.
+    """
     W = np.asarray(W, dtype=float)
+    mats = np.asarray(mats, dtype=float)
     if W.shape != (len(mats), len(mats)):
         raise ValueError("weight matrix size must match the agent count")
-    mixed = np.tensordot(W, np.stack(mats), axes=1)
-    return [mixed[i] for i in range(len(mats))]
+    return np.tensordot(W, mats, axes=1)
 
 
-def tracking_step(W, trackers, grads_new, grads_old) -> list:
-    """Consensus on the trackers plus the local gradient increment.
+def tracking_step(W, trackers, grads_new, grads_old) -> np.ndarray:
+    """Consensus on the trackers plus the local gradient increment, on
+    ``(I, M, K)`` stacks (or lists of I matrices); returns a new stack.
 
     The old gradient is subtracted before the new one is added; with a
     single agent the mix is exact and the tracker then reproduces the new
     gradient bit for bit, which keeps the network run aligned with the
     centralized reference.
     """
-    mixed = np.tensordot(np.asarray(W, dtype=float), np.stack(trackers),
-                         axes=1)
-    out = (mixed - np.stack(grads_old)) + np.stack(grads_new)
-    return [out[i] for i in range(len(trackers))]
+    mixed = np.tensordot(np.asarray(W, dtype=float),
+                         np.asarray(trackers, dtype=float), axes=1)
+    return (mixed - np.asarray(grads_old)) + np.asarray(grads_new)
+
+
+def _group_grads(problem, D, X) -> np.ndarray:
+    """Local dictionary gradients of all agents as one ``(I, M, K)`` stack,
+    one ``grad_dict`` call per group."""
+    return np.concatenate([grad_dict(D[sl], Xg, S) for sl, S, Xg in
+                           zip(problem.groups.slices, problem.S_groups, X)])
+
+
+def _record(trace, problem, state, gamma, flags):
+    D_bar = mean_dictionary(state.D)
+    trace.add_row(state.nu, state.messages,
+                  objective_global(D_bar, state.X, problem),
+                  stationarity_gap(D_bar, state.X, problem),
+                  consensus_error(state.D, D_bar), gamma, flags)
 
 
 def run(problem: ProblemData, config: RunConfig, schedule: GraphSchedule = None,
@@ -77,6 +118,14 @@ def run(problem: ProblemData, config: RunConfig, schedule: GraphSchedule = None,
         round's combine step (regardless of the metric stride). It must not
         modify the agents' ``D`` or ``X``: the next dictionary step reuses
         the gradient computed at them in the combine step.
+
+    The agents' state lives in stacks with a leading agent axis. Each round
+    calls ``dictionary_step``, ``coding_prox_weight``, ``coding_step`` and
+    ``grad_dict`` once per agent group (``problem.groups``), then
+    ``consensus_step`` and ``tracking_step`` once on the ``(I, M, K)``
+    stacks. A group of several agents pads its codes with zero columns to
+    its widest block; the padding stays zero. The trace's ``flags`` count
+    the agents whose inner solver hit its iteration cap.
 
     Returns
     -------
@@ -101,50 +150,46 @@ def run(problem: ProblemData, config: RunConfig, schedule: GraphSchedule = None,
             raise ValueError(f"phase {t} weights fail validation")
 
     sched = config.steps
-    agents = init_agents(problem, seed=config.seed)
+    state = RoundState(problem.groups, *stack_agents(
+        problem.groups, init_agents(problem, seed=config.seed)))
     I = problem.num_agents
     gammas = gamma_sequence(config.max_rounds + 1, sched.gamma0,
                             sched.eps_gamma)
-    grads_prev = [grad_dict(a.D, a.X, S)
-                  for a, S in zip(agents, problem.S_blocks)]
-    state = RoundState(agents=agents, nu=0, messages=0)
+    grads_prev = _group_grads(problem, state.D, state.X)
     trace = MetricsTrace()
-
-    def record(nu, flags):
-        D_bar = mean_dictionary(agents)
-        X_blocks = [a.X for a in agents]
-        trace.add_row(nu, state.messages,
-                      objective_global(D_bar, X_blocks, problem),
-                      stationarity_gap(D_bar, X_blocks, problem),
-                      consensus_error([a.D for a in agents], D_bar),
-                      gammas[nu], flags)
-
-    record(0, 0)
+    _record(trace, problem, state, gammas[0], 0)
     flags = 0
     for nu in range(config.max_rounds):
         W = schedule.weights_at(nu)
-        for a, S, g in zip(agents, problem.S_blocks, grads_prev):
-            ok_d = dictionary_step(a, S, gammas[nu], sched, problem.alpha, g)
-            tau_x = coding_prox_weight(a.D_half, sched.eps_tau)
-            ok_x = coding_step(a, S, tau_x, problem.lam, problem.mu, sched)
-            flags += (not ok_d) + (not ok_x)
-        mixed = consensus_step(W, [a.D_half for a in agents])
-        for a, D_new in zip(agents, mixed):
-            a.D = D_new
-        grads_new = [grad_dict(a.D, a.X, S)
-                     for a, S in zip(agents, problem.S_blocks)]
-        trackers = tracking_step(W, [a.tracker for a in agents],
-                                 grads_new, grads_prev)
-        for i, a in enumerate(agents):
-            a.tracker = trackers[i]
-            a.grad_rest = I * trackers[i] - grads_new[i]
+        halves = []
+        # a new list, so one an observer kept stays as it was; each old
+        # code stack is released as soon as its group has the new one
+        codes = state.X = list(state.X)
+        for g, (sl, S) in enumerate(zip(problem.groups.slices,
+                                        problem.S_groups)):
+            group = AgentState(D=state.D[sl], X=codes[g], tracker=None,
+                               grad_rest=state.grad_rest[sl])
+            ok_d = dictionary_step(group, S, gammas[nu], sched,
+                                   problem.alpha, grads_prev[sl])
+            tau_x = coding_prox_weight(group.D_half, sched.eps_tau)
+            ok_x = coding_step(group, S, tau_x, problem.lam, problem.mu,
+                               sched)
+            flags += (np.size(ok_d) - np.count_nonzero(ok_d)
+                      + np.size(ok_x) - np.count_nonzero(ok_x))
+            halves.append(group.D_half)
+            codes[g] = group.X
+        state.D = consensus_step(W, np.concatenate(halves))
+        grads_new = _group_grads(problem, state.D, codes)
+        state.tracker = tracking_step(W, state.tracker, grads_new,
+                                      grads_prev)
+        state.grad_rest = I * state.tracker - grads_new
         grads_prev = grads_new
         state.nu = nu + 1
         state.messages += 2
         if observer is not None:
             observer(state)
         if (nu + 1) % config.metric_stride == 0 or nu + 1 == config.max_rounds:
-            record(nu + 1, flags)
+            _record(trace, problem, state, gammas[nu + 1], flags)
             flags = 0
             if trace.delta[-1] <= config.stop_tol:
                 break

@@ -193,3 +193,50 @@ def psnr_scalar(reference, test):
     if mse == 0.0:
         return float("inf"), 0.0
     return 10.0 * np.log10(255.0 ** 2 / mse), mse
+
+
+# ---------------------------------------------------------------------------
+# round loop
+
+
+def ragged_run(problem, config, schedule, observer):
+    """The tracked round loop run one agent at a time on the 2-d kernels,
+    each agent with its own unpadded block: the reference for the stacked
+    round engine of ``distdict.protocol.run``.
+
+    Calls ``observer(nu, agents, flags)`` after every round with the list of
+    per-agent states and the number of agents whose inner solvers hit their
+    cap in that round.
+    """
+    from distdict.agents import (coding_prox_weight, coding_step,
+                                 dictionary_step, gamma_sequence, init_agents)
+    from distdict.core import grad_dict
+
+    sched = config.steps
+    agents = init_agents(problem, seed=config.seed)
+    I = problem.num_agents
+    gammas = gamma_sequence(config.max_rounds + 1, sched.gamma0,
+                            sched.eps_gamma)
+    grads_prev = [grad_dict(a.D, a.X, S)
+                  for a, S in zip(agents, problem.S_blocks)]
+    for nu in range(config.max_rounds):
+        W = schedule.weights_at(nu)
+        flags = 0
+        for a, S, g in zip(agents, problem.S_blocks, grads_prev):
+            ok_d = dictionary_step(a, S, gammas[nu], sched, problem.alpha, g)
+            tau_x = coding_prox_weight(a.D_half, sched.eps_tau)
+            ok_x = coding_step(a, S, tau_x, problem.lam, problem.mu, sched)
+            flags += (not ok_d) + (not ok_x)
+        mixed = np.tensordot(W, np.stack([a.D_half for a in agents]), axes=1)
+        for a, D_new in zip(agents, mixed):
+            a.D = D_new
+        grads_new = [grad_dict(a.D, a.X, S)
+                     for a, S in zip(agents, problem.S_blocks)]
+        trackers = (np.tensordot(W, np.stack([a.tracker for a in agents]),
+                                 axes=1)
+                    - np.stack(grads_prev)) + np.stack(grads_new)
+        for i, a in enumerate(agents):
+            a.tracker = trackers[i]
+            a.grad_rest = I * trackers[i] - grads_new[i]
+        grads_prev = grads_new
+        observer(nu + 1, agents, flags)

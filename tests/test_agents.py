@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import distdict.protocol as protocol_mod
 from distdict import (AgentState, ProblemData, StepSchedule,
-                      coding_prox_weight, coding_step, dictionary_step,
-                      gamma_schedule, gamma_sequence, grad_dict, init_agents,
-                      refresh_grad_rest)
+                      build_run_config, coding_prox_weight, coding_step,
+                      dictionary_step, gamma_sequence, grad_dict, init_agents,
+                      run)
 
 
 def toy_problem(rng, M=4, K=3, sizes=(3, 2), lam=0.125, mu=0.0625):
@@ -19,10 +20,12 @@ def toy_problem(rng, M=4, K=3, sizes=(3, 2), lam=0.125, mu=0.0625):
 
 
 def test_gamma_first_values_match_the_recurrence():
-    assert gamma_schedule(0, 0.5, 0.1) == 0.5
-    assert gamma_schedule(1, 0.5, 0.1) == pytest.approx(0.475, abs=1e-15)
-    assert gamma_schedule(2, 0.5, 0.1) == pytest.approx(0.4524375,
-                                                        abs=1e-15)
+    def gamma_at(n):
+        return gamma_sequence(n + 1, 0.5, 0.1)[-1]
+
+    assert gamma_at(0) == 0.5
+    assert gamma_at(1) == pytest.approx(0.475, abs=1e-15)
+    assert gamma_at(2) == pytest.approx(0.4524375, abs=1e-15)
 
 
 def test_gamma_sequence_is_positive_decreasing_and_slowly_summable():
@@ -149,7 +152,8 @@ def test_dictionary_step_output_stays_feasible():
     problem = toy_problem(rng)
     for agent, S in zip(init_agents(problem, seed=1), problem.S_blocks):
         agent.X = rng.normal(size=agent.X.shape)
-        refresh_grad_rest(agent, S, problem.num_agents)
+        agent.grad_rest = (problem.num_agents * agent.tracker
+                           - grad_dict(agent.D, agent.X, S))
         for gamma in (0.25, 0.9):
             dictionary_step(agent, S, gamma, StepSchedule(), problem.alpha,
                             grad_dict(agent.D, agent.X, S))
@@ -190,42 +194,66 @@ def test_coding_step_huge_l1_weight_zeroes_the_codes():
 
 
 # ---------------------------------------------------------------------------
-# remote-gradient estimate
+# remote-gradient estimate, as the round engine hands it to observers
+
+
+def grad_rest_per_round(problem, rounds=5, **mapping):
+    """Run the engine and return, per round, each agent's grad_rest with
+    its local gradient; checks grad_rest == I * tracker - own gradient."""
+    config = build_run_config(dict(mapping, agents=problem.num_agents,
+                                   max_rounds=rounds, metric_stride=rounds))
+    seen = []
+
+    def watch(state):
+        rows = []
+        for a, S in zip(state.agents, problem.S_blocks):
+            g = grad_dict(a.D, a.X, S)
+            assert np.allclose(a.grad_rest,
+                               problem.num_agents * a.tracker - g,
+                               rtol=0.0, atol=1e-12)
+            rows.append((a.grad_rest.copy(), g))
+        seen.append(rows)
+
+    run(problem, config, observer=watch)
+    assert len(seen) == rounds
+    return seen
 
 
 def test_grad_rest_is_zero_for_a_single_agent():
     rng = np.random.default_rng(37)
     problem = ProblemData(S_blocks=[rng.normal(size=(4, 5))], K=3,
                           lam=0.125, mu=0.0625, alpha=1.0)
-    agent = init_agents(problem, seed=0)[0]
-    refresh_grad_rest(agent, problem.S_blocks[0], 1)
-    assert np.allclose(agent.grad_rest, 0.0, atol=1e-15)
+    for rows in grad_rest_per_round(problem):
+        assert np.allclose(rows[0][0], 0.0, atol=1e-15)
 
 
-def test_grad_rest_sums_the_other_agents_gradients_at_a_common_point():
-    # all agents share the data block and the same starting point, so each
-    # tracker equals the common gradient and the estimate is (I-1) times it
+def test_grad_rest_sums_the_other_agents_gradients_at_a_common_point(
+        monkeypatch):
+    # all agents share the data block and start from one state, so they
+    # stay at a common point and each estimate is the sum of the others'
+    # gradients
     rng = np.random.default_rng(38)
     block = rng.normal(size=(4, 3))
     problem = ProblemData(S_blocks=[block.copy() for _ in range(4)], K=3,
                           lam=0.125, mu=0.0625, alpha=1.0)
-    agents = init_agents(problem, seed=0)
-    common_D = agents[0].D.copy()
-    for agent in agents:
-        agent.D = common_D.copy()
-        agent.X = np.zeros_like(agent.X)
-        agent.tracker = grad_dict(agent.D, agent.X, block)
-        refresh_grad_rest(agent, block, problem.num_agents)
-    expected = sum(grad_dict(common_D, np.zeros_like(agents[0].X), block)
-                   for _ in range(3))
-    for agent in agents:
-        assert np.allclose(agent.grad_rest, expected, atol=1e-12)
+
+    def common_start(problem, seed=0):
+        first = init_agents(problem, seed=seed)[0]
+        return [AgentState(D=first.D.copy(), X=first.X.copy(),
+                           tracker=first.tracker.copy(),
+                           grad_rest=first.grad_rest.copy())
+                for _ in range(problem.num_agents)]
+
+    monkeypatch.setattr(protocol_mod, "init_agents", common_start)
+    for rows in grad_rest_per_round(problem, graph="static_ring"):
+        for i, (rest, _) in enumerate(rows):
+            others = sum(g for j, (_, g) in enumerate(rows) if j != i)
+            assert np.allclose(rest, others, rtol=0.0, atol=1e-12)
 
 
 def test_grad_rest_zero_instance_is_zero():
     problem = ProblemData(S_blocks=[np.zeros((3, 2)), np.zeros((3, 2))],
                           K=2, lam=0.125, mu=0.0625, alpha=1.0)
-    agents = init_agents(problem, seed=0)
-    for agent, S in zip(agents, problem.S_blocks):
-        refresh_grad_rest(agent, S, 2)
-        assert np.array_equal(agent.grad_rest, np.zeros((3, 2)))
+    for rows in grad_rest_per_round(problem):
+        for rest, _ in rows:
+            assert np.array_equal(rest, np.zeros((3, 2)))
