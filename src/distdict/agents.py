@@ -102,16 +102,18 @@ def gamma_sequence(count: int, gamma0: float, eps: float) -> np.ndarray:
     return g
 
 
-def coding_prox_weight(D_half, eps_tau: float):
-    """Proximal weight of the coding step: max(eps_tau, sigma_max(D_half)^2).
+def coding_prox_weight(D_half, eps_tau: float) -> tuple:
+    """Proximal weight of the coding step, max(eps_tau, sigma_max(D_half)^2),
+    and the norm sigma_max(D_half) it came from, which ``coding_step`` hands
+    to the plain solver so that it need not take the norm again.
 
     For a stack of ``c`` dictionaries, one weight per agent with shape
-    ``(c, 1, 1)``, which broadcasts over the agents' codes.
+    ``(c, 1, 1)``, which broadcasts over the agents' codes, and ``c`` norms.
     """
     sig, _ = sigma_max(D_half)
     if np.ndim(sig):
-        return np.maximum(eps_tau, sig * sig)[:, None, None]
-    return max(eps_tau, sig * sig)
+        return np.maximum(eps_tau, sig * sig)[:, None, None], sig
+    return max(eps_tau, sig * sig), sig
 
 
 def init_agents(problem: ProblemData, seed: int = 0) -> list:
@@ -162,15 +164,18 @@ def dictionary_step(state: AgentState, S, gamma: float, sched: StepSchedule,
 
 
 def coding_step(state: AgentState, S, tau_x: float, lam: float, mu: float,
-                sched: StepSchedule) -> bool:
+                sched: StepSchedule, sigma=None) -> bool:
     """Update the private codes against the blended dictionary ``D_half``.
 
+    ``sigma`` is ``sigma_max(state.D_half)`` when the caller holds it (see
+    ``coding_prox_weight``); the plain variant computes it otherwise.
     Returns False when the plain-variant inner solver hit its iteration cap;
     for a stacked state, one such flag per agent.
     """
     if sched.variant == "plain":
         X_new, ok = x_update_plain(state.X, state.D_half, S, tau_x, lam, mu,
-                                   sched.inner_tol, sched.inner_max_iter)
+                                   sched.inner_tol, sched.inner_max_iter,
+                                   sigma=sigma)
     else:
         X_new = x_update_linearized(state.X, state.D_half, S, tau_x, lam, mu)
         ok = True

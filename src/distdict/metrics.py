@@ -156,8 +156,9 @@ def centralized_oracle(problem: ProblemData, config: RunConfig,
     for nu in range(config.max_rounds):
         ok_d = dictionary_step(agent, S, gammas[nu], sched, pooled.alpha,
                                grad_dict(agent.D, agent.X, S))
-        tau_x = coding_prox_weight(agent.D_half, sched.eps_tau)
-        ok_x = coding_step(agent, S, tau_x, pooled.lam, pooled.mu, sched)
+        tau_x, sig = coding_prox_weight(agent.D_half, sched.eps_tau)
+        ok_x = coding_step(agent, S, tau_x, pooled.lam, pooled.mu, sched,
+                           sigma=sig)
         agent.D = agent.D_half.copy()
         flags += (not ok_d) + (not ok_x)
         if observer is not None:
@@ -218,8 +219,9 @@ def diffusion_baseline(problem: ProblemData, config: RunConfig,
                                         problem.S_groups)):
             group = AgentState(D=D[sl], X=X[g], tracker=None, grad_rest=None,
                                D_half=D[sl])
-            tau_x = coding_prox_weight(group.D, sched.eps_tau)
-            ok = coding_step(group, S, tau_x, problem.lam, problem.mu, sched)
+            tau_x, sig = coding_prox_weight(group.D, sched.eps_tau)
+            ok = coding_step(group, S, tau_x, problem.lam, problem.mu, sched,
+                             sigma=sig)
             flags += np.size(ok) - np.count_nonzero(ok)
             X[g] = group.X
         if observer is not None:

@@ -171,9 +171,9 @@ def run(problem: ProblemData, config: RunConfig, schedule: GraphSchedule = None,
                                grad_rest=state.grad_rest[sl])
             ok_d = dictionary_step(group, S, gammas[nu], sched,
                                    problem.alpha, grads_prev[sl])
-            tau_x = coding_prox_weight(group.D_half, sched.eps_tau)
+            tau_x, sig = coding_prox_weight(group.D_half, sched.eps_tau)
             ok_x = coding_step(group, S, tau_x, problem.lam, problem.mu,
-                               sched)
+                               sched, sigma=sig)
             flags += (np.size(ok_d) - np.count_nonzero(ok_d)
                       + np.size(ok_x) - np.count_nonzero(ok_x))
             halves.append(group.D_half)

@@ -105,6 +105,32 @@ def elastic_net_kkt_residual(X_new, U, S, tau, X_nu, lam, mu):
     return worst
 
 
+def accelerated_coding_steps(X0, U, S, tau, lam, mu, iters):
+    """``iters`` accelerated proximal gradient steps on the coding
+    subproblem of ``elastic_net_kkt_residual``, entry by entry, with the
+    spectral norm from a dense SVD. The momentum is the constant
+    (1 - q) / (1 + q), q = sqrt(m / L), when m = tau + 2 mu > 0, and
+    FISTA's (t_k - 1) / t_{k+1} when m = 0."""
+    m = tau + 2 * mu
+    L = np.linalg.svd(U, compute_uv=False)[0] ** 2 + m
+    q = np.sqrt(m / L)
+    X = np.array(X0, dtype=float)
+    Y = X.copy()
+    t = 1.0
+    for _ in range(iters):
+        G = U.T @ (U @ Y - S) + tau * (Y - X0) + 2 * mu * Y
+        X_new = np.zeros_like(X)
+        for r in range(X.shape[0]):
+            for c in range(X.shape[1]):
+                v = Y[r, c] - G[r, c] / L
+                X_new[r, c] = max(abs(v) - lam / L, 0.0) * np.sign(v)
+        t_next = (1 + np.sqrt(1 + 4 * t * t)) / 2
+        beta = (1 - q) / (1 + q) if m > 0 else (t - 1) / t_next
+        Y = X_new + beta * (X_new - X)
+        X, t = X_new, t_next
+    return X
+
+
 def projected_gradient_quadratic(D_start, grad_total, tau, alpha,
                                  iters=8000):
     """Minimize <grad_total, D - D_start> + tau/2 ||D - D_start||_F^2 over
@@ -224,7 +250,7 @@ def ragged_run(problem, config, schedule, observer):
         flags = 0
         for a, S, g in zip(agents, problem.S_blocks, grads_prev):
             ok_d = dictionary_step(a, S, gammas[nu], sched, problem.alpha, g)
-            tau_x = coding_prox_weight(a.D_half, sched.eps_tau)
+            tau_x, _ = coding_prox_weight(a.D_half, sched.eps_tau)
             ok_x = coding_step(a, S, tau_x, problem.lam, problem.mu, sched)
             flags += (not ok_d) + (not ok_x)
         mixed = np.tensordot(W, np.stack([a.D_half for a in agents]), axes=1)

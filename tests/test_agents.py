@@ -66,12 +66,13 @@ def test_step_schedule_rejects_invalid_parameters():
 
 def test_coding_prox_weight_floor_and_known_values():
     eps = 1e-6
-    assert coding_prox_weight(np.zeros((3, 2)), eps) == eps
-    assert coding_prox_weight(np.eye(3), eps) == pytest.approx(1.0,
+    assert coding_prox_weight(np.zeros((3, 2)), eps) == (eps, 0.0)
+    assert coding_prox_weight(np.eye(3), eps) == pytest.approx((1.0, 1.0),
                                                                abs=1e-12)
     U = np.zeros((4, 3))
     U[0, 0], U[1, 1] = 2.0, 1.0
-    assert coding_prox_weight(U, eps) == pytest.approx(4.0, rel=1e-10)
+    assert coding_prox_weight(U, eps) == pytest.approx((4.0, 2.0),
+                                                       rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,7 @@ def test_coding_step_huge_l1_weight_zeroes_the_codes():
     agent = init_agents(problem, seed=2)[0]
     agent.D_half = agent.D.copy()
     S = problem.S_blocks[0]
-    tau = coding_prox_weight(agent.D_half, 1e-6)
+    tau, _ = coding_prox_weight(agent.D_half, 1e-6)
     lam_huge = 10.0 * np.max(np.abs(grad_dict(agent.D_half, agent.X, S)))
     lam_huge = max(lam_huge,
                    10.0 * np.max(np.abs(agent.D_half.T @ S)) + tau)

@@ -10,8 +10,9 @@ from distdict import (ProblemData, d_update_linearized, d_update_plain,
                       project_dictionary, sigma_max, soft_threshold,
                       x_update_linearized, x_update_plain)
 
-from oracles import (elastic_net_kkt_residual, finite_difference_gradient,
-                     objective_scalar_loop, project_column_line_search,
+from oracles import (accelerated_coding_steps, elastic_net_kkt_residual,
+                     finite_difference_gradient, objective_scalar_loop,
+                     project_column_line_search,
                      projected_gradient_quadratic, prox_scalar_grid)
 
 
@@ -251,6 +252,89 @@ def test_x_plain_satisfies_kkt_conditions_on_a_small_instance():
     out, converged = x_update_plain(X0, U, S, tau, lam, mu, inner_tol=1e-12)
     assert converged
     assert elastic_net_kkt_residual(out, U, S, tau, X0, lam, mu) <= 1e-6
+
+
+def test_x_plain_rejects_a_nonconvex_subproblem():
+    U = np.eye(2)
+    with pytest.raises(ValueError, match="mu"):
+        x_update_plain(np.ones((2, 2)), U, np.ones((2, 2)), 1.0, 0.125,
+                       -0.0625)
+    with pytest.raises(ValueError, match="tau"):
+        x_update_plain(np.ones((2, 2)), U, np.ones((2, 2)), -1.0, 0.125,
+                       0.0625)
+
+
+def test_x_plain_momentum_is_chosen_per_agent():
+    # with mu = 0 the agent with tau = 0 has m = 0 and takes FISTA's t_k
+    # momentum, its neighbour in the stack the strongly convex constant
+    rng = np.random.default_rng(17)
+    U = rng.normal(size=(2, 4, 3))
+    S = rng.normal(size=(2, 4, 5))
+    X0 = rng.normal(size=(2, 3, 5))
+    taus = (0.0, 0.7)
+    out, converged = x_update_plain(X0, U, S, np.array(taus)[:, None, None],
+                                    0.125, 0.0, inner_tol=1e-15,
+                                    inner_max_iter=6)
+    assert not converged.any()
+    for j, tau in enumerate(taus):
+        want = accelerated_coding_steps(X0[j], U[j], S[j], tau, 0.125, 0.0,
+                                        iters=6)
+        assert np.max(np.abs(out[j] - want)) <= 1e-12
+
+
+def test_x_plain_does_not_stop_on_two_equal_iterates():
+    # the first step sends both codes to zero and the momentum step from
+    # there gives zero again; the solution is not zero
+    rng = np.random.default_rng(90)
+    M, K, n = rng.integers(1, 6, size=3)
+    U = rng.normal(size=(M, K))
+    S = rng.normal(size=(M, n))
+    X0 = rng.normal(size=(K, n))
+    out, converged = x_update_plain(X0, U, S, 0.0, 0.125, 0.0625)
+    assert converged
+    assert np.any(out != 0.0)
+    assert elastic_net_kkt_residual(out, U, S, 0.0, X0, 0.125, 0.0625) \
+        <= 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_x_plain_stack_meets_kkt_and_matches_lone_solves(data):
+    # with mu = 0 an agent drawn with tau = 0 has m = tau + 2 mu = 0 and
+    # takes the t_k momentum, beside strongly convex agents of the same
+    # stack; U has singular values in [0.5, 2] so that those agents, which
+    # solve a plain lasso, converge quickly too
+    c = data.draw(st.integers(1, 4), label="agents")
+    K = data.draw(st.integers(1, 4), label="K")
+    M = data.draw(st.integers(K, 6), label="M")
+    widths = data.draw(st.lists(st.integers(1, 5), min_size=c, max_size=c),
+                       label="widths")
+    mu = data.draw(st.sampled_from((0.0, 0.0625)), label="mu")
+    taus = data.draw(st.lists(st.sampled_from((0.0, 0.25, 1.0, 4.0)),
+                              min_size=c, max_size=c), label="taus")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    lam = 0.125
+    n = max(widths)
+    Q = np.linalg.qr(rng.normal(size=(c, M, K)))[0]
+    V = np.linalg.qr(rng.normal(size=(c, K, K)))[0]
+    U = (Q * rng.uniform(0.5, 2.0, size=(c, 1, K))) @ V.swapaxes(-1, -2)
+    S = np.zeros((c, M, n))
+    X0 = np.zeros((c, K, n))
+    for j, w in enumerate(widths):
+        S[j, :, :w] = rng.normal(size=(M, w))
+        X0[j, :, :w] = rng.normal(size=(K, w))
+    tau = np.array(taus)[:, None, None]
+    kw = dict(inner_tol=1e-12, inner_max_iter=5000)
+    out, converged = x_update_plain(X0, U, S, tau, lam, mu, **kw)
+    assert not np.any(out[:, :, n:]), "a padded code moved"
+    for j, w in enumerate(widths):
+        args = (X0[j, :, :w], U[j], S[j, :, :w], taus[j], lam, mu)
+        lone, lone_converged = x_update_plain(*args, **kw)
+        assert converged[j] == lone_converged
+        assert np.max(np.abs(out[j, :, :w] - lone)) <= 1e-12
+        assert elastic_net_kkt_residual(out[j, :, :w], U[j], S[j, :, :w],
+                                        taus[j], X0[j, :, :w], lam,
+                                        mu) <= 1e-6
 
 
 def test_x_variants_agree_when_the_prox_weights_are_matched():

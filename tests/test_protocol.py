@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import distdict.agents as agents_mod
+import distdict.core as core_mod
 import distdict.protocol as protocol_mod
 from distdict import (GraphSpec, ProblemData, build_run_config,
-                      build_schedule, consensus_step, grad_dict, run,
-                      tracking_step)
+                      build_schedule, consensus_step, grad_dict,
+                      make_standard_problem, run, tracking_step)
 
 
 def toy_problem(rng, sizes=(3, 2, 3), M=4, K=3):
@@ -220,3 +221,55 @@ def test_linearized_round_computes_each_gradient_and_norm_once(monkeypatch):
     per_round[0] = {k: v - setup[k] for k, v in per_round[0].items()}
     I = problem.num_agents
     assert per_round == [{"grad_dict": I, "sigma_max": I}] * 6
+
+
+def plain_standard_run(rounds):
+    _, problem = make_standard_problem()
+    run(problem, config_for(problem, graph="static_ring", variant="plain",
+                            max_rounds=rounds, metric_stride=rounds))
+    return problem
+
+
+def test_plain_round_takes_one_norm_per_group(monkeypatch):
+    counts = {"agents": 0, "core": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # coding_prox_weight looks sigma_max up in agents, the solvers in core
+    monkeypatch.setattr(agents_mod, "sigma_max",
+                        counted("agents", agents_mod.sigma_max))
+    monkeypatch.setattr(core_mod, "sigma_max",
+                        counted("core", core_mod.sigma_max))
+    problem = plain_standard_run(10)
+    assert counts == {"agents": 10 * len(problem.groups.slices), "core": 0}
+
+
+def test_plain_coding_solver_takes_at_most_20_iterations_per_call(
+        monkeypatch):
+    # one soft_threshold call per lockstep iteration of x_update_plain
+    counts = {"solves": 0, "iterations": 0}
+    inside = []
+    solve = agents_mod.x_update_plain
+    shrink = core_mod.soft_threshold
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        inside.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_shrink(*args, **kwargs):
+        counts["iterations"] += bool(inside)
+        return shrink(*args, **kwargs)
+
+    monkeypatch.setattr(agents_mod, "x_update_plain", counted_solve)
+    monkeypatch.setattr(core_mod, "soft_threshold", counted_shrink)
+    problem = plain_standard_run(30)
+    assert counts["solves"] == 30 * len(problem.groups.slices)
+    assert counts["iterations"] <= 20 * counts["solves"]
