@@ -171,10 +171,12 @@ def objective_global(D, X_blocks, problem: ProblemData) -> float:
                          f"({problem.M}, {problem.K})")
     total = 0.0
     for S, X in zip(problem.S_groups, problem.code_groups(X_blocks)):
-        R = S - D @ X
-        total += (0.5 * np.sum(R * R)
-                  + problem.lam * np.sum(np.abs(X))
-                  + problem.mu * np.sum(X * X))
+        R = residual(D, X, S)
+        T = np.abs(X)
+        l1 = np.sum(T)
+        total += (0.5 * np.sum(np.square(R, out=R))
+                  + problem.lam * l1
+                  + problem.mu * np.sum(np.multiply(X, X, out=T)))
     return float(total)
 
 
@@ -191,18 +193,25 @@ def _check_triplet(D, X, S):
     return D, X, S
 
 
+def residual(D, X, S) -> np.ndarray:
+    """The fit residual D X - S, formed in the one new array of D @ X."""
+    R = D @ X
+    R -= S
+    return R
+
+
 def grad_dict(D, X, S) -> np.ndarray:
     """Gradient of the local fit term 1/2 ||S - D X||_F^2 with respect to D;
     one per agent for stacked input, and a 2-d D is shared by the stack."""
     D, X, S = _check_triplet(D, X, S)
-    return (D @ X - S) @ X.swapaxes(-1, -2)
+    return residual(D, X, S) @ X.swapaxes(-1, -2)
 
 
 def grad_codes(D, X, S) -> np.ndarray:
     """Gradient of the local fit term 1/2 ||S - D X||_F^2 with respect to X;
     one per agent for stacked input, and a 2-d D is shared by the stack."""
     D, X, S = _check_triplet(D, X, S)
-    return D.swapaxes(-1, -2) @ (D @ X - S)
+    return D.swapaxes(-1, -2) @ residual(D, X, S)
 
 
 def project_dictionary(D, alpha: float) -> np.ndarray:
@@ -222,10 +231,19 @@ def project_dictionary(D, alpha: float) -> np.ndarray:
     return D * scale
 
 
-def soft_threshold(x, thresh):
-    """Entrywise shrinkage max(|x| - thresh, 0) * sign(x)."""
+def soft_threshold(x, thresh, out=None):
+    """Entrywise shrinkage max(|x| - thresh, 0) * sign(x) for a threshold
+    ``thresh >= 0``, computed as x - min(max(x, -thresh), thresh).
+
+    The result equals the sign formula bit for bit, except that it is
+    +0.0 everywhere inside the band |x| <= thresh. It is written to ``out``
+    when given, which may be ``x`` itself; otherwise one new array holds it.
+    """
     x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
+    band = np.asarray(np.maximum(x, -thresh))  # a 0-d array for a scalar
+    np.minimum(band, thresh, out=band)
+    shrunk = np.subtract(x, band, out=band if out is None else out)
+    return shrunk if shrunk.ndim else shrunk[()]
 
 
 def sigma_max(A):
@@ -266,8 +284,19 @@ def x_update_linearized(X, U, S, tau, lam: float, mu: float):
     if np.any(np.asarray(tau) <= 0):
         raise ValueError("tau must be positive")
     X = np.asarray(X, dtype=float)
-    g = grad_codes(U, X, S)
-    return (tau / (2.0 * mu + tau)) * soft_threshold(X - g / tau, lam / tau)
+    return prox_codes(grad_codes(U, X, S), X, tau, lam, mu)
+
+
+def prox_codes(G, X, tau, lam: float, mu: float) -> np.ndarray:
+    """The tail of the linearized coding step from the codes gradient G at
+    X: tau / (2 mu + tau) * shrink(X - G / tau, lam / tau), computed in
+    place on G and returned. G must be a new array that nothing else holds.
+    """
+    G /= tau
+    np.subtract(X, G, out=G)
+    soft_threshold(G, lam / tau, out=G)
+    G *= tau / (2.0 * mu + tau)
+    return G
 
 
 def _freeze(out, done, Xn, change, inner_tol):
@@ -301,7 +330,9 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
     point, max |X_{k+1} - Y_k|, falls to ``inner_tol``; that step vanishes
     only at the solution, while two equal iterates in a row need not.
     Returns ``(X_new, converged)``; non-convergence within
-    ``inner_max_iter`` is reported through the flag, not raised.
+    ``inner_max_iter`` is reported through the flag, not raised. A
+    subproblem with L = 0 (U = 0 and tau = mu = 0) has no step size and
+    raises ``ValueError``.
 
     For stacked input (``tau`` of shape ``(c, 1, 1)`` or a scalar) the
     agents iterate in lockstep, each with its own momentum, and each one
@@ -319,7 +350,11 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
     if sigma is None:
         sigma, _ = sigma_max(U)
     m = np.broadcast_to(tau + 2.0 * mu, (len(X0), 1, 1))
-    step = 1.0 / (np.reshape(np.square(sigma), (-1, 1, 1)) + m)
+    L = np.reshape(np.square(sigma), (-1, 1, 1)) + m
+    if np.any(L <= 0):
+        raise ValueError("the coding subproblem has no curvature: "
+                         "U = 0 with tau = mu = 0")
+    step = 1.0 / L
     strong = m > 0
     r = np.sqrt(np.where(strong, m * step, 0.0))
     beta = (1.0 - r) / (1.0 + r)

@@ -181,7 +181,12 @@ def reconstruct_image(dataset: PatchDataset, D, X_blocks,
 def assemble_patches(patches, image_shape, patch_side: int,
                      stride: int) -> np.ndarray:
     """Place patch columns at their row-major grid origins and average the
-    overlaps; clips to [0, 255]."""
+    overlaps; clips to [0, 255].
+
+    The sum runs over the p^2 in-patch offsets, each one strided slice-add
+    of a whole row of ``patches``. The offsets go in reverse order, so every
+    pixel adds its patch values in the order of the patches' corners.
+    """
     h, w = image_shape
     p = patch_side
     expected = patch_count(h, w, p, stride)
@@ -189,13 +194,16 @@ def assemble_patches(patches, image_shape, patch_side: int,
     if patches.shape != (p * p, expected):
         raise ValueError(f"patch matrix has shape {patches.shape}, expected "
                          f"({p * p}, {expected})")
+    nr = (h - p) // stride + 1
+    nc = (w - p) // stride + 1
+    grid = patches.reshape(p, p, nr, nc)
     acc = np.zeros((h, w))
     cnt = np.zeros((h, w))
-    k = 0
-    for r in range(0, h - p + 1, stride):
-        for c in range(0, w - p + 1, stride):
-            acc[r:r + p, c:c + p] += patches[:, k].reshape(p, p)
-            cnt[r:r + p, c:c + p] += 1.0
-            k += 1
+    for dr in reversed(range(p)):
+        rows = slice(dr, dr + (nr - 1) * stride + 1, stride)
+        for dc in reversed(range(p)):
+            cols = slice(dc, dc + (nc - 1) * stride + 1, stride)
+            acc[rows, cols] += grid[dr, dc]
+            cnt[rows, cols] += 1.0
     out = np.divide(acc, cnt, out=np.zeros_like(acc), where=cnt > 0)
     return np.clip(out, 0.0, 255.0)

@@ -42,6 +42,63 @@ def finite_difference_gradient(func, A, step=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# the kernels' earlier formulas
+#
+# The allocation-lean kernels of distdict.core and the merit functions
+# must give the values of these formulas bit for bit (up to the sign of
+# zero), so these keep the package's earlier operation order verbatim
+# rather than a different style.
+
+
+def soft_threshold_sign(x, thresh):
+    """Shrinkage as sign(x) * max(|x| - thresh, 0)."""
+    x = np.asarray(x, dtype=float)
+    return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
+
+
+def grad_dict_formula(D, X, S):
+    return (D @ X - S) @ X.swapaxes(-1, -2)
+
+
+def grad_codes_formula(D, X, S):
+    return D.swapaxes(-1, -2) @ (D @ X - S)
+
+
+def x_update_linearized_formula(X, U, S, tau, lam, mu):
+    g = grad_codes_formula(U, X, S)
+    return (tau / (2.0 * mu + tau)) * soft_threshold_sign(X - g / tau,
+                                                          lam / tau)
+
+
+def objective_formula(D, X_groups, problem):
+    """The objective summed over the groups, codes given as group stacks."""
+    total = 0.0
+    for S, X in zip(problem.S_groups, X_groups):
+        R = S - D @ X
+        total += (0.5 * np.sum(R * R)
+                  + problem.lam * np.sum(np.abs(X))
+                  + problem.mu * np.sum(X * X))
+    return float(total)
+
+
+def stationarity_gap_formula(D_bar, X_groups, problem):
+    """The gap with both gradients formed from their own residuals, the
+    codes given as group stacks."""
+    from distdict.core import project_dictionary
+
+    grad_sum = np.zeros_like(D_bar)
+    gap = 0.0
+    for S, X in zip(problem.S_groups, X_groups):
+        grad_sum += grad_dict_formula(D_bar, X, S).sum(axis=0)
+        X_hat = x_update_linearized_formula(X, D_bar, S, 1.0, problem.lam,
+                                            problem.mu)
+        gap = max(gap, float(np.max(np.abs(X - X_hat))))
+    D_hat = project_dictionary(D_bar - grad_sum / problem.num_agents,
+                               problem.alpha)
+    return max(gap, float(np.max(np.abs(D_bar - D_hat))))
+
+
+# ---------------------------------------------------------------------------
 # proximal / projection searches
 
 
@@ -204,6 +261,24 @@ def coverage_counts(height, width, patch_side, stride):
         for c in range(0, width - patch_side + 1, stride):
             counts[r:r + patch_side, c:c + patch_side] += 1
     return counts
+
+
+def assemble_patches_loop(patches, image_shape, patch_side, stride):
+    """Patch reassembly one patch position at a time, in the row-major
+    order of the corners, averaging the overlaps and clipping to
+    [0, 255]."""
+    h, w = image_shape
+    p = patch_side
+    acc = np.zeros((h, w))
+    cnt = np.zeros((h, w))
+    k = 0
+    for r in range(0, h - p + 1, stride):
+        for c in range(0, w - p + 1, stride):
+            acc[r:r + p, c:c + p] += patches[:, k].reshape(p, p)
+            cnt[r:r + p, c:c + p] += 1.0
+            k += 1
+    out = np.divide(acc, cnt, out=np.zeros_like(acc), where=cnt > 0)
+    return np.clip(out, 0.0, 255.0)
 
 
 def psnr_scalar(reference, test):

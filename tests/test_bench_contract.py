@@ -46,7 +46,11 @@ def test_one_traced_execution_passes_the_workload_checks(bench, name):
     workload.check(inputs, out)
     assert workload.time_to_gap(out) > 0.0
     assert spans.calls["core.sigma_max"] > 0
+    assert spans.record_s > 0.0
     if name == "synth_plain":
         # inner_iters counts the core.soft_threshold calls made inside
         # x_update_plain, the benchmark's only view of the solver's work
         assert spans.inner_iters > 0
+    else:
+        # the linearized coding step reaches the tracer through grad_codes
+        assert spans.calls["core.grad_codes"] > 0

@@ -1,6 +1,8 @@
 """Objective, gradients, projections and subproblem solvers against
 independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,9 +13,11 @@ from distdict import (ProblemData, d_update_linearized, d_update_plain,
                       x_update_linearized, x_update_plain)
 
 from oracles import (accelerated_coding_steps, elastic_net_kkt_residual,
-                     finite_difference_gradient, objective_scalar_loop,
+                     finite_difference_gradient, grad_codes_formula,
+                     grad_dict_formula, objective_scalar_loop,
                      project_column_line_search,
-                     projected_gradient_quadratic, prox_scalar_grid)
+                     projected_gradient_quadratic, prox_scalar_grid,
+                     soft_threshold_sign, x_update_linearized_formula)
 
 
 def random_problem(rng, M=4, K=3, sizes=(3, 3), lam=0.125, mu=0.0625,
@@ -158,6 +162,87 @@ def test_soft_threshold_known_values():
     assert soft_threshold(-1.2, 0.5) == pytest.approx(-0.7, abs=1e-15)
 
 
+def test_soft_threshold_gives_positive_zero_inside_the_band():
+    x = np.array([-0.5, -0.0, 0.0, 0.25, 0.5, -0.75])
+    out = soft_threshold(x, 0.5)
+    assert np.array_equal(out, [0.0, 0.0, 0.0, 0.0, 0.0, -0.25])
+    assert not np.any(np.signbit(out[:5]))
+
+
+def test_soft_threshold_writes_to_out():
+    x = np.array([[-2.0, 0.1], [0.3, 1.5]])
+    want = soft_threshold(x, 0.25)
+    got = soft_threshold(x, 0.25, out=x)
+    assert got is x
+    assert np.array_equal(x, want)
+
+
+# ---------------------------------------------------------------------------
+# the allocation-lean kernels against their earlier formulas
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_kernels_equal_their_earlier_formulas(data):
+    # c = 0 is the 2-d single-agent call; entries on a grid of quarters
+    # land exactly on the shrinkage band's edges
+    c = data.draw(st.integers(0, 3), label="agents")
+    M, K, n = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6),
+                                  st.integers(1, 7)), label="M, K, n")
+    shared = data.draw(st.booleans(), label="shared 2-d D")
+    per_agent = data.draw(st.booleans(), label="per-agent tau")
+    on_grid = data.draw(st.booleans(), label="entries on a grid")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    lead = (c,) if c else ()
+
+    def draw(*shape):
+        if on_grid:
+            return rng.integers(-8, 9, size=shape) / 4.0
+        return rng.normal(size=shape)
+
+    D = draw(M, K) if shared or not c else draw(c, M, K)
+    X = draw(*lead, K, n)
+    S = draw(*lead, M, n)
+    if c and per_agent:
+        tau = rng.choice([0.5, 1.0, 2.5], size=(c, 1, 1))
+    else:
+        tau = float(rng.choice([0.5, 1.0, 2.5]))
+    lam, mu = 0.25, 0.125
+
+    got = soft_threshold(X, lam / tau)
+    assert np.array_equal(got, soft_threshold_sign(X, lam / tau))
+    assert not np.any(np.signbit(got[got == 0.0])), "a negative zero"
+    assert np.array_equal(grad_dict(D, X, S), grad_dict_formula(D, X, S))
+    assert np.array_equal(grad_codes(D, X, S), grad_codes_formula(D, X, S))
+    assert np.array_equal(x_update_linearized(X, D, S, tau, lam, mu),
+                          x_update_linearized_formula(X, D, S, tau, lam, mu))
+
+
+def peak_over(fn, X):
+    """Peak traced memory of ``fn()``, result included, over X.nbytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / X.nbytes
+
+
+def test_kernels_stay_within_their_allocation_budgets():
+    # one denoise128 agent: 64 atoms, 8x8 patches, a 372-column block
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(1, 64, 372))
+    D = rng.normal(size=(1, 64, 64))
+    S = rng.normal(size=(1, 64, 372))
+    tau = np.full((1, 1, 1), 3.0)
+    assert peak_over(lambda: x_update_linearized(X, D, S, tau, 0.1, 0.05),
+                     X) <= 3.0
+    assert peak_over(lambda: grad_dict(D, X, S), X) <= 1.25
+    assert peak_over(lambda: soft_threshold(X, tau), X) <= 2.0
+
+
 # ---------------------------------------------------------------------------
 # linearized coding update
 
@@ -262,6 +347,17 @@ def test_x_plain_rejects_a_nonconvex_subproblem():
     with pytest.raises(ValueError, match="tau"):
         x_update_plain(np.ones((2, 2)), U, np.ones((2, 2)), -1.0, 0.125,
                        0.0625)
+
+
+def test_x_plain_rejects_a_subproblem_without_curvature():
+    # U = 0 with tau = mu = 0 gives L = 0 and no step size
+    with pytest.raises(ValueError, match="curvature"):
+        x_update_plain(np.ones((2, 3)), np.zeros((4, 2)), np.ones((4, 3)),
+                       0.0, 0.125, 0.0)
+    U = np.stack([np.eye(2), np.zeros((2, 2))])
+    with pytest.raises(ValueError, match="curvature"):
+        x_update_plain(np.ones((2, 2, 3)), U, np.ones((2, 2, 3)),
+                       np.array([0.0, 0.0])[:, None, None], 0.125, 0.0)
 
 
 def test_x_plain_momentum_is_chosen_per_agent():

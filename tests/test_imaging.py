@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distdict import (PatchDataset, PgmError, assemble_patches,
                       extract_patches, patch_count, read_pgm,
                       reconstruct_image, write_pgm)
 
-from oracles import coverage_counts
+from oracles import assemble_patches_loop, coverage_counts
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +156,29 @@ def test_uncovered_pixels_stay_zero_and_values_clip():
     counts = coverage_counts(7, 7, 4, 3)
     assert np.all(out[counts == 0] == 0.0)
     assert np.all(out[counts > 0] == 255.0)
+
+
+@st.composite
+def patch_geometries(draw):
+    p = draw(st.integers(1, 6), label="patch side")
+    h = draw(st.integers(p, 20), label="height")
+    w = draw(st.integers(p, 20), label="width")
+    stride = draw(st.integers(1, p + 2), label="stride")
+    return h, w, p, stride
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometry=patch_geometries(), seed=st.integers(0, 2 ** 32 - 1))
+@example(geometry=(128, 128, 8, 2), seed=0)   # the denoise128 geometry
+@example(geometry=(7, 13, 4, 3), seed=1)      # bare right and bottom strips
+def test_assemble_equals_the_per_patch_loop(geometry, seed):
+    h, w, p, stride = geometry
+    # values beyond [0, 255] exercise the clip, overlaps the summation order
+    patches = np.random.default_rng(seed).normal(
+        100.0, 120.0, size=(p * p, patch_count(h, w, p, stride)))
+    got = assemble_patches(patches, (h, w), p, stride)
+    want = assemble_patches_loop(patches, (h, w), p, stride)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_assemble_rejects_a_wrong_patch_matrix_shape():

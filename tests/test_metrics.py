@@ -1,16 +1,21 @@
 """Merit functions, image scores, the single-machine reference and the
 diffusion baseline."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import distdict.core as core_mod
 from distdict import (ProblemData, build_run_config, centralized_oracle,
                       coding_prox_weight, consensus_error, diffusion_baseline,
-                      grad_dict, project_dictionary, psnr_mse, run,
-                      stationarity_gap, x_update_linearized)
+                      grad_dict, objective_global, project_dictionary,
+                      psnr_mse, run, stationarity_gap, x_update_linearized)
 
-from oracles import (projected_gradient_quadratic, prox_scalar_grid,
-                     psnr_scalar)
+from oracles import (objective_formula, projected_gradient_quadratic,
+                     prox_scalar_grid, psnr_scalar, stationarity_gap_formula)
 
 
 def toy_problem(rng, sizes=(3, 2), M=4, K=3):
@@ -63,6 +68,31 @@ def test_gap_is_continuous_under_small_perturbations():
         D_pert = D_bar + eta * rng.normal(size=D_bar.shape)
         moved = stationarity_gap(D_pert, X, problem)
         assert abs(moved - base) <= 50.0 * eta
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_merit_functions_equal_their_earlier_formulas(data):
+    I = data.draw(st.integers(1, 5), label="agents")
+    sizes = data.draw(st.lists(st.integers(1, 8), min_size=I, max_size=I),
+                      label="block widths")
+    M, K = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                     label="M, K")
+    per_group = data.draw(st.integers(1, I), label="agents per group")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    with mock.patch.object(core_mod, "BUDGET",
+                           per_group * max(M, K) * max(sizes)):
+        problem = toy_problem(rng, sizes=sizes, M=M, K=K)
+    D_bar = rng.normal(size=(M, K))
+    # a quarter of the codes sit at zero, where the shrinkage's band is
+    X = [rng.normal(size=(K, n)) * (rng.random((K, n)) > 0.25)
+         for n in sizes]
+    groups = problem.code_groups(X)
+    want = stationarity_gap_formula(D_bar, groups, problem)
+    assert stationarity_gap(D_bar, X, problem) == want
+    assert stationarity_gap(D_bar, groups, problem) == want
+    assert objective_global(D_bar, X, problem) == objective_formula(
+        D_bar, groups, problem)
 
 
 # ---------------------------------------------------------------------------
