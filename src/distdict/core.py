@@ -172,11 +172,9 @@ def objective_global(D, X_blocks, problem: ProblemData) -> float:
     total = 0.0
     for S, X in zip(problem.S_groups, problem.code_groups(X_blocks)):
         R = residual(D, X, S)
-        T = np.abs(X)
-        l1 = np.sum(T)
         total += (0.5 * np.sum(np.square(R, out=R))
-                  + problem.lam * l1
-                  + problem.mu * np.sum(np.multiply(X, X, out=T)))
+                  + problem.lam * np.sum(np.abs(X))
+                  + problem.mu * np.sum(X * X))
     return float(total)
 
 
@@ -186,8 +184,15 @@ def _check_triplet(D, X, S):
     S = np.asarray(S, dtype=float)
     if D.ndim not in (2, 3) or X.ndim not in (2, 3) or S.ndim not in (2, 3):
         raise ValueError("D, X and S must be 2-d arrays or stacks of them")
-    if D.shape[-1] != X.shape[-2] or D.shape[-2] != S.shape[-2] \
-            or X.shape[-1] != S.shape[-1]:
+    # S may not carry a stack that D @ X lacks: the residual is formed in
+    # the array of D @ X
+    try:
+        stack = np.broadcast_shapes(D.shape[:-2], X.shape[:-2])
+        fits = np.broadcast_shapes(stack, S.shape[:-2]) == stack
+    except ValueError:
+        fits = False
+    if not fits or D.shape[-1] != X.shape[-2] \
+            or D.shape[-2] != S.shape[-2] or X.shape[-1] != S.shape[-1]:
         raise ValueError(f"incompatible shapes D{D.shape} X{X.shape} "
                          f"S{S.shape}")
     return D, X, S
@@ -231,19 +236,19 @@ def project_dictionary(D, alpha: float) -> np.ndarray:
     return D * scale
 
 
-def soft_threshold(x, thresh, out=None):
+def soft_threshold(x, thresh):
     """Entrywise shrinkage max(|x| - thresh, 0) * sign(x) for a threshold
-    ``thresh >= 0``, computed as x - min(max(x, -thresh), thresh).
+    ``thresh >= 0``, computed as x - min(max(x, -thresh), thresh) in one
+    new array.
 
     The result equals the sign formula bit for bit, except that it is
-    +0.0 everywhere inside the band |x| <= thresh. It is written to ``out``
-    when given, which may be ``x`` itself; otherwise one new array holds it.
+    +0.0 everywhere inside the band |x| <= thresh.
     """
     x = np.asarray(x, dtype=float)
     band = np.asarray(np.maximum(x, -thresh))  # a 0-d array for a scalar
     np.minimum(band, thresh, out=band)
-    shrunk = np.subtract(x, band, out=band if out is None else out)
-    return shrunk if shrunk.ndim else shrunk[()]
+    np.subtract(x, band, out=band)
+    return band if band.ndim else band[()]
 
 
 def sigma_max(A):
@@ -289,12 +294,13 @@ def x_update_linearized(X, U, S, tau, lam: float, mu: float):
 
 def prox_codes(G, X, tau, lam: float, mu: float) -> np.ndarray:
     """The tail of the linearized coding step from the codes gradient G at
-    X: tau / (2 mu + tau) * shrink(X - G / tau, lam / tau), computed in
-    place on G and returned. G must be a new array that nothing else holds.
+    X: tau / (2 mu + tau) * shrink(X - G / tau, lam / tau). The divide and
+    subtract run in place on G, which must be a new array that nothing else
+    holds; the shrink makes the one array that is scaled and returned.
     """
     G /= tau
     np.subtract(X, G, out=G)
-    soft_threshold(G, lam / tau, out=G)
+    G = soft_threshold(G, lam / tau)
     G *= tau / (2.0 * mu + tau)
     return G
 

@@ -83,6 +83,19 @@ def test_gradients_vanish_in_the_trivial_cases():
     assert np.allclose(grad_codes(D, X, D @ X), 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("d_shape, x_shape, s_shape", [
+    ((4, 3), (3, 5), (2, 4, 5)),        # a stack only in S
+    ((1, 4, 3), (1, 3, 5), (2, 4, 5)),  # S's stack longer than D @ X's
+    ((2, 4, 3), (3, 3, 5), (3, 4, 5)),  # D and X stacks disagree
+])
+def test_gradients_reject_a_stack_that_d_times_x_lacks(d_shape, x_shape,
+                                                       s_shape):
+    D, X, S = np.ones(d_shape), np.ones(x_shape), np.ones(s_shape)
+    for grad in (grad_dict, grad_codes):
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            grad(D, X, S)
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
     D = rng.uniform(-1, 1, size=(4, 3))
@@ -167,14 +180,6 @@ def test_soft_threshold_gives_positive_zero_inside_the_band():
     out = soft_threshold(x, 0.5)
     assert np.array_equal(out, [0.0, 0.0, 0.0, 0.0, 0.0, -0.25])
     assert not np.any(np.signbit(out[:5]))
-
-
-def test_soft_threshold_writes_to_out():
-    x = np.array([[-2.0, 0.1], [0.3, 1.5]])
-    want = soft_threshold(x, 0.25)
-    got = soft_threshold(x, 0.25, out=x)
-    assert got is x
-    assert np.array_equal(x, want)
 
 
 # ---------------------------------------------------------------------------
