@@ -91,6 +91,8 @@ def _convert(key: str, value):
         return value
     if key in _STR_KEYS:
         return value
+    if key == "period" and value.strip().lower() == "none":
+        return None
     if key in _INT_KEYS:
         return int(value)
     return float(value)

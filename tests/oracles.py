@@ -70,6 +70,53 @@ def x_update_linearized_formula(X, U, S, tau, lam, mu):
                                                           lam / tau)
 
 
+def x_update_plain_loop(X, U, S, tau, lam, mu, inner_tol=1e-8,
+                        inner_max_iter=2000, sigma=None):
+    """The plain coding solver's earlier loop, eight new arrays per
+    iteration and the per-agent factors broadcast from ``(c, 1, 1)``;
+    ``distdict.core.x_update_plain`` must return its codes and flags bit
+    for bit. The package's shrinkage and spectral norm are used, so that
+    only the loop is compared."""
+    from distdict.core import sigma_max, soft_threshold
+
+    flat = np.ndim(X) == 2
+    X0, U, S = [A if A.ndim == 3 else A[None]
+                for A in (np.asarray(A, dtype=float) for A in (X, U, S))]
+    Ut = U.swapaxes(-1, -2)
+    if sigma is None:
+        sigma, _ = sigma_max(U)
+    m = np.broadcast_to(tau + 2.0 * mu, (len(X0), 1, 1))
+    L = np.reshape(np.square(sigma), (-1, 1, 1)) + m
+    step = 1.0 / L
+    strong = m > 0
+    r = np.sqrt(np.where(strong, m * step, 0.0))
+    beta = (1.0 - r) / (1.0 + r)
+    H = -step * (Ut @ U)
+    H += (1.0 - step * m) * np.eye(U.shape[-1])
+    C = step * (Ut @ S + tau * X0)
+    Xk = X0.copy()
+    Y = X0.copy()
+    out = X0.copy()
+    done = np.zeros(len(X0), dtype=bool)
+    t = 1.0
+    for _ in range(inner_max_iter):
+        Xn = soft_threshold(H @ Y + C, step * lam)
+        change = np.max(np.abs(Xn - Y), axis=(-2, -1))
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        Y = Xn + np.where(strong, beta, (t - 1.0) / t_next) * (Xn - Xk)
+        Xk = Xn
+        t = t_next
+        now = (change <= inner_tol) & ~done
+        if now.any():
+            out[now] = Xn[now]
+            done |= now
+        if done.all():
+            break
+    else:
+        out[~done] = Xk[~done]
+    return (out[0], bool(done[0])) if flat else (out, done)
+
+
 def objective_formula(D, X_groups, problem):
     """The objective summed over the groups, codes given as group stacks."""
     total = 0.0

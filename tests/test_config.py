@@ -85,3 +85,15 @@ def test_invalid_values_are_rejected():
 
 def test_zero_round_budget_is_allowed():
     assert build_run_config({"max_rounds": "0"}).max_rounds == 0
+
+
+def test_period_none_means_the_window_default(tmp_path):
+    for text in ("none", "None", "NONE"):
+        assert build_run_config({"period": text}).graph.period is None
+    assert build_run_config({"period": "2"}).graph.period == 2
+    path = tmp_path / "run.cfg"
+    path.write_text("graph = tv_ring_partition\nwindow = 3\n"
+                    "period = none   # the window\n")
+    graph = build_run_config(load_config(path)).graph
+    assert (graph.kind, graph.window, graph.period) == \
+        ("tv_ring_partition", 3, None)

@@ -17,7 +17,8 @@ from oracles import (accelerated_coding_steps, elastic_net_kkt_residual,
                      grad_dict_formula, objective_scalar_loop,
                      project_column_line_search,
                      projected_gradient_quadratic, prox_scalar_grid,
-                     soft_threshold_sign, x_update_linearized_formula)
+                     soft_threshold_sign, x_update_linearized_formula,
+                     x_update_plain_loop)
 
 
 def random_problem(rng, M=4, K=3, sizes=(3, 3), lam=0.125, mu=0.0625,
@@ -247,6 +248,20 @@ def test_kernels_stay_within_their_allocation_budgets():
     assert peak_over(lambda: grad_dict(D, X, S), X) <= 1.25
     assert peak_over(lambda: soft_threshold(X, tau), X) <= 2.0
 
+    # one synth_plain group: 5 agents, 16 x 24 dictionaries, 40 columns;
+    # the plain coding solver's buffers are fixed, so its peak does not
+    # grow with the iterations it is forced to run
+    X = rng.normal(size=(5, 24, 40))
+    U = rng.normal(size=(5, 16, 24))
+    S = rng.normal(size=(5, 16, 40))
+    tau = rng.uniform(0.5, 2.0, size=(5, 1, 1))
+    peaks = [peak_over(lambda: x_update_plain(X, U, S, tau, 0.1, 0.05,
+                                              inner_tol=1e-300,
+                                              inner_max_iter=iters), X)
+             for iters in (20, 200)]
+    assert peaks[1] <= 9.0
+    assert abs(peaks[1] - peaks[0]) <= 0.1
+
 
 # ---------------------------------------------------------------------------
 # linearized coding update
@@ -436,6 +451,66 @@ def test_x_plain_stack_meets_kkt_and_matches_lone_solves(data):
         assert elastic_net_kkt_residual(out[j, :, :w], U[j], S[j, :, :w],
                                         taus[j], X0[j, :, :w], lam,
                                         mu) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_x_plain_gives_the_bits_of_the_earlier_loop(data):
+    # 2-d calls and stacks of 1-4 agents; with mu = 0 an agent drawn with
+    # tau = 0 takes the t_k momentum beside strongly convex ones, and the
+    # small caps end solves at the cap while others stop one by one
+    c = data.draw(st.integers(0, 4), label="agents (0: a 2-d call)")
+    K = data.draw(st.integers(1, 6), label="K")
+    M = data.draw(st.integers(1, 6), label="M")
+    n = data.draw(st.integers(1, 7), label="n")
+    mu = data.draw(st.sampled_from((0.0, 0.0625)), label="mu")
+    taus = data.draw(st.lists(st.sampled_from((0.0, 0.25, 1.0, 4.0)),
+                              min_size=max(c, 1), max_size=max(c, 1)),
+                     label="taus")
+    cap = data.draw(st.sampled_from((1, 2, 3, 2000)), label="cap")
+    tol = data.draw(st.sampled_from((1e-12, 1e-6, 1e-2)), label="tol")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    lead = (c,) if c else ()
+    U = rng.normal(size=lead + (M, K))
+    S = rng.normal(size=lead + (M, n))
+    X0 = rng.normal(size=lead + (K, n))
+    tau = np.array(taus)[:, None, None] if c else taus[0]
+    kw = dict(inner_tol=tol, inner_max_iter=cap)
+    out, converged = x_update_plain(X0, U, S, tau, 0.125, mu, **kw)
+    want, want_converged = x_update_plain_loop(X0, U, S, tau, 0.125, mu,
+                                               **kw)
+    assert np.array_equal(out, want)
+    assert np.array_equal(converged, want_converged)
+
+
+def test_plain_solvers_reject_non_finite_input():
+    rng = np.random.default_rng(23)
+    U = rng.normal(size=(16, 24))
+    S = rng.normal(size=(16, 40))
+    X0 = rng.normal(size=(24, 40))
+    for bad in (np.nan, np.inf, -np.inf):
+        for name in ("X0", "U", "S"):
+            args = {"X0": X0.copy(), "U": U.copy(), "S": S.copy()}
+            args[name][3, 5] = bad
+            with pytest.raises(ValueError, match="finite"):
+                x_update_plain(args["X0"], args["U"], args["S"], 0.5,
+                               0.125, 0.0625)
+    D0 = project_dictionary(U, 1.0)
+    G = rng.normal(size=D0.shape)
+    for bad in (np.nan, np.inf):
+        for name in ("D0", "X", "S", "grad_rest"):
+            args = {"D0": D0.copy(), "X": X0.copy(), "S": S.copy(),
+                    "grad_rest": G.copy()}
+            args[name][3, 5] = bad
+            with pytest.raises(ValueError, match="finite"):
+                d_update_plain(args["D0"], args["X"], args["S"],
+                               args["grad_rest"], 1.0, np.inf)
+    # a stack with one bad agent fails too
+    Ust = np.stack([U, U])
+    Ust[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        x_update_plain(np.stack([X0, X0]), Ust, np.stack([S, S]),
+                       np.ones((2, 1, 1)), 0.125, 0.0625)
 
 
 def test_x_variants_agree_when_the_prox_weights_are_matched():
