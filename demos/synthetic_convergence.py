@@ -50,10 +50,7 @@ print(f"final objective, single node: {central.objective[-1]:.5f}")
 # ones. Greedy matching on absolute correlations gives a rough recovery
 # score (atoms are only identifiable up to sign and permutation).
 D_true = instance.D_true
-D_learned = None
-holder = {}
-run(problem, config, observer=lambda s: holder.update(agents=s.agents))
-D_learned = np.mean([a.D for a in holder["agents"]], axis=0)
+D_learned = trace.state.D.mean(axis=0)
 corr = np.abs(D_true.T @ D_learned)
 matched = []
 for _ in range(D_true.shape[1]):

@@ -72,19 +72,10 @@ class AgentState:
     D_half: np.ndarray = None
 
 
-def agent_views(groups: AgentGroups, D, X, tracker, grad_rest) -> list:
-    """One AgentState per agent, of views into stacked state: ``D``,
-    ``tracker`` and ``grad_rest`` of shape ``(I, M, K)``, ``X`` as the group
-    stacks of ``groups``."""
-    return [AgentState(D=D[i], X=x, tracker=tracker[i],
-                       grad_rest=grad_rest[i])
-            for i, x in enumerate(groups.unstack(X))]
-
-
 def stack_agents(groups: AgentGroups, agents) -> tuple:
-    """The inverse of ``agent_views``: ``(D, X, tracker, grad_rest)`` with
-    ``X`` as the group stacks of ``groups`` and the others as
-    ``(I, M, K)`` stacks."""
+    """The inverse of ``protocol.RoundState.agents``: ``(D, X, tracker,
+    grad_rest)`` with ``X`` as the group stacks of ``groups`` and the others
+    as ``(I, M, K)`` stacks."""
     return (np.stack([a.D for a in agents]),
             groups.stack([a.X for a in agents]),
             np.stack([a.tracker for a in agents]),

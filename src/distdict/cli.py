@@ -20,8 +20,7 @@ from .core import (grad_codes, grad_dict, project_dictionary,
                    x_update_linearized)
 from .denoise import denoise_image
 from .imaging import PgmError, read_pgm, write_pgm
-from .metrics import (CSV_COLUMNS, centralized_oracle, diffusion_baseline,
-                      psnr_mse)
+from .metrics import CSV_COLUMNS, diffusion_baseline, psnr_mse
 from .network import (SCHEDULE_KINDS, build_schedule, is_b_strongly_connected,
                       validate_weights)
 from .protocol import run
@@ -252,16 +251,22 @@ def _check_tracking() -> bool:
 
 
 def _check_single_agent() -> bool:
+    # one agent is the centralized method when, bit for bit and every
+    # round, its tracker equals its local gradient and its others-gradient
+    # estimate is zero
     inst, problem = make_synthetic(M=4, K=3, N=5, num_agents=1, k0=2,
                                    noise_sigma=0.1, seed=2)
     config = build_run_config({"agents": 1, "graph": "static_ring",
                                "max_rounds": 20, "seed": 2})
-    got = run(problem, config)
-    want = centralized_oracle(problem, config)
-    return (max(abs(a - b) for a, b in zip(got.objective, want.objective))
-            <= 1e-12
-            and max(abs(a - b) for a, b in zip(got.delta, want.delta))
-            <= 1e-12)
+    exact = []
+
+    def watch(state):
+        grad = grad_dict(state.D, state.X[0], problem.S_groups[0])
+        exact.append(np.array_equal(state.tracker, grad)
+                     and not np.any(state.grad_rest))
+
+    run(problem, config, observer=watch)
+    return len(exact) == config.max_rounds and all(exact)
 
 
 def cmd_validate(args) -> int:

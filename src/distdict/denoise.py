@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import init_agents
 from .config import RunConfig
 from .core import ProblemData
 from .imaging import PatchDataset, assemble_patches, extract_patches
@@ -50,13 +49,9 @@ def denoise_image(noisy, config: RunConfig, *, patch_side: int = 8,
     problem = ProblemData(S_blocks=coding.blocks(config.graph.num_agents),
                           K=num_atoms, lam=config.lam, mu=config.mu,
                           alpha=config.alpha)
-    holder = {}
-    trace = run(problem, config,
-                observer=lambda state: holder.update(state=state))
-    agents = (holder["state"].agents if holder
-              else init_agents(problem, seed=config.seed))
-    dictionary = mean_dictionary([agent.D for agent in agents])
-    codes = [agent.X for agent in agents]
+    trace = run(problem, config)
+    dictionary = mean_dictionary(trace.state.D)
+    codes = [agent.X for agent in trace.state.agents]
     decoded = PIXEL_SCALE * (dictionary @ np.hstack(codes)) + offsets
     image = assemble_patches(decoded, dataset.image_shape, patch_side, stride)
     return DenoiseResult(image=image, trace=trace, dictionary=dictionary,

@@ -16,23 +16,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import (AgentState, agent_views, coding_prox_weight,
-                     coding_step, dictionary_step, gamma_sequence, init_agents,
-                     stack_agents)
 from .config import RunConfig
-from .core import (ProblemData, grad_dict, objective_global, prox_codes,
-                   project_dictionary, residual)
-# nothing here calls x_update_linearized; bench/tracer.py wraps
-# metrics.x_update_linearized by name, so the name stays a module attribute
-from .core import x_update_linearized  # noqa: F401
-from .network import build_schedule, is_b_strongly_connected
+from .core import ProblemData, prox_codes, project_dictionary, residual
+# nothing here calls these; bench/tracer.py wraps them by name as
+# attributes of this module, so they stay imported
+from .agents import (coding_prox_weight, coding_step,  # noqa: F401
+                     init_agents)
+from .core import (grad_dict, objective_global,  # noqa: F401
+                   x_update_linearized)
+from .network import build_schedule
+from .network import is_b_strongly_connected  # noqa: F401
 
 CSV_COLUMNS = ("nu", "messages", "objective", "delta", "cons_err", "gamma")
 
 
 @dataclass
 class MetricsTrace:
-    """Per-round diagnostics; one row per recorded round."""
+    """Per-round diagnostics; one row per recorded round, plus ``state``,
+    the RoundState the run ended in."""
 
     nu: list = field(default_factory=list)
     messages: list = field(default_factory=list)
@@ -41,6 +42,8 @@ class MetricsTrace:
     cons_err: list = field(default_factory=list)
     gamma: list = field(default_factory=list)
     flags: list = field(default_factory=list)
+    # the driver's final RoundState; not a column of the trace
+    state: object = field(default=None, repr=False, compare=False)
 
     def add_row(self, nu, messages, objective, delta, cons_err, gamma,
                 flags=0):
@@ -137,52 +140,17 @@ def psnr_mse(reference, estimate, peak: float = 255.0):
 
 def centralized_oracle(problem: ProblemData, config: RunConfig,
                        observer=None) -> MetricsTrace:
-    """Single-machine reference: the same surrogate updates on the pooled
-    data, no network, no tracking (the others-gradient term is zero).
-
-    Used both as a correctness oracle for the single-agent network run and
-    as a convergence reference. Records the same trace columns with a
-    message count of zero.
+    """Single-machine reference: ``protocol.run`` on the pooled data as one
+    agent. With one agent the tracker equals the local gradient and the
+    others-gradient term is exactly zero, so each round is the centralized
+    SCA step; the trace counts its two message exchanges per round and
+    ``observer(state)`` is called as in ``run``.
     """
-    S = np.hstack(problem.S_blocks)
-    pooled = ProblemData(S_blocks=[S], K=problem.K, lam=problem.lam,
-                         mu=problem.mu, alpha=problem.alpha)
-    sched = config.steps
-    agent = init_agents(pooled, seed=config.seed)[0]
-    gammas = gamma_sequence(config.max_rounds + 1, sched.gamma0,
-                            sched.eps_gamma)
-    trace = MetricsTrace()
+    from .protocol import run  # protocol imports this module
 
-    def record(nu, flags):
-        trace.add_row(nu, 0, objective_global(agent.D, [agent.X], pooled),
-                      stationarity_gap(agent.D, [agent.X], pooled),
-                      0.0, gammas[nu], flags)
-
-    record(0, 0)
-    flags = 0
-    for nu in range(config.max_rounds):
-        ok_d = dictionary_step(agent, S, gammas[nu], sched, pooled.alpha,
-                               grad_dict(agent.D, agent.X, S))
-        tau_x, sig = coding_prox_weight(agent.D_half, sched.eps_tau)
-        ok_x = coding_step(agent, S, tau_x, pooled.lam, pooled.mu, sched,
-                           sigma=sig)
-        agent.D = agent.D_half.copy()
-        flags += (not ok_d) + (not ok_x)
-        if observer is not None:
-            observer(nu + 1, agent)
-        if (nu + 1) % config.metric_stride == 0 or nu + 1 == config.max_rounds:
-            record(nu + 1, flags)
-            flags = 0
-            if trace.delta[-1] <= config.stop_tol:
-                break
-    return trace
-
-
-def _record(trace, problem, D, X, nu, messages, gamma, flags):
-    D_bar = mean_dictionary(D)
-    trace.add_row(nu, messages, objective_global(D_bar, X, problem),
-                  stationarity_gap(D_bar, X, problem),
-                  consensus_error(D, D_bar), gamma, flags)
+    pooled = ProblemData(S_blocks=[np.hstack(problem.S_blocks)], K=problem.K,
+                         lam=problem.lam, mu=problem.mu, alpha=problem.alpha)
+    return run(pooled, config, build_schedule("static_ring", 1), observer)
 
 
 def diffusion_baseline(problem: ProblemData, config: RunConfig,
@@ -193,50 +161,9 @@ def diffusion_baseline(problem: ProblemData, config: RunConfig,
     copy driven only by its own gradient with the shared diminishing step
     size, the copies are mixed over the graph (the single message exchange
     of the round), and the codes are refreshed against the mixed dictionary.
-    The state is held as stacks over the agent groups of ``problem``, as in
-    ``protocol.run``. ``observer(nu, agents)`` gets per-agent views with
-    zero trackers.
+    It runs in the round loop of ``protocol.run``, with the same schedule
+    checks, trace and ``observer(state)``; the state's trackers are zero.
     """
-    if schedule is None:
-        schedule = build_schedule(config.graph.kind, config.graph.num_agents,
-                                  window=config.graph.window,
-                                  seed=config.graph.seed,
-                                  period=config.graph.period)
-    if schedule.num_agents != problem.num_agents:
-        raise ValueError("schedule and problem disagree on the agent count")
-    if not is_b_strongly_connected(schedule):
-        raise ValueError("schedule violates its connectivity window")
-    sched = config.steps
-    D, X, _, _ = stack_agents(problem.groups,
-                              init_agents(problem, seed=config.seed))
-    zeros = np.zeros_like(D)
-    gammas = gamma_sequence(config.max_rounds + 1, sched.gamma0,
-                            sched.eps_gamma)
-    trace = MetricsTrace()
-    _record(trace, problem, D, X, 0, 0, gammas[0], 0)
-    flags = 0
-    for nu in range(config.max_rounds):
-        W = schedule.weights_at(nu)
-        grads = np.concatenate([grad_dict(D[sl], Xg, S) for sl, S, Xg in
-                                zip(problem.groups.slices, problem.S_groups,
-                                    X)])
-        adapted = project_dictionary(D - gammas[nu] * grads, problem.alpha)
-        D = np.tensordot(W, adapted, axes=1)
-        for g, (sl, S) in enumerate(zip(problem.groups.slices,
-                                        problem.S_groups)):
-            group = AgentState(D=D[sl], X=X[g], tracker=None, grad_rest=None,
-                               D_half=D[sl])
-            tau_x, sig = coding_prox_weight(group.D, sched.eps_tau)
-            ok = coding_step(group, S, tau_x, problem.lam, problem.mu, sched,
-                             sigma=sig)
-            flags += np.size(ok) - np.count_nonzero(ok)
-            X[g] = group.X
-        if observer is not None:
-            observer(nu + 1, agent_views(problem.groups, D, X, zeros, zeros))
-        if (nu + 1) % config.metric_stride == 0 or nu + 1 == config.max_rounds:
-            _record(trace, problem, D, X, nu + 1, nu + 1, gammas[nu + 1],
-                    flags)
-            flags = 0
-            if trace.delta[-1] <= config.stop_tol:
-                break
-    return trace
+    from .protocol import _rounds  # protocol imports this module
+
+    return _rounds(problem, config, schedule, observer, tracked=False)

@@ -11,6 +11,10 @@ One round is
             trackers absorb the local gradient increments, and the
             others-gradient estimates are refreshed.
 
+The same loop runs adapt-then-combine diffusion, tracking switched off
+(``metrics.diffusion_baseline``), and at one agent the tracked round is the
+centralized method (``metrics.centralized_oracle``).
+
 The agents' state is held as stacks with a leading agent axis, and the
 local steps run once per agent group of the problem (``ProblemData.groups``)
 rather than once per agent; the mixing runs once over all agents.
@@ -22,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import (AgentState, agent_views, coding_prox_weight,
-                     coding_step, dictionary_step, gamma_sequence, init_agents,
+from .agents import (AgentState, coding_prox_weight, coding_step,
+                     dictionary_step, gamma_sequence, init_agents,
                      stack_agents)
 from .config import RunConfig
-from .core import AgentGroups, ProblemData, grad_dict, objective_global
+from .core import (AgentGroups, ProblemData, grad_dict, objective_global,
+                   project_dictionary)
 from .metrics import (MetricsTrace, consensus_error, mean_dictionary,
                       stationarity_gap)
 from .network import (GraphSchedule, build_schedule, is_b_strongly_connected,
@@ -55,8 +60,9 @@ class RoundState:
     def agents(self) -> list:
         """One AgentState per agent, of views into the stacks; ``X`` has
         the agent's own shape ``(K, n_i)``."""
-        return agent_views(self.groups, self.D, self.X, self.tracker,
-                           self.grad_rest)
+        return [AgentState(D=self.D[i], X=x, tracker=self.tracker[i],
+                           grad_rest=self.grad_rest[i])
+                for i, x in enumerate(self.groups.unstack(self.X))]
 
 
 def consensus_step(W, mats) -> np.ndarray:
@@ -101,6 +107,107 @@ def _record(trace, problem, state, gamma, flags):
                   consensus_error(state.D, D_bar), gamma, flags)
 
 
+def _coding_steps(problem, state, U, sched) -> int:
+    """Refresh the codes of every group against its slice of the
+    ``(I, M, K)`` dictionary stack ``U``; returns the number of capped inner
+    solves."""
+    flags = 0
+    # a new list, so one an observer kept stays as it was; each old code
+    # stack is released as soon as its group has the new one
+    codes = state.X = list(state.X)
+    for g, (sl, S) in enumerate(zip(problem.groups.slices, problem.S_groups)):
+        group = AgentState(D=None, X=codes[g], tracker=None, grad_rest=None,
+                           D_half=U[sl])
+        tau_x, sig = coding_prox_weight(group.D_half, sched.eps_tau)
+        ok = coding_step(group, S, tau_x, problem.lam, problem.mu, sched,
+                         sigma=sig)
+        flags += np.size(ok) - np.count_nonzero(ok)
+        codes[g] = group.X
+    return flags
+
+
+def _tracked_round(problem, state, W, gamma, sched, grads):
+    """Local SCA steps, consensus on the blended dictionaries and gradient
+    tracking: two message exchanges. ``grads`` are the local gradients at
+    the current point; returns those at the new point and the number of
+    capped inner solves."""
+    halves = []
+    flags = 0
+    for sl, S, X in zip(problem.groups.slices, problem.S_groups, state.X):
+        group = AgentState(D=state.D[sl], X=X, tracker=None,
+                           grad_rest=state.grad_rest[sl])
+        ok = dictionary_step(group, S, gamma, sched, problem.alpha,
+                             grads[sl])
+        flags += np.size(ok) - np.count_nonzero(ok)
+        halves.append(group.D_half)
+    halves = np.concatenate(halves)
+    flags += _coding_steps(problem, state, halves, sched)
+    state.D = consensus_step(W, halves)
+    grads_new = _group_grads(problem, state.D, state.X)
+    state.tracker = tracking_step(W, state.tracker, grads_new, grads)
+    state.grad_rest = problem.num_agents * state.tracker - grads_new
+    return grads_new, flags
+
+
+def _diffusion_round(problem, state, W, gamma, sched, grads):
+    """Adapt-then-combine diffusion, the tracked round with tracking off:
+    a projected step along the local gradient, one consensus exchange, then
+    the codes against the mixed copies. Arguments and return as for
+    ``_tracked_round``."""
+    state.D = consensus_step(
+        W, project_dictionary(state.D - gamma * grads, problem.alpha))
+    flags = _coding_steps(problem, state, state.D, sched)
+    return _group_grads(problem, state.D, state.X), flags
+
+
+def _rounds(problem, config, schedule, observer, tracked) -> MetricsTrace:
+    """The round loop of every driver: ``_tracked_round`` when ``tracked``,
+    else ``_diffusion_round``, whose observers see zero trackers. See
+    ``run`` for the parameters and the trace."""
+    if schedule is None:
+        schedule = build_schedule(config.graph.kind, config.graph.num_agents,
+                                  window=config.graph.window,
+                                  seed=config.graph.seed,
+                                  period=config.graph.period)
+    if schedule.num_agents != problem.num_agents:
+        raise ValueError(f"schedule has {schedule.num_agents} agents, "
+                         f"problem has {problem.num_agents}")
+    if not is_b_strongly_connected(schedule):
+        raise ValueError("schedule violates its connectivity window")
+    for t, (A, W) in enumerate(zip(schedule.adjacency, schedule.weights)):
+        if not validate_weights(W, A):
+            raise ValueError(f"phase {t} weights fail validation")
+
+    sched = config.steps
+    state = RoundState(problem.groups, *stack_agents(
+        problem.groups, init_agents(problem, seed=config.seed)))
+    if tracked:
+        body, exchanges = _tracked_round, 2
+    else:
+        body, exchanges = _diffusion_round, 1
+        state.tracker = state.grad_rest = np.zeros_like(state.D)
+    gammas = gamma_sequence(config.max_rounds + 1, sched.gamma0,
+                            sched.eps_gamma)
+    grads = _group_grads(problem, state.D, state.X)
+    trace = MetricsTrace(state=state)
+    _record(trace, problem, state, gammas[0], 0)
+    flags = 0
+    for nu in range(config.max_rounds):
+        grads, capped = body(problem, state, schedule.weights_at(nu),
+                             gammas[nu], sched, grads)
+        flags += capped
+        state.nu = nu + 1
+        state.messages += exchanges
+        if observer is not None:
+            observer(state)
+        if (nu + 1) % config.metric_stride == 0 or nu + 1 == config.max_rounds:
+            _record(trace, problem, state, gammas[nu + 1], flags)
+            flags = 0
+            if trace.delta[-1] <= config.stop_tol:
+                break
+    return trace
+
+
 def run(problem: ProblemData, config: RunConfig, schedule: GraphSchedule = None,
         observer=None) -> MetricsTrace:
     """Simulate the full protocol on one problem instance.
@@ -133,64 +240,7 @@ def run(problem: ProblemData, config: RunConfig, schedule: GraphSchedule = None,
         Row 0 describes the initial point; afterwards one row per
         ``metric_stride`` rounds (the final round is always recorded). The
         run stops early once the recorded stationarity gap falls to
-        ``stop_tol``.
+        ``stop_tol``. Its ``state`` is the RoundState after the last round
+        run.
     """
-    if schedule is None:
-        schedule = build_schedule(config.graph.kind, config.graph.num_agents,
-                                  window=config.graph.window,
-                                  seed=config.graph.seed,
-                                  period=config.graph.period)
-    if schedule.num_agents != problem.num_agents:
-        raise ValueError(f"schedule has {schedule.num_agents} agents, "
-                         f"problem has {problem.num_agents}")
-    if not is_b_strongly_connected(schedule):
-        raise ValueError("schedule violates its connectivity window")
-    for t, (A, W) in enumerate(zip(schedule.adjacency, schedule.weights)):
-        if not validate_weights(W, A):
-            raise ValueError(f"phase {t} weights fail validation")
-
-    sched = config.steps
-    state = RoundState(problem.groups, *stack_agents(
-        problem.groups, init_agents(problem, seed=config.seed)))
-    I = problem.num_agents
-    gammas = gamma_sequence(config.max_rounds + 1, sched.gamma0,
-                            sched.eps_gamma)
-    grads_prev = _group_grads(problem, state.D, state.X)
-    trace = MetricsTrace()
-    _record(trace, problem, state, gammas[0], 0)
-    flags = 0
-    for nu in range(config.max_rounds):
-        W = schedule.weights_at(nu)
-        halves = []
-        # a new list, so one an observer kept stays as it was; each old
-        # code stack is released as soon as its group has the new one
-        codes = state.X = list(state.X)
-        for g, (sl, S) in enumerate(zip(problem.groups.slices,
-                                        problem.S_groups)):
-            group = AgentState(D=state.D[sl], X=codes[g], tracker=None,
-                               grad_rest=state.grad_rest[sl])
-            ok_d = dictionary_step(group, S, gammas[nu], sched,
-                                   problem.alpha, grads_prev[sl])
-            tau_x, sig = coding_prox_weight(group.D_half, sched.eps_tau)
-            ok_x = coding_step(group, S, tau_x, problem.lam, problem.mu,
-                               sched, sigma=sig)
-            flags += (np.size(ok_d) - np.count_nonzero(ok_d)
-                      + np.size(ok_x) - np.count_nonzero(ok_x))
-            halves.append(group.D_half)
-            codes[g] = group.X
-        state.D = consensus_step(W, np.concatenate(halves))
-        grads_new = _group_grads(problem, state.D, codes)
-        state.tracker = tracking_step(W, state.tracker, grads_new,
-                                      grads_prev)
-        state.grad_rest = I * state.tracker - grads_new
-        grads_prev = grads_new
-        state.nu = nu + 1
-        state.messages += 2
-        if observer is not None:
-            observer(state)
-        if (nu + 1) % config.metric_stride == 0 or nu + 1 == config.max_rounds:
-            _record(trace, problem, state, gammas[nu + 1], flags)
-            flags = 0
-            if trace.delta[-1] <= config.stop_tol:
-                break
-    return trace
+    return _rounds(problem, config, schedule, observer, tracked=True)

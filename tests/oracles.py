@@ -388,3 +388,40 @@ def ragged_run(problem, config, schedule, observer):
             a.grad_rest = I * trackers[i] - grads_new[i]
         grads_prev = grads_new
         observer(nu + 1, agents, flags)
+
+
+def ragged_diffusion(problem, config, schedule, observer):
+    """Adapt-then-combine diffusion run one agent at a time on the 2-d
+    kernels, each agent with its own unpadded block: the reference for
+    ``distdict.diffusion_baseline``. Each round every agent takes a
+    projected step along its own gradient, the copies are mixed, and the
+    codes are refreshed against the mixed copy.
+
+    Calls ``observer(nu, agents, flags)`` as ``ragged_run`` does; the
+    agents' trackers and others-gradient estimates are zero throughout.
+    """
+    from distdict.agents import (coding_prox_weight, coding_step,
+                                 gamma_sequence, init_agents)
+    from distdict.core import grad_dict, project_dictionary
+
+    sched = config.steps
+    agents = init_agents(problem, seed=config.seed)
+    for a in agents:
+        a.tracker = np.zeros_like(a.D)
+        a.grad_rest = np.zeros_like(a.D)
+    gammas = gamma_sequence(config.max_rounds + 1, sched.gamma0,
+                            sched.eps_gamma)
+    for nu in range(config.max_rounds):
+        adapted = [project_dictionary(
+                       a.D - gammas[nu] * grad_dict(a.D, a.X, S),
+                       problem.alpha)
+                   for a, S in zip(agents, problem.S_blocks)]
+        mixed = np.tensordot(schedule.weights_at(nu), np.stack(adapted),
+                             axes=1)
+        flags = 0
+        for a, S, D in zip(agents, problem.S_blocks, mixed):
+            a.D = a.D_half = D
+            tau_x, _ = coding_prox_weight(D, sched.eps_tau)
+            flags += not coding_step(a, S, tau_x, problem.lam, problem.mu,
+                                     sched)
+        observer(nu + 1, agents, flags)

@@ -46,6 +46,15 @@ def test_run_is_byte_deterministic(tmp_path):
             == read_text(tmp_path / "b" / "trace.csv"))
 
 
+def test_compare_is_byte_deterministic(tmp_path):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        assert main(["compare", "--budgets", "6,12", "--agents", "4",
+                     "--seed", "5", "--out-dir", str(tmp_path / sub)]) == 0
+    assert (read_text(tmp_path / "a" / "compare.csv")
+            == read_text(tmp_path / "b" / "compare.csv"))
+
+
 def test_run_reads_a_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("rounds = 3\nagents = 2\nM = 6\nK = 4\nN = 8\n")

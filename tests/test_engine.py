@@ -14,7 +14,11 @@ from distdict import (ProblemData, build_run_config, build_schedule,
 from distdict.agents import VARIANTS
 from distdict.network import SCHEDULE_KINDS
 
-from oracles import ragged_run
+from oracles import ragged_diffusion, ragged_run
+
+# each round policy of the engine, with its per-agent reference
+POLICIES = {"tracked": (run, ragged_run),
+            "diffusion": (diffusion_baseline, ragged_diffusion)}
 
 
 def make_problem(rng, sizes, M, K):
@@ -22,12 +26,14 @@ def make_problem(rng, sizes, M, K):
     return ProblemData(S_blocks=blocks, K=K, lam=0.125, mu=0.0625, alpha=1.0)
 
 
-def assert_engine_matches_reference(problem, config, schedule):
+def assert_engine_matches_reference(problem, config, schedule,
+                                    policy="tracked"):
+    engine, reference = POLICIES[policy]
     want = {}
-    ragged_run(problem, config, schedule,
-               lambda nu, agents, flags: want.setdefault(nu, (
-                   [(a.D.copy(), a.X.copy(), a.tracker.copy())
-                    for a in agents], flags)))
+    reference(problem, config, schedule,
+              lambda nu, agents, flags: want.setdefault(nu, (
+                  [(a.D.copy(), a.X.copy(), a.tracker.copy())
+                   for a in agents], flags)))
     got = {}
 
     def watch(state):
@@ -36,14 +42,14 @@ def assert_engine_matches_reference(problem, config, schedule):
                 assert not np.any(X[j, :, n:]), "a padded code moved"
         got[state.nu] = [(a.D, a.X, a.tracker) for a in state.agents]
 
-    trace = run(problem, config, schedule, watch)
+    trace = engine(problem, config, schedule, watch)
     # a gap of exactly zero ends the run early
     assert sorted(got) == list(range(1, trace.nu[-1] + 1))
     for nu, rows in got.items():
         ref_rows, ref_flags = want[nu]
         assert trace.flags[nu] == ref_flags
-        for engine, ref in zip(rows, ref_rows):
-            for a, b in zip(engine, ref):
+        for ours, ref in zip(rows, ref_rows):
+            for a, b in zip(ours, ref):
                 assert a.shape == b.shape
                 assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -72,7 +78,9 @@ def test_engine_matches_the_ragged_reference(data):
     assert problem.groups.slices[0] == slice(0, per_group)
     config = build_run_config(mapping)
     schedule = build_schedule(kind, I, window=2, seed=mapping["seed"])
-    assert_engine_matches_reference(problem, config, schedule)
+    assert_engine_matches_reference(
+        problem, config, schedule,
+        data.draw(st.sampled_from(sorted(POLICIES)), label="round policy"))
 
 
 def test_wide_single_agent_group_beside_a_multi_agent_group():
@@ -151,7 +159,7 @@ def test_runs_leave_no_reference_cycles():
     gc.disable()
     try:
         run(problem, config, observer=lambda state: state.agents)
-        diffusion_baseline(problem, config, observer=lambda nu, agents: None)
+        diffusion_baseline(problem, config, observer=lambda state: None)
         found = gc.collect()
     finally:
         gc.enable()

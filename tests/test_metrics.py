@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distdict.core as core_mod
-from distdict import (ProblemData, build_run_config, centralized_oracle,
-                      coding_prox_weight, consensus_error, diffusion_baseline,
-                      grad_dict, objective_global, project_dictionary,
-                      psnr_mse, run, stationarity_gap, x_update_linearized)
+from distdict import (GraphSchedule, ProblemData, build_run_config,
+                      build_schedule, centralized_oracle, coding_prox_weight,
+                      consensus_error, diffusion_baseline, grad_dict,
+                      objective_global, project_dictionary, psnr_mse,
+                      stationarity_gap, x_update_linearized)
 
 from oracles import (objective_formula, projected_gradient_quadratic,
-                     prox_scalar_grid, psnr_scalar, stationarity_gap_formula)
+                     prox_scalar_grid, psnr_scalar, ragged_run,
+                     stationarity_gap_formula)
 
 
 def toy_problem(rng, sizes=(3, 2), M=4, K=3):
@@ -184,8 +186,9 @@ def test_oracle_zero_instance_never_moves():
                                "metric_stride": 1})
     states = []
     trace = centralized_oracle(problem, config,
-                               observer=lambda nu, a: states.append(
-                                   (a.D.copy(), a.X.copy())))
+                               observer=lambda s: states.append(
+                                   (s.agents[0].D.copy(),
+                                    s.agents[0].X.copy())))
     assert all(obj == 0.0 for obj in trace.objective)
     assert all(delta == 0.0 for delta in trace.delta)
     first_D = states[0][0]
@@ -206,20 +209,33 @@ def test_oracle_objective_descends_for_small_steps():
 
 
 def test_oracle_matches_the_single_agent_network_run():
+    # centralized_oracle is run on the pooled problem, so the reference is
+    # the per-agent 2-d loop at one agent; the three-block problem checks
+    # the pooling
     rng = np.random.default_rng(67)
-    problem = ProblemData(S_blocks=[rng.uniform(-1, 1, size=(4, 5))], K=3,
-                          lam=0.125, mu=0.0625, alpha=1.0)
-    for variant in ("linearized", "plain"):
-        config = build_run_config({"agents": 1, "max_rounds": 20,
-                                   "metric_stride": 1, "variant": variant})
-        net, central = {}, {}
-        run(problem, config,
-            observer=lambda s: net.setdefault(s.nu, s.agents[0].D.copy()))
-        centralized_oracle(problem, config,
-                           observer=lambda nu, a: central.setdefault(
-                               nu, a.D.copy()))
-        for nu in net:
-            assert np.max(np.abs(net[nu] - central[nu])) <= 1e-12
+    blocks = [rng.uniform(-1, 1, size=(4, n)) for n in (5, 3, 4, 2)]
+    for S_blocks in (blocks[:1], blocks[1:]):
+        problem = ProblemData(S_blocks=S_blocks, K=3, lam=0.125, mu=0.0625,
+                              alpha=1.0)
+        pooled = ProblemData(S_blocks=[np.hstack(S_blocks)], K=3,
+                             lam=0.125, mu=0.0625, alpha=1.0)
+        for variant in ("linearized", "plain"):
+            config = build_run_config({"agents": problem.num_agents,
+                                       "max_rounds": 20, "metric_stride": 1,
+                                       "variant": variant})
+            central, want = {}, {}
+            trace = centralized_oracle(
+                problem, config,
+                observer=lambda s: central.setdefault(
+                    s.nu, (s.agents[0].D.copy(), s.agents[0].X.copy())))
+            ragged_run(pooled, config, build_schedule("static_ring", 1),
+                       lambda nu, agents, flags: want.setdefault(
+                           nu, (agents[0].D.copy(), agents[0].X.copy())))
+            assert central.keys() == want.keys()
+            for nu in central:
+                for got, ref in zip(central[nu], want[nu]):
+                    assert np.max(np.abs(got - ref)) <= 1e-12
+            assert trace.messages == [2 * nu for nu in trace.nu]
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +260,8 @@ def test_baseline_single_agent_is_projected_alternating_descent():
                                "metric_stride": 1})
     seen = []
     diffusion_baseline(problem, config,
-                       observer=lambda nu, agents: seen.append(
-                           (agents[0].D.copy(), agents[0].X.copy())))
+                       observer=lambda s: seen.append(
+                           (s.agents[0].D.copy(), s.agents[0].X.copy())))
 
     # manual replay with the library primitives
     from distdict import init_agents
@@ -269,11 +285,30 @@ def test_baseline_breaks_the_tracking_mean_identity():
     problem = toy_problem(rng, sizes=(3, 3, 2))
     config = build_run_config({"agents": problem.num_agents,
                                "max_rounds": 5, "metric_stride": 1})
-    final = {}
-    diffusion_baseline(problem, config,
-                       observer=lambda nu, agents: final.update(a=agents))
-    agents = final["a"]
+    agents = diffusion_baseline(problem, config).state.agents
     tracker_mean = sum(a.tracker for a in agents) / len(agents)
     grad_mean = sum(grad_dict(a.D, a.X, S)
                     for a, S in zip(agents, problem.S_blocks)) / len(agents)
     assert np.max(np.abs(tracker_mean - grad_mean)) > 1e-6
+
+
+def test_baseline_rejects_weights_that_fail_validation():
+    rng = np.random.default_rng(71)
+    problem = toy_problem(rng, sizes=(3, 3, 2))
+    path = build_schedule("static_path", 3)
+    W = path.weights[0].copy()
+    W[0, 1] += 1e-6
+    skewed = GraphSchedule(adjacency=path.adjacency, weights=[W], window=1)
+    config = build_run_config({"agents": 3, "max_rounds": 2})
+    with pytest.raises(ValueError, match="phase 0 weights fail validation"):
+        diffusion_baseline(problem, config, schedule=skewed)
+
+
+def test_baseline_rejects_a_schedule_of_another_size():
+    rng = np.random.default_rng(72)
+    problem = toy_problem(rng, sizes=(3, 3, 2))
+    config = build_run_config({"agents": 3, "max_rounds": 2})
+    with pytest.raises(ValueError,
+                       match="schedule has 4 agents, problem has 3"):
+        diffusion_baseline(problem, config,
+                           schedule=build_schedule("static_ring", 4))

@@ -152,6 +152,32 @@ def test_run_stops_early_once_the_gap_reaches_the_tolerance():
     assert trace.nu[-1] < 500
 
 
+def test_run_returns_the_state_it_ended_in():
+    rng = np.random.default_rng(47)
+    problem = toy_problem(rng)
+    config = config_for(problem, max_rounds=0, seed=5)
+    start = run(problem, config).state
+    assert (start.nu, start.messages) == (0, 0)
+    for got, want in zip(start.agents,
+                         protocol_mod.init_agents(problem, seed=5)):
+        for name in ("D", "X", "tracker", "grad_rest"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    # an early stop hands back the arrays of the last round run
+    seen = []
+    config = config_for(problem, max_rounds=500, metric_stride=1,
+                        stop_tol=1e-3)
+    trace = run(problem, config, observer=lambda s: seen.append(
+        (s.D, s.X, s.tracker, s.grad_rest)))
+    end = trace.state
+    assert end.nu == trace.nu[-1] == len(seen) < 500
+    assert end.messages == 2 * end.nu
+    D, X, tracker, grad_rest = seen[-1]
+    assert end.D is D and end.tracker is tracker
+    assert end.grad_rest is grad_rest
+    assert all(got is want for got, want in zip(end.X, X))
+
+
 def test_run_validates_the_schedule_against_the_problem():
     rng = np.random.default_rng(48)
     problem = toy_problem(rng)  # three agents
