@@ -3,12 +3,12 @@
 Each agent keeps a private copy ``D`` of the dictionary, its own codes
 ``X``, a ``tracker`` that follows the network average of the dictionary
 gradients, and ``grad_rest``, the running estimate of the summed gradient
-of all other agents. ``D_half`` is the damped local dictionary update that
-gets broadcast in the consensus step.
+of all other agents. The dictionary step returns ``D_half``, the damped
+local dictionary update that gets broadcast in the consensus step.
 
-The steps work the same on one agent's matrices and on a group of agents
-held as stacks with a leading agent axis (see ``core``); the round engine
-calls them once per group.
+The steps take and return arrays. They work the same on one agent's
+matrices and on a group of agents held as stacks with a leading agent axis
+(see ``core``); the round engine calls them once per group.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AgentGroups, ProblemData, d_update_linearized, d_update_plain,
+from .core import (ProblemData, d_update_linearized, d_update_plain,
                    grad_dict, sigma_max, x_update_linearized, x_update_plain)
 
 VARIANTS = ("plain", "linearized")
@@ -63,23 +63,13 @@ class StepSchedule:
 
 @dataclass
 class AgentState:
-    """Local variables owned by one agent."""
+    """Local variables of one agent, as ``protocol.RoundState.agents``
+    shows them: views into the round engine's stacks."""
 
     D: np.ndarray
     X: np.ndarray
     tracker: np.ndarray
     grad_rest: np.ndarray
-    D_half: np.ndarray = None
-
-
-def stack_agents(groups: AgentGroups, agents) -> tuple:
-    """The inverse of ``protocol.RoundState.agents``: ``(D, X, tracker,
-    grad_rest)`` with ``X`` as the group stacks of ``groups`` and the others
-    as ``(I, M, K)`` stacks."""
-    return (np.stack([a.D for a in agents]),
-            groups.stack([a.X for a in agents]),
-            np.stack([a.tracker for a in agents]),
-            np.stack([a.grad_rest for a in agents]))
 
 
 def gamma_sequence(count: int, gamma0: float, eps: float) -> np.ndarray:
@@ -107,13 +97,18 @@ def coding_prox_weight(D_half, eps_tau: float) -> tuple:
     return max(eps_tau, sig * sig), sig
 
 
-def init_agents(problem: ProblemData, seed: int = 0) -> list:
-    """Initial per-agent states: zero codes, dictionary columns drawn from
-    the agent's own data columns and rescaled to norm alpha, tracker seeded
-    with the initial local dictionary gradient."""
-    agents = []
-    I = problem.num_agents
-    for i, S in enumerate(problem.S_blocks):
+def init_agents(problem: ProblemData, seed: int = 0) -> tuple:
+    """Initial agent state ``(D, X, tracker, grad_rest)``, the stacks that
+    ``protocol.RoundState`` holds: ``X`` is the group stacks of
+    ``problem.groups``, the others are ``(I, M, K)``.
+
+    The codes start at zero, each dictionary column is drawn from the
+    agent's own data columns and rescaled to norm alpha, and the tracker is
+    seeded with the initial local dictionary gradient.
+    """
+    dicts, grads = [], []
+    codes = [np.zeros((problem.K, n)) for n in problem.block_sizes]
+    for i, (S, X) in enumerate(zip(problem.S_blocks, codes)):
         rng = np.random.default_rng([seed, i])
         M, n_i = S.shape
         idx = rng.integers(0, n_i, size=problem.K)
@@ -124,52 +119,45 @@ def init_agents(problem: ProblemData, seed: int = 0) -> list:
             D[:, k] = col
             norms[k] = np.linalg.norm(col)
         D *= problem.alpha / norms
-        X = np.zeros((problem.K, n_i))
-        g0 = grad_dict(D, X, S)
-        agents.append(AgentState(D=D, X=X, tracker=g0.copy(),
-                                 grad_rest=I * g0 - g0, D_half=D.copy()))
-    return agents
+        dicts.append(D)
+        grads.append(grad_dict(D, X, S))
+    tracker = np.stack(grads)
+    return (np.stack(dicts), problem.groups.stack(codes), tracker,
+            problem.num_agents * tracker - tracker)
 
 
-def dictionary_step(state: AgentState, S, gamma: float, sched: StepSchedule,
-                    alpha: float, grad) -> bool:
+def dictionary_step(D, X, S, grad_rest, grad, gamma: float,
+                    sched: StepSchedule, alpha: float) -> tuple:
     """Solve the local dictionary surrogate and damp it with ``gamma``.
 
-    ``grad`` is the local gradient ``grad_dict(state.D, state.X, S)`` at the
-    current point, which the round loop already holds; the linearized mode
-    steps along it and the plain mode does not need it. Writes
-    ``state.D_half = D + gamma (D_tilde - D)``. Returns False when the
-    plain-mode inner solver hit its iteration cap; for a stacked state, one
-    such flag per agent.
+    ``grad`` is the local gradient ``grad_dict(D, X, S)`` at the current
+    point, which the round loop already holds; the linearized mode steps
+    along it and the plain mode does not need it. Returns
+    ``(D_half, ok)`` with ``D_half = D + gamma (D_tilde - D)``; ``ok`` is
+    False when the plain-mode inner solver hit its iteration cap, and for a
+    stack of agents one such flag per agent.
     """
     if sched.d_mode == "plain":
-        d_tilde, ok = d_update_plain(state.D, state.X, S, state.grad_rest,
-                                     sched.tau_d, alpha,
+        d_tilde, ok = d_update_plain(D, X, S, grad_rest, sched.tau_d, alpha,
                                      sched.inner_tol, sched.inner_max_iter)
     else:
-        d_tilde = d_update_linearized(state.D, grad, state.grad_rest,
-                                      sched.tau_d, alpha)
+        d_tilde = d_update_linearized(D, grad, grad_rest, sched.tau_d, alpha)
         ok = True
-    state.D_half = state.D + gamma * (d_tilde - state.D)
-    return ok
+    return D + gamma * (d_tilde - D), ok
 
 
-def coding_step(state: AgentState, S, tau_x: float, lam: float, mu: float,
-                sched: StepSchedule, sigma=None) -> bool:
-    """Update the private codes against the blended dictionary ``D_half``.
+def coding_step(X, D_half, S, tau_x: float, lam: float, mu: float,
+                sched: StepSchedule, sigma=None) -> tuple:
+    """Update the private codes ``X`` against the blended dictionary
+    ``D_half``.
 
-    ``sigma`` is ``sigma_max(state.D_half)`` when the caller holds it (see
+    ``sigma`` is ``sigma_max(D_half)`` when the caller holds it (see
     ``coding_prox_weight``); the plain variant computes it otherwise.
-    Returns False when the plain-variant inner solver hit its iteration cap;
-    for a stacked state, one such flag per agent.
+    Returns ``(X_new, ok)``; ``ok`` is False when the plain-variant inner
+    solver hit its iteration cap, and for a stack of agents one such flag
+    per agent.
     """
     if sched.variant == "plain":
-        X_new, ok = x_update_plain(state.X, state.D_half, S, tau_x, lam, mu,
-                                   sched.inner_tol, sched.inner_max_iter,
-                                   sigma=sigma)
-    else:
-        X_new = x_update_linearized(state.X, state.D_half, S, tau_x, lam, mu)
-        ok = True
-    state.X = X_new
-    return ok
-
+        return x_update_plain(X, D_half, S, tau_x, lam, mu, sched.inner_tol,
+                              sched.inner_max_iter, sigma=sigma)
+    return x_update_linearized(X, D_half, S, tau_x, lam, mu), True

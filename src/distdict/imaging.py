@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .synthetic import partition_columns
+
 
 class PgmError(ValueError):
     """Malformed PGM input; ``offset`` is the byte position of the failure."""
@@ -133,18 +135,9 @@ class PatchDataset:
         return self.patches.shape[1]
 
     def block_slices(self, num_agents: int) -> list:
-        """Contiguous column blocks, remainder spread over the first ones."""
-        n = self.num_patches
-        if num_agents < 1 or num_agents > n:
-            raise ValueError(f"cannot split {n} patches over "
-                             f"{num_agents} agents")
-        base, extra = divmod(n, num_agents)
-        slices, lo = [], 0
-        for i in range(num_agents):
-            hi = lo + base + (1 if i < extra else 0)
-            slices.append(slice(lo, hi))
-            lo = hi
-        return slices
+        """Contiguous column blocks, remainder spread over the first ones
+        (``synthetic.partition_columns``)."""
+        return partition_columns(self.num_patches, num_agents)
 
     def blocks(self, num_agents: int) -> list:
         return [self.patches[:, s] for s in self.block_slices(num_agents)]

@@ -18,8 +18,7 @@ import numpy as np
 
 from .config import RunConfig
 from .core import ProblemData, prox_codes, project_dictionary, residual
-# nothing here calls these; bench/tracer.py wraps them by name as
-# attributes of this module, so they stay imported
+# unused here; bench/tracer.py wraps them by name on this module
 from .agents import (coding_prox_weight, coding_step,  # noqa: F401
                      init_agents)
 from .core import (grad_dict, objective_global,  # noqa: F401
@@ -73,15 +72,18 @@ class MetricsTrace:
             raise ValueError(f"no recorded row within budget {budget}")
         return self.row(best)
 
+    def csv_rows(self) -> list:
+        """The rows of the CSV_COLUMNS, one string each, with shortest
+        round-trip float formatting, so identical runs give identical
+        bytes."""
+        return [",".join([str(self.nu[i]), str(self.messages[i]),
+                          repr(self.objective[i]), repr(self.delta[i]),
+                          repr(self.cons_err[i]), repr(self.gamma[i])])
+                for i in range(len(self))]
+
     def write_csv(self, path) -> None:
-        """Write the trace with a fixed column set and shortest round-trip
-        float formatting, so identical runs give identical bytes."""
-        lines = [",".join(CSV_COLUMNS)]
-        for i in range(len(self)):
-            lines.append(",".join([
-                str(self.nu[i]), str(self.messages[i]),
-                repr(self.objective[i]), repr(self.delta[i]),
-                repr(self.cons_err[i]), repr(self.gamma[i])]))
+        """Write the header and ``csv_rows``."""
+        lines = [",".join(CSV_COLUMNS)] + self.csv_rows()
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
 

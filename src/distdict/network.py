@@ -65,9 +65,6 @@ class GraphSchedule:
     def period(self) -> int:
         return len(self.adjacency)
 
-    def adjacency_at(self, nu: int) -> np.ndarray:
-        return self.adjacency[nu % self.period]
-
     def weights_at(self, nu: int) -> np.ndarray:
         return self.weights[nu % self.period]
 
@@ -104,6 +101,19 @@ def is_b_strongly_connected(schedule: GraphSchedule, window: int = None) -> bool
         if not _strongly_connected(union):
             return False
     return True
+
+
+def check_schedule(schedule: GraphSchedule) -> None:
+    """Raise ValueError unless the schedule keeps its connectivity window
+    (``is_b_strongly_connected``) and every phase's weights pass
+    ``validate_weights``."""
+    if not is_b_strongly_connected(schedule):
+        raise ValueError(f"schedule with {schedule.num_agents} agents is not "
+                         f"strongly connected over windows of "
+                         f"{schedule.window}")
+    for t, (A, W) in enumerate(zip(schedule.adjacency, schedule.weights)):
+        if not validate_weights(W, A):
+            raise ValueError(f"phase {t} weights fail validation")
 
 
 def metropolis_weights(adj) -> np.ndarray:
@@ -153,17 +163,12 @@ def _adj_from_edges(n, edges) -> np.ndarray:
     return A
 
 
-def _directed_ring(n, theta=0.5):
-    """Directed cycle i -> i+1 with self-loops; weights mix the identity and
-    the cycle permutation, hence are doubly stochastic by construction."""
-    A = np.eye(n, dtype=bool)
-    W = (1.0 - theta) * np.eye(n)
-    if n == 1:
-        return A, np.array([[1.0]])
-    for i in range(n):
-        A[(i + 1) % n, i] = True
-        W[(i + 1) % n, i] = theta
-    return A, W
+def _directed_ring(n):
+    """Directed cycle i -> i+1 with self-loops; every node keeps half its
+    mass and passes half on (a lone node keeps all), so the weights are
+    doubly stochastic by construction."""
+    A = np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=0)
+    return A, A / A.sum(axis=1, keepdims=True)
 
 
 def _geometric_adjacency(n, rng):
@@ -179,8 +184,7 @@ def _geometric_adjacency(n, rng):
 
 
 def build_schedule(kind: str, num_agents: int, window: int = 1,
-                   seed: int = 0, period: int = None,
-                   theta: float = 0.5) -> GraphSchedule:
+                   seed: int = 0, period: int = None) -> GraphSchedule:
     """Construct one of the shipped graph schedules.
 
     Parameters
@@ -197,8 +201,6 @@ def build_schedule(kind: str, num_agents: int, window: int = 1,
     period : int, optional
         For ``tv_ring_partition``, the number of phases the ring edges are
         split into (defaults to ``window``; must not exceed it).
-    theta : float
-        Off-diagonal mass of the directed-ring weights.
 
     Raises
     ------
@@ -216,10 +218,7 @@ def build_schedule(kind: str, num_agents: int, window: int = 1,
         adj = _adj_from_edges(I, [(k, k + 1) for k in range(I - 1)])
         phases = [(adj, metropolis_weights(adj))]
     elif kind == "static_ring":
-        if not 0.0 < theta < 1.0:
-            raise ValueError("theta must lie strictly between 0 and 1")
-        adj, W = _directed_ring(I, theta)
-        phases = [(adj, W)]
+        phases = [_directed_ring(I)]
     elif kind == "static_random_geometric":
         adj = _geometric_adjacency(I, np.random.default_rng(seed))
         phases = [(adj, metropolis_weights(adj))]
@@ -248,10 +247,5 @@ def build_schedule(kind: str, num_agents: int, window: int = 1,
     schedule = GraphSchedule(adjacency=[a for a, _ in phases],
                              weights=[w for _, w in phases],
                              window=window)
-    if not is_b_strongly_connected(schedule):
-        raise ValueError(f"schedule {kind!r} with {I} agents is not strongly "
-                         f"connected over windows of {window}")
-    for t, (A, W) in enumerate(zip(schedule.adjacency, schedule.weights)):
-        if not validate_weights(W, A):
-            raise ValueError(f"phase {t} of {kind!r} produced invalid weights")
+    check_schedule(schedule)
     return schedule

@@ -27,15 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import (AgentState, coding_prox_weight, coding_step,
-                     dictionary_step, gamma_sequence, init_agents,
-                     stack_agents)
+                     dictionary_step, gamma_sequence, init_agents)
 from .config import RunConfig
 from .core import (AgentGroups, ProblemData, grad_dict, objective_global,
                    project_dictionary)
 from .metrics import (MetricsTrace, consensus_error, mean_dictionary,
                       stationarity_gap)
-from .network import (GraphSchedule, build_schedule, is_b_strongly_connected,
-                      validate_weights)
+from .network import GraphSchedule, build_schedule, check_schedule
+# unused here; bench/tracer.py wraps them by name on this module
+from .network import is_b_strongly_connected, validate_weights  # noqa: F401
 
 
 @dataclass
@@ -116,13 +116,10 @@ def _coding_steps(problem, state, U, sched) -> int:
     # stack is released as soon as its group has the new one
     codes = state.X = list(state.X)
     for g, (sl, S) in enumerate(zip(problem.groups.slices, problem.S_groups)):
-        group = AgentState(D=None, X=codes[g], tracker=None, grad_rest=None,
-                           D_half=U[sl])
-        tau_x, sig = coding_prox_weight(group.D_half, sched.eps_tau)
-        ok = coding_step(group, S, tau_x, problem.lam, problem.mu, sched,
-                         sigma=sig)
+        tau_x, sig = coding_prox_weight(U[sl], sched.eps_tau)
+        codes[g], ok = coding_step(codes[g], U[sl], S, tau_x, problem.lam,
+                                   problem.mu, sched, sigma=sig)
         flags += np.size(ok) - np.count_nonzero(ok)
-        codes[g] = group.X
     return flags
 
 
@@ -134,12 +131,10 @@ def _tracked_round(problem, state, W, gamma, sched, grads):
     halves = []
     flags = 0
     for sl, S, X in zip(problem.groups.slices, problem.S_groups, state.X):
-        group = AgentState(D=state.D[sl], X=X, tracker=None,
-                           grad_rest=state.grad_rest[sl])
-        ok = dictionary_step(group, S, gamma, sched, problem.alpha,
-                             grads[sl])
+        D_half, ok = dictionary_step(state.D[sl], X, S, state.grad_rest[sl],
+                                     grads[sl], gamma, sched, problem.alpha)
         flags += np.size(ok) - np.count_nonzero(ok)
-        halves.append(group.D_half)
+        halves.append(D_half)
     halves = np.concatenate(halves)
     flags += _coding_steps(problem, state, halves, sched)
     state.D = consensus_step(W, halves)
@@ -165,22 +160,14 @@ def _rounds(problem, config, schedule, observer, tracked) -> MetricsTrace:
     else ``_diffusion_round``, whose observers see zero trackers. See
     ``run`` for the parameters and the trace."""
     if schedule is None:
-        schedule = build_schedule(config.graph.kind, config.graph.num_agents,
-                                  window=config.graph.window,
-                                  seed=config.graph.seed,
-                                  period=config.graph.period)
+        schedule = build_schedule(**vars(config.graph))
     if schedule.num_agents != problem.num_agents:
         raise ValueError(f"schedule has {schedule.num_agents} agents, "
                          f"problem has {problem.num_agents}")
-    if not is_b_strongly_connected(schedule):
-        raise ValueError("schedule violates its connectivity window")
-    for t, (A, W) in enumerate(zip(schedule.adjacency, schedule.weights)):
-        if not validate_weights(W, A):
-            raise ValueError(f"phase {t} weights fail validation")
+    check_schedule(schedule)
 
     sched = config.steps
-    state = RoundState(problem.groups, *stack_agents(
-        problem.groups, init_agents(problem, seed=config.seed)))
+    state = RoundState(problem.groups, *init_agents(problem, seed=config.seed))
     if tracked:
         body, exchanges = _tracked_round, 2
     else:

@@ -347,6 +347,17 @@ def psnr_scalar(reference, test):
 # round loop
 
 
+def per_agent_start(problem, seed):
+    """The initial stacks of ``init_agents`` as one AgentState per agent,
+    each holding its own copies of its 2-d matrices, the codes unpadded."""
+    from distdict.agents import AgentState, init_agents
+
+    D, X, tracker, grad_rest = init_agents(problem, seed=seed)
+    return [AgentState(D=D[i].copy(), X=x.copy(), tracker=tracker[i].copy(),
+                       grad_rest=grad_rest[i].copy())
+            for i, x in enumerate(problem.groups.unstack(X))]
+
+
 def ragged_run(problem, config, schedule, observer):
     """The tracked round loop run one agent at a time on the 2-d kernels,
     each agent with its own unpadded block: the reference for the stacked
@@ -357,11 +368,11 @@ def ragged_run(problem, config, schedule, observer):
     cap in that round.
     """
     from distdict.agents import (coding_prox_weight, coding_step,
-                                 dictionary_step, gamma_sequence, init_agents)
+                                 dictionary_step, gamma_sequence)
     from distdict.core import grad_dict
 
     sched = config.steps
-    agents = init_agents(problem, seed=config.seed)
+    agents = per_agent_start(problem, config.seed)
     I = problem.num_agents
     gammas = gamma_sequence(config.max_rounds + 1, sched.gamma0,
                             sched.eps_gamma)
@@ -370,12 +381,16 @@ def ragged_run(problem, config, schedule, observer):
     for nu in range(config.max_rounds):
         W = schedule.weights_at(nu)
         flags = 0
+        halves = []
         for a, S, g in zip(agents, problem.S_blocks, grads_prev):
-            ok_d = dictionary_step(a, S, gammas[nu], sched, problem.alpha, g)
-            tau_x, _ = coding_prox_weight(a.D_half, sched.eps_tau)
-            ok_x = coding_step(a, S, tau_x, problem.lam, problem.mu, sched)
+            D_half, ok_d = dictionary_step(a.D, a.X, S, a.grad_rest, g,
+                                           gammas[nu], sched, problem.alpha)
+            tau_x, _ = coding_prox_weight(D_half, sched.eps_tau)
+            a.X, ok_x = coding_step(a.X, D_half, S, tau_x, problem.lam,
+                                    problem.mu, sched)
             flags += (not ok_d) + (not ok_x)
-        mixed = np.tensordot(W, np.stack([a.D_half for a in agents]), axes=1)
+            halves.append(D_half)
+        mixed = np.tensordot(W, np.stack(halves), axes=1)
         for a, D_new in zip(agents, mixed):
             a.D = D_new
         grads_new = [grad_dict(a.D, a.X, S)
@@ -400,12 +415,11 @@ def ragged_diffusion(problem, config, schedule, observer):
     Calls ``observer(nu, agents, flags)`` as ``ragged_run`` does; the
     agents' trackers and others-gradient estimates are zero throughout.
     """
-    from distdict.agents import (coding_prox_weight, coding_step,
-                                 gamma_sequence, init_agents)
+    from distdict.agents import coding_prox_weight, coding_step, gamma_sequence
     from distdict.core import grad_dict, project_dictionary
 
     sched = config.steps
-    agents = init_agents(problem, seed=config.seed)
+    agents = per_agent_start(problem, config.seed)
     for a in agents:
         a.tracker = np.zeros_like(a.D)
         a.grad_rest = np.zeros_like(a.D)
@@ -420,8 +434,9 @@ def ragged_diffusion(problem, config, schedule, observer):
                              axes=1)
         flags = 0
         for a, S, D in zip(agents, problem.S_blocks, mixed):
-            a.D = a.D_half = D
+            a.D = D
             tau_x, _ = coding_prox_weight(D, sched.eps_tau)
-            flags += not coding_step(a, S, tau_x, problem.lam, problem.mu,
-                                     sched)
+            a.X, ok = coding_step(a.X, D, S, tau_x, problem.lam, problem.mu,
+                                  sched)
+            flags += not ok
         observer(nu + 1, agents, flags)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import distdict.protocol as protocol_mod
-from distdict import (AgentState, ProblemData, StepSchedule,
+from distdict import (ProblemData, StepSchedule,
                       build_run_config, coding_prox_weight, coding_step,
                       dictionary_step, gamma_sequence, grad_dict, init_agents,
                       run)
@@ -13,6 +13,13 @@ from distdict import (AgentState, ProblemData, StepSchedule,
 def toy_problem(rng, M=4, K=3, sizes=(3, 2), lam=0.125, mu=0.0625):
     blocks = [rng.uniform(-1, 1, size=(M, n)) for n in sizes]
     return ProblemData(S_blocks=blocks, K=K, lam=lam, mu=mu, alpha=1.0)
+
+
+def first_agent(problem, seed):
+    """Agent 0's initial ``D``, ``X``, tracker and ``grad_rest`` as 2-d
+    arrays."""
+    D, X, tracker, grad_rest = init_agents(problem, seed=seed)
+    return D[0], problem.groups.unstack(X)[0], tracker[0], grad_rest[0]
 
 
 # ---------------------------------------------------------------------------
@@ -82,26 +89,28 @@ def test_coding_prox_weight_floor_and_known_values():
 def test_initial_states_have_zero_codes_and_feasible_dictionaries():
     rng = np.random.default_rng(30)
     problem = toy_problem(rng)
-    agents = init_agents(problem, seed=7)
-    assert len(agents) == problem.num_agents
-    for agent, S, n in zip(agents, problem.S_blocks, problem.block_sizes):
-        assert np.array_equal(agent.X, np.zeros((problem.K, n)))
-        norms = np.linalg.norm(agent.D, axis=0)
+    D, X, tracker, grad_rest = init_agents(problem, seed=7)
+    assert len(D) == problem.num_agents
+    for d, x, t, rest, S, n in zip(D, problem.groups.unstack(X), tracker,
+                                   grad_rest, problem.S_blocks,
+                                   problem.block_sizes):
+        assert np.array_equal(x, np.zeros((problem.K, n)))
+        norms = np.linalg.norm(d, axis=0)
         assert np.all(norms <= problem.alpha + 1e-12)
-        g = grad_dict(agent.D, agent.X, S)
-        assert np.array_equal(agent.tracker, g)
+        g = grad_dict(d, x, S)
+        assert np.array_equal(t, g)
         expected_rest = problem.num_agents * g - g
-        assert np.allclose(agent.grad_rest, expected_rest, atol=1e-15)
+        assert np.allclose(rest, expected_rest, atol=1e-15)
 
 
 def test_initialization_is_deterministic_in_the_seed():
     rng = np.random.default_rng(31)
     problem = toy_problem(rng)
-    a = init_agents(problem, seed=3)
-    b = init_agents(problem, seed=3)
-    c = init_agents(problem, seed=4)
-    assert all(np.array_equal(x.D, y.D) for x, y in zip(a, b))
-    assert any(not np.array_equal(x.D, y.D) for x, y in zip(a, c))
+    a = init_agents(problem, seed=3)[0]
+    b = init_agents(problem, seed=3)[0]
+    c = init_agents(problem, seed=4)[0]
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
 # ---------------------------------------------------------------------------
@@ -111,26 +120,27 @@ def test_initialization_is_deterministic_in_the_seed():
 def test_dictionary_step_gamma_zero_freezes_the_blend():
     rng = np.random.default_rng(32)
     problem = toy_problem(rng)
-    agent = init_agents(problem, seed=0)[0]
+    D, X, _, grad_rest = first_agent(problem, seed=0)
     S = problem.S_blocks[0]
-    ok = dictionary_step(agent, S, 0.0, StepSchedule(), problem.alpha,
-                         grad_dict(agent.D, agent.X, S))
+    D_half, ok = dictionary_step(D, X, S, grad_rest, grad_dict(D, X, S), 0.0,
+                                 StepSchedule(), problem.alpha)
     assert ok
-    assert np.array_equal(agent.D_half, agent.D)
+    assert np.array_equal(D_half, D)
 
 
 def test_dictionary_step_gamma_one_jumps_to_the_surrogate_solution():
     rng = np.random.default_rng(33)
     problem = toy_problem(rng)
     sched = StepSchedule()
-    a = init_agents(problem, seed=0)[0]
-    b = init_agents(problem, seed=0)[0]
+    D, X, _, grad_rest = first_agent(problem, seed=0)
     S = problem.S_blocks[0]
-    g = grad_dict(a.D, a.X, S)
-    dictionary_step(a, S, 1.0, sched, problem.alpha, g)
-    dictionary_step(b, S, 0.5, sched, problem.alpha, g)
+    g = grad_dict(D, X, S)
+    full, _ = dictionary_step(D, X, S, grad_rest, g, 1.0, sched,
+                              problem.alpha)
+    half, _ = dictionary_step(D, X, S, grad_rest, g, 0.5, sched,
+                              problem.alpha)
     # the half step lands exactly between the start and the full step
-    assert np.allclose(b.D_half, 0.5 * (b.D + a.D_half), atol=1e-12)
+    assert np.allclose(half, 0.5 * (D + full), atol=1e-12)
 
 
 def test_dictionary_step_fixed_point_is_preserved_for_any_gamma():
@@ -138,27 +148,29 @@ def test_dictionary_step_fixed_point_is_preserved_for_any_gamma():
     # current feasible dictionary, so the blend cannot move.
     rng = np.random.default_rng(34)
     problem = toy_problem(rng)
-    agent = init_agents(problem, seed=0)[0]
-    agent.X = np.zeros_like(agent.X)  # gradient of the fit at X=0 is -S D^T?
+    D, X, _, _ = first_agent(problem, seed=0)
+    X = np.zeros_like(X)
     S = problem.S_blocks[0]
-    agent.grad_rest = -grad_dict(agent.D, agent.X, S)
+    grad_rest = -grad_dict(D, X, S)
     for gamma in (0.0, 0.3, 1.0):
-        dictionary_step(agent, S, gamma, StepSchedule(), problem.alpha,
-                        grad_dict(agent.D, agent.X, S))
-        assert np.allclose(agent.D_half, agent.D, atol=1e-14)
+        D_half, _ = dictionary_step(D, X, S, grad_rest, grad_dict(D, X, S),
+                                    gamma, StepSchedule(), problem.alpha)
+        assert np.allclose(D_half, D, atol=1e-14)
 
 
 def test_dictionary_step_output_stays_feasible():
     rng = np.random.default_rng(35)
     problem = toy_problem(rng)
-    for agent, S in zip(init_agents(problem, seed=1), problem.S_blocks):
-        agent.X = rng.normal(size=agent.X.shape)
-        agent.grad_rest = (problem.num_agents * agent.tracker
-                           - grad_dict(agent.D, agent.X, S))
+    D, X0, tracker, _ = init_agents(problem, seed=1)
+    for d, x0, t, S in zip(D, problem.groups.unstack(X0), tracker,
+                           problem.S_blocks):
+        X = rng.normal(size=x0.shape)
+        grad_rest = problem.num_agents * t - grad_dict(d, X, S)
         for gamma in (0.25, 0.9):
-            dictionary_step(agent, S, gamma, StepSchedule(), problem.alpha,
-                            grad_dict(agent.D, agent.X, S))
-            norms = np.linalg.norm(agent.D_half, axis=0)
+            D_half, _ = dictionary_step(d, X, S, grad_rest,
+                                        grad_dict(d, X, S), gamma,
+                                        StepSchedule(), problem.alpha)
+            norms = np.linalg.norm(D_half, axis=0)
             assert np.all(norms <= problem.alpha + 1e-12)
 
 
@@ -170,28 +182,27 @@ def test_coding_step_zero_data_keeps_zero_codes_in_both_variants():
     for variant in ("linearized", "plain"):
         problem = ProblemData(S_blocks=[np.zeros((3, 2))], K=2, lam=0.125,
                               mu=0.0625, alpha=1.0)
-        agent = init_agents(problem, seed=0)[0]
-        agent.D_half = agent.D.copy()
+        D, X, _, _ = first_agent(problem, seed=0)
         sched = StepSchedule(variant=variant)
-        ok = coding_step(agent, problem.S_blocks[0], 1.0, problem.lam,
-                         problem.mu, sched)
+        X_new, ok = coding_step(X, D.copy(), problem.S_blocks[0], 1.0,
+                                problem.lam, problem.mu, sched)
         assert ok
-        assert np.array_equal(agent.X, np.zeros((2, 2)))
+        assert np.array_equal(X_new, np.zeros((2, 2)))
 
 
 def test_coding_step_huge_l1_weight_zeroes_the_codes():
     rng = np.random.default_rng(36)
     problem = toy_problem(rng)
-    agent = init_agents(problem, seed=2)[0]
-    agent.D_half = agent.D.copy()
+    D, X, _, _ = first_agent(problem, seed=2)
+    D_half = D.copy()
     S = problem.S_blocks[0]
-    tau, _ = coding_prox_weight(agent.D_half, 1e-6)
-    lam_huge = 10.0 * np.max(np.abs(grad_dict(agent.D_half, agent.X, S)))
+    tau, _ = coding_prox_weight(D_half, 1e-6)
+    lam_huge = 10.0 * np.max(np.abs(grad_dict(D_half, X, S)))
     lam_huge = max(lam_huge,
-                   10.0 * np.max(np.abs(agent.D_half.T @ S)) + tau)
-    coding_step(agent, S, tau, lam_huge, problem.mu,
-                StepSchedule(variant="linearized"))
-    assert np.array_equal(agent.X, np.zeros_like(agent.X))
+                   10.0 * np.max(np.abs(D_half.T @ S)) + tau)
+    X_new, _ = coding_step(X, D_half, S, tau, lam_huge, problem.mu,
+                           StepSchedule(variant="linearized"))
+    assert np.array_equal(X_new, np.zeros_like(X))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +250,11 @@ def test_grad_rest_sums_the_other_agents_gradients_at_a_common_point(
                           lam=0.125, mu=0.0625, alpha=1.0)
 
     def common_start(problem, seed=0):
-        first = init_agents(problem, seed=seed)[0]
-        return [AgentState(D=first.D.copy(), X=first.X.copy(),
-                           tracker=first.tracker.copy(),
-                           grad_rest=first.grad_rest.copy())
-                for _ in range(problem.num_agents)]
+        # agent 0's state for everyone; the codes are zero for all agents
+        D, X, tracker, grad_rest = init_agents(problem, seed=seed)
+        D, tracker, grad_rest = (np.repeat(a[:1], problem.num_agents, axis=0)
+                                 for a in (D, tracker, grad_rest))
+        return D, X, tracker, grad_rest
 
     monkeypatch.setattr(protocol_mod, "init_agents", common_start)
     for rows in grad_rest_per_round(problem, graph="static_ring"):

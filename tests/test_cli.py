@@ -1,6 +1,7 @@
 """The command-line front end: subcommands, outputs and exit codes."""
 
 import numpy as np
+import pytest
 
 from distdict import read_pgm
 from distdict.cli import main
@@ -130,3 +131,36 @@ def test_unreadable_noise_free_image_is_still_noised(tmp_path):
                  "--rounds", "1", "--agents", "2", "--out-dir",
                  str(tmp_path)]) == 0
     assert np.array_equal(read_pgm(tmp_path / "noisy.pgm"), img)
+
+
+def test_validate_seed_flag_overrides_the_config_file(tmp_path, monkeypatch,
+                                                      capsys):
+    import distdict.cli as cli
+
+    seeds = []
+
+    def recording(kind, num_agents, **extra):
+        if kind == "static_random_geometric":
+            seeds.append(extra["seed"])
+        return build_schedule(kind, num_agents, **extra)
+
+    build_schedule = cli.build_schedule
+    monkeypatch.setattr(cli, "build_schedule", recording)
+    cfg = tmp_path / "val.cfg"
+    cfg.write_text("seed = 5\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert main(["validate", "--config", str(cfg), "--seed", "7"]) == 0
+    assert main(["validate"]) == 0
+    assert seeds == [5, 7, 0]
+
+
+def test_flags_a_subcommand_would_ignore_are_rejected(tmp_path, capsys):
+    for argv in (["compare", "--rounds", "5"],
+                 ["compare", "--variant", "plain"],
+                 ["validate", "--rounds", "5"],
+                 ["validate", "--agents", "3"],
+                 ["validate", "--out-dir", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

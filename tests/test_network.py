@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from distdict import (GraphSchedule, build_schedule, is_b_strongly_connected,
                       metropolis_weights, validate_weights)
-from distdict.network import SCHEDULE_KINDS, _strongly_connected
+from distdict.network import (SCHEDULE_KINDS, _strongly_connected,
+                              check_schedule)
 
 from oracles import metropolis_scalar, strongly_connected_bfs
 
@@ -110,6 +111,24 @@ def test_alternating_halves_connect_only_with_a_two_round_window():
     schedule = schedule_from_edge_sets(3, edge_sets, window=2)
     assert is_b_strongly_connected(schedule, window=2)
     assert not is_b_strongly_connected(schedule, window=1)
+
+
+def test_check_schedule_rejects_a_broken_window_and_bad_weights():
+    # the 2-phase schedule above: connected only over windows of two
+    edge_sets = [[(0, 1), (1, 0)], [(1, 2), (2, 1)]]
+    with pytest.raises(ValueError, match="3 agents is not strongly "
+                                         "connected over windows of 1"):
+        check_schedule(schedule_from_edge_sets(3, edge_sets, window=1))
+    # identity weights miss the off-diagonal edges of the adjacency
+    with pytest.raises(ValueError, match="phase 0 weights fail validation"):
+        check_schedule(schedule_from_edge_sets(3, edge_sets, window=2))
+    ring = build_schedule("tv_ring_partition", 4, window=2)
+    skewed = [W.copy() for W in ring.weights]
+    skewed[1][0, 0] += 1e-6
+    with pytest.raises(ValueError, match="phase 1 weights fail validation"):
+        check_schedule(GraphSchedule(adjacency=ring.adjacency,
+                                     weights=skewed, window=2))
+    check_schedule(ring)
 
 
 def test_connectivity_checker_agrees_with_bfs_oracle_on_random_graphs():

@@ -158,8 +158,9 @@ def test_run_returns_the_state_it_ended_in():
     config = config_for(problem, max_rounds=0, seed=5)
     start = run(problem, config).state
     assert (start.nu, start.messages) == (0, 0)
-    for got, want in zip(start.agents,
-                         protocol_mod.init_agents(problem, seed=5)):
+    initial = protocol_mod.RoundState(
+        problem.groups, *protocol_mod.init_agents(problem, seed=5))
+    for got, want in zip(start.agents, initial.agents):
         for name in ("D", "X", "tracker", "grad_rest"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
