@@ -17,14 +17,14 @@ from .core import (ProblemData, d_update_linearized, d_update_plain,
                    x_update_linearized, x_update_plain)
 from .denoise import DenoiseResult, denoise_image
 from .imaging import (PatchDataset, PgmError, assemble_patches,
-                      extract_patches, patch_count, read_pgm,
-                      reconstruct_image, write_pgm)
+                      extract_patches, patch_count, read_pgm, write_pgm)
 from .metrics import (MetricsTrace, centralized_oracle, consensus_error,
                       diffusion_baseline, mean_dictionary, psnr_mse,
                       stationarity_gap)
 from .network import (GraphSchedule, build_schedule, is_b_strongly_connected,
                       metropolis_weights, validate_weights)
-from .protocol import RoundState, consensus_step, run, tracking_step
+from .protocol import (RoundState, check_round, consensus_step, run,
+                       tracking_residual, tracking_step)
 from .synthetic import (SyntheticInstance, make_standard_problem,
                         make_synthetic, make_test_image, partition_columns)
 
@@ -34,7 +34,7 @@ __all__ = [
     "AgentState", "DenoiseResult", "GraphSchedule", "GraphSpec",
     "MetricsTrace", "PatchDataset", "PgmError", "ProblemData", "RoundState",
     "RunConfig", "StepSchedule", "SyntheticInstance", "assemble_patches",
-    "build_run_config", "build_schedule", "centralized_oracle",
+    "build_run_config", "build_schedule", "centralized_oracle", "check_round",
     "coding_prox_weight", "coding_step", "consensus_error", "consensus_step",
     "d_update_linearized", "d_update_plain", "denoise_image",
     "dictionary_step", "diffusion_baseline", "extract_patches",
@@ -43,8 +43,7 @@ __all__ = [
     "make_synthetic", "make_test_image", "mean_dictionary",
     "metropolis_weights", "objective_global", "partition_columns",
     "patch_count", "project_dictionary", "psnr_mse", "read_pgm",
-    "reconstruct_image", "run", "sigma_max",
-    "soft_threshold", "stationarity_gap", "tracking_step",
-    "validate_weights", "write_pgm", "x_update_linearized", "x_update_plain",
-    "__version__",
+    "run", "sigma_max", "soft_threshold", "stationarity_gap",
+    "tracking_residual", "tracking_step", "validate_weights", "write_pgm",
+    "x_update_linearized", "x_update_plain", "__version__",
 ]

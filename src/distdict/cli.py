@@ -22,12 +22,15 @@ from .denoise import denoise_image
 from .imaging import PgmError, read_pgm, write_pgm
 from .metrics import CSV_COLUMNS, diffusion_baseline, psnr_mse
 from .network import SCHEDULE_KINDS, build_schedule
-from .protocol import run
+from .protocol import check_round, run, tracking_residual
 from .synthetic import make_synthetic, make_test_image
 
 DENOISE_DEFAULTS = {"lam": "0.125", "mu": "0.0625", "alpha": "1.0",
                     "agents": "10", "max_rounds": "100",
                     "graph": "static_path"}
+# the instance keys a subcommand reads from the config file itself
+SYNTHETIC_KEYS = ("M", "K", "N", "k0", "sigma_n", "data_seed")
+IMAGE_KEYS = ("patch", "stride", "atoms", "noise_sigma", "image_side")
 
 
 def _add_common(p: argparse.ArgumentParser, network: bool = True,
@@ -55,13 +58,16 @@ def _mapping(args, defaults=None) -> dict:
     return mapping
 
 
-def _config(args, mapping):
+def _config(args, mapping, own=()):
+    """The RunConfig of the mapping and flags, and the instance keys
+    ``own`` of the subcommand, taken out of the mapping first."""
+    own = {key: mapping.pop(key) for key in own if key in mapping}
     flags = vars(args)  # a subcommand lacks the flags it would ignore
     return build_run_config(mapping, seed=args.seed,
                             max_rounds=flags.get("rounds"),
                             variant=flags.get("variant"),
                             agents=flags.get("agents"),
-                            graph=flags.get("graph"))
+                            graph=flags.get("graph")), own
 
 
 def _out_dir(args) -> Path:
@@ -83,9 +89,8 @@ def _synthetic_problem(mapping, config):
 
 
 def cmd_run(args) -> int:
-    mapping = _mapping(args)
-    config = _config(args, mapping)
-    _, problem = _synthetic_problem(mapping, config)
+    config, own = _config(args, _mapping(args), SYNTHETIC_KEYS)
+    _, problem = _synthetic_problem(own, config)
     trace = run(problem, config)
     out = _out_dir(args)
     trace.write_csv(out / "trace.csv")
@@ -98,19 +103,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    mapping = _mapping(args, DENOISE_DEFAULTS)
-    config = _config(args, mapping)
-    patch = int(mapping.get("patch", 8))
-    stride = int(mapping.get("stride", 2))
-    atoms = int(mapping.get("atoms", 64))
-    noise_sigma = float(mapping.get("noise_sigma", 25.5))
+    config, own = _config(args, _mapping(args, DENOISE_DEFAULTS), IMAGE_KEYS)
+    patch = int(own.get("patch", 8))
+    stride = int(own.get("stride", 2))
+    atoms = int(own.get("atoms", 64))
+    noise_sigma = float(own.get("noise_sigma", 25.5))
     if args.noise_sigma is not None:
         noise_sigma = args.noise_sigma
     if args.image:
         image = read_pgm(args.image).astype(float)
     else:
-        image = make_test_image(int(mapping.get("image_side", 64))) \
-            .astype(float)
+        image = make_test_image(int(own.get("image_side", 64))).astype(float)
 
     rng = np.random.default_rng(config.seed)
     noisy = np.clip(image + noise_sigma * rng.standard_normal(image.shape),
@@ -135,13 +138,15 @@ def cmd_denoise(args) -> int:
 
 def cmd_compare(args) -> int:
     mapping = _mapping(args)
-    config = _config(args, mapping)
+    for key in ("max_rounds", "rounds", "variant"):
+        if key in mapping:
+            raise ValueError(f"compare sets {key!r} itself; remove it from "
+                             f"the config file")
+    config, own = _config(args, mapping, SYNTHETIC_KEYS + ("budgets",))
     budgets = [int(b) for b in
-               str(mapping.get("budgets", "200,1000")).split(",")]
-    if args.budgets:
-        budgets = [int(b) for b in args.budgets.split(",")]
+               (args.budgets or own.get("budgets", "200,1000")).split(",")]
     top = max(budgets)
-    _, problem = _synthetic_problem(mapping, config)
+    _, problem = _synthetic_problem(own, config)
 
     runs = []
     for variant in ("linearized", "plain"):
@@ -235,45 +240,30 @@ def _check_projection(rng) -> bool:
     return True
 
 
-def _check_tracking() -> bool:
-    inst, problem = make_synthetic(M=6, K=4, N=12, num_agents=4, k0=2,
-                                   noise_sigma=0.1, seed=5)
-    config = build_run_config({"agents": 4, "graph": "tv_ring_partition",
-                               "window": 2, "max_rounds": 30, "seed": 5})
-    worst = 0.0
+def _check_run(num_agents) -> bool:
+    """``check_round`` along a short tracked run. One agent must also be
+    the centralized method: zero residual and zero ``grad_rest``, exactly."""
+    _, problem = make_synthetic(M=6, K=4, N=12, num_agents=num_agents, k0=2,
+                                noise_sigma=0.1, seed=5)
+    config = build_run_config({"agents": num_agents, "window": 2,
+                               "graph": "tv_ring_partition",
+                               "max_rounds": 30, "seed": 5})
 
     def watch(state):
-        nonlocal worst
-        track = np.mean([a.tracker for a in state.agents], axis=0)
-        grads = np.mean([grad_dict(a.D, a.X, S) for a, S in
-                         zip(state.agents, problem.S_blocks)], axis=0)
-        worst = max(worst, float(np.max(np.abs(track - grads))))
+        check_round(problem, state)
+        if num_agents == 1 and (tracking_residual(problem, state) != 0.0
+                                or np.any(state.grad_rest)):
+            raise ValueError("one agent is not the centralized method")
 
-    run(problem, config, observer=watch)
-    return worst <= 1e-10
-
-
-def _check_single_agent() -> bool:
-    # one agent is the centralized method when, bit for bit and every
-    # round, its tracker equals its local gradient and its others-gradient
-    # estimate is zero
-    inst, problem = make_synthetic(M=4, K=3, N=5, num_agents=1, k0=2,
-                                   noise_sigma=0.1, seed=2)
-    config = build_run_config({"agents": 1, "graph": "static_ring",
-                               "max_rounds": 20, "seed": 2})
-    exact = []
-
-    def watch(state):
-        grad = grad_dict(state.D, state.X[0], problem.S_groups[0])
-        exact.append(np.array_equal(state.tracker, grad)
-                     and not np.any(state.grad_rest))
-
-    run(problem, config, observer=watch)
-    return len(exact) == config.max_rounds and all(exact)
+    try:
+        run(problem, config, observer=watch)
+    except ValueError:
+        return False
+    return True
 
 
 def cmd_validate(args) -> int:
-    seed = _config(args, _mapping(args)).seed
+    seed = _config(args, _mapping(args))[0].seed
     rng = np.random.default_rng(seed)
     checks = []
     for kind, extra in (("static_path", {}), ("static_ring", {}),
@@ -288,8 +278,8 @@ def cmd_validate(args) -> int:
     checks.append(("gradients vs finite differences", _check_gradients(rng)))
     checks.append(("coding prox optimality", _check_prox(rng)))
     checks.append(("dictionary projection", _check_projection(rng)))
-    checks.append(("gradient tracking identity", _check_tracking()))
-    checks.append(("single agent matches centralized", _check_single_agent()))
+    checks.append(("gradient tracking identity", _check_run(4)))
+    checks.append(("single agent matches centralized", _check_run(1)))
     failed = 0
     for name, ok in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}")

@@ -75,46 +75,39 @@ def load_config(path) -> dict:
     return mapping
 
 
-_STEP_KEYS = {f.name for f in fields(StepSchedule)}
-_GRAPH_KEYS = {"graph": "kind", "agents": "num_agents", "window": "window",
-               "period": "period", "graph_seed": "seed"}
-_RUN_KEYS = {"lam", "mu", "alpha", "max_rounds", "stop_tol",
-             "metric_stride", "seed"}
-
-_INT_KEYS = {"inner_max_iter", "agents", "window", "period", "graph_seed",
-             "max_rounds", "metric_stride", "seed"}
-_STR_KEYS = {"variant", "d_mode", "graph"}
-
-
-def _convert(key: str, value):
-    if not isinstance(value, str):
-        return value
-    if key in _STR_KEYS:
-        return value
-    if key == "period" and value.strip().lower() == "none":
-        return None
-    if key in _INT_KEYS:
-        return int(value)
-    return float(value)
+_TYPES = {"int": int, "float": float, "str": str}
+# config key -> (section, field, type), from the string annotations
+_KEYS = {names.get(f.name, f.name): (section, f.name, _TYPES[f.type])
+         for section, cls, names in (
+             ("run", RunConfig, {}), ("steps", StepSchedule, {}),
+             ("graph", GraphSpec, {"kind": "graph", "num_agents": "agents",
+                                   "seed": "graph_seed"}))
+         for f in fields(cls) if f.type in _TYPES}
 
 
 def build_run_config(mapping: dict = None, **overrides) -> RunConfig:
     """Assemble a RunConfig from a string mapping (e.g. a parsed config
-    file) plus keyword overrides; overrides win. Unknown keys are left for
-    the caller to consume and do not fail here."""
+    file) plus keyword overrides; overrides that are not None win. String
+    values are converted to the type of the field they set, and ``period =
+    none`` means the window. ``rounds`` is an alias of ``max_rounds``, which
+    wins when both are given. Any other key raises ValueError listing the
+    valid keys, so a caller takes out the keys it reads itself first."""
     merged = dict(mapping or {})
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
-    if "rounds" in merged and "max_rounds" not in merged:
-        merged["max_rounds"] = merged.pop("rounds")
-    step_kwargs, graph_kwargs, run_kwargs = {}, {}, {}
+    if "rounds" in merged:
+        merged.setdefault("max_rounds", merged.pop("rounds"))
+    unknown = sorted(set(merged) - set(_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {str(unknown)[1:-1]}; valid "
+                         f"keys: {', '.join(sorted(_KEYS))} and rounds")
+    kwargs = {"run": {}, "steps": {}, "graph": {}}
     for key, value in merged.items():
-        if key in _STEP_KEYS:
-            step_kwargs[key] = _convert(key, value)
-        elif key in _GRAPH_KEYS:
-            graph_kwargs[_GRAPH_KEYS[key]] = _convert(key, value)
-        elif key in _RUN_KEYS:
-            run_kwargs[key] = _convert(key, value)
-    return RunConfig(steps=StepSchedule(**step_kwargs),
-                     graph=GraphSpec(**graph_kwargs), **run_kwargs)
+        section, name, kind = _KEYS[key]
+        if isinstance(value, str):
+            none = key == "period" and value.strip().lower() == "none"
+            value = None if none else kind(value)
+        kwargs[section][name] = value
+    return RunConfig(steps=StepSchedule(**kwargs["steps"]),
+                     graph=GraphSpec(**kwargs["graph"]), **kwargs["run"])

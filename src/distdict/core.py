@@ -80,7 +80,8 @@ class ProblemData:
     Parameters
     ----------
     S_blocks : list of ndarray
-        Data blocks ``S_i`` of shape ``(M, n_i)``; all share the row count M.
+        Data blocks ``S_i`` of shape ``(M, n_i)``; all share the row count M
+        and hold finite values only.
     K : int
         Number of dictionary atoms.
     lam : float
@@ -115,6 +116,8 @@ class ProblemData:
                     f"block {i} has shape {S.shape}, expected ({M}, n_{i})")
             if S.shape[1] < 1:
                 raise ValueError(f"block {i} owns no columns")
+            if not np.isfinite(S).all():
+                raise ValueError(f"block {i} holds NaN or inf")
         if self.K < 1:
             raise ValueError("K must be at least 1")
         if self.lam <= 0 or self.mu <= 0:

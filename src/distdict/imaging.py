@@ -158,19 +158,6 @@ def extract_patches(image, patch_side: int, stride: int = 1) -> PatchDataset:
                         patch_side=patch_side, stride=stride)
 
 
-def reconstruct_image(dataset: PatchDataset, D, X_blocks,
-                      scale: float = 1.0) -> np.ndarray:
-    """Assemble the image from decoded patches ``scale * D @ [X_1 ... X_I]``.
-
-    Overlapping pixels are averaged uniformly, pixels never covered by the
-    stride grid are left at zero, and the result is clipped to [0, 255].
-    """
-    X = np.hstack([np.asarray(Xb, dtype=float) for Xb in X_blocks])
-    decoded = scale * (np.asarray(D, dtype=float) @ X)
-    return assemble_patches(decoded, dataset.image_shape, dataset.patch_side,
-                            dataset.stride)
-
-
 def assemble_patches(patches, image_shape, patch_side: int,
                      stride: int) -> np.ndarray:
     """Place patch columns at their row-major grid origins and average the

@@ -99,6 +99,37 @@ def _group_grads(problem, D, X) -> np.ndarray:
                            zip(problem.groups.slices, problem.S_groups, X)])
 
 
+def tracking_residual(problem, state) -> float:
+    """``max|mean(tracker) - mean(local grad)|`` over the agents of a
+    ``RoundState``: zero up to rounding while gradient tracking holds, and
+    exactly zero at one agent."""
+    grads = _group_grads(problem, state.D, state.X)
+    return float(np.max(np.abs(state.tracker.mean(axis=0)
+                               - grads.mean(axis=0))))
+
+
+def check_round(problem, state) -> None:
+    """Raise ValueError naming the round and the agent at the first broken
+    invariant of a tracked run: a non-finite ``D``, code, ``tracker`` or
+    ``grad_rest``, a dictionary column above ``alpha * (1 + 1e-12)``, or a
+    tracking residual above 1e-10. A driver takes it as ``observer``."""
+    codes = state.groups.unstack(state.X)
+    for i, parts in enumerate(zip(state.D, codes, state.tracker,
+                                  state.grad_rest)):
+        for name, A in zip(("D", "code", "tracker", "grad_rest"), parts):
+            if not np.isfinite(A).all():
+                raise ValueError(f"round {state.nu}: agent {i} has a "
+                                 f"non-finite {name}")
+        norm = np.linalg.norm(state.D[i], axis=0).max()
+        if norm > problem.alpha * (1 + 1e-12):
+            raise ValueError(f"round {state.nu}: agent {i} has a dictionary "
+                             f"column of norm {norm!r} above alpha")
+    residual = tracking_residual(problem, state)
+    if residual > 1e-10:
+        raise ValueError(f"round {state.nu}: tracking residual "
+                         f"{residual:.3e} above 1e-10")
+
+
 def _record(trace, problem, state, gamma, flags):
     D_bar = mean_dictionary(state.D)
     trace.add_row(state.nu, state.messages,
@@ -160,11 +191,12 @@ def _rounds(problem, config, schedule, observer, tracked) -> MetricsTrace:
     else ``_diffusion_round``, whose observers see zero trackers. See
     ``run`` for the parameters and the trace."""
     if schedule is None:
-        schedule = build_schedule(**vars(config.graph))
+        schedule = build_schedule(**vars(config.graph))  # checks it
+    else:
+        check_schedule(schedule)
     if schedule.num_agents != problem.num_agents:
         raise ValueError(f"schedule has {schedule.num_agents} agents, "
                          f"problem has {problem.num_agents}")
-    check_schedule(schedule)
 
     sched = config.steps
     state = RoundState(problem.groups, *init_agents(problem, seed=config.seed))
@@ -206,12 +238,15 @@ def run(problem: ProblemData, config: RunConfig, schedule: GraphSchedule = None,
     config : RunConfig
         Penalties, step schedules, graph spec, round budget and seed.
     schedule : GraphSchedule, optional
-        Pre-built schedule; built from ``config.graph`` when omitted.
+        Pre-built schedule, run through ``network.check_schedule``; built
+        (and so checked) from ``config.graph`` when omitted.
     observer : callable, optional
         Called as ``observer(state)`` with the RoundState after every
         round's combine step (regardless of the metric stride). It must not
         modify the agents' ``D`` or ``X``: the next dictionary step reuses
-        the gradient computed at them in the combine step.
+        the gradient computed at them in the combine step. Pass
+        ``functools.partial(check_round, problem)`` to stop at the first
+        broken invariant.
 
     The agents' state lives in stacks with a leading agent axis. Each round
     calls ``dictionary_step``, ``coding_prox_weight``, ``coding_step`` and

@@ -91,12 +91,12 @@ def test_initial_states_have_zero_codes_and_feasible_dictionaries():
     problem = toy_problem(rng)
     D, X, tracker, grad_rest = init_agents(problem, seed=7)
     assert len(D) == problem.num_agents
+    protocol_mod.check_round(problem, protocol_mod.RoundState(
+        problem.groups, D, X, tracker, grad_rest))
     for d, x, t, rest, S, n in zip(D, problem.groups.unstack(X), tracker,
                                    grad_rest, problem.S_blocks,
                                    problem.block_sizes):
         assert np.array_equal(x, np.zeros((problem.K, n)))
-        norms = np.linalg.norm(d, axis=0)
-        assert np.all(norms <= problem.alpha + 1e-12)
         g = grad_dict(d, x, S)
         assert np.array_equal(t, g)
         expected_rest = problem.num_agents * g - g

@@ -121,6 +121,19 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_config_keys_a_subcommand_does_not_read_fail_by_name(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for sub, key in (("run", "lamda"), ("compare", "max_rounds"),
+                     ("compare", "rounds"), ("compare", "variant"),
+                     ("denoise", "M"), ("run", "patch"),
+                     ("validate", "budgets")):
+        (tmp_path / "keys.cfg").write_text(f"{key} = 3\n")
+        assert main([sub, "--config", "keys.cfg"]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keys.cfg"]
+
+
 def test_unreadable_noise_free_image_is_still_noised(tmp_path):
     # sigma 0 keeps the input identical: output PGM must equal the source
     from distdict import make_test_image, write_pgm

@@ -61,15 +61,15 @@ def test_overrides_beat_the_mapping_and_none_is_ignored():
 
 def test_rounds_is_an_alias_for_max_rounds():
     assert build_run_config({"rounds": "12"}).max_rounds == 12
-    # the explicit key wins over the alias
+    # the explicit key wins over the alias, which is consumed all the same
     assert build_run_config({"rounds": "12",
                              "max_rounds": "30"}).max_rounds == 30
 
 
-def test_unknown_keys_are_left_for_the_caller():
-    config = build_run_config({"patch": "8", "noise_sigma": "25.5",
-                               "lam": "0.2"})
-    assert config.lam == 0.2  # known keys still apply
+def test_unknown_keys_are_rejected_with_the_valid_keys_listed():
+    with pytest.raises(ValueError, match="unknown config key.* 'lamda', "
+                       "'patch'; valid keys: agents, alpha, .*lam, .*window"):
+        build_run_config({"patch": "8", "lamda": "0.3", "lam": "0.2"})
 
 
 def test_invalid_values_are_rejected():

@@ -59,6 +59,14 @@ def test_objective_matches_scalar_loop_oracle():
                                                             abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_data_rejects_non_finite_data_naming_the_block(bad):
+    blocks = [np.zeros((3, 2)), np.zeros((3, 4))]
+    blocks[1][2, 3] = bad
+    with pytest.raises(ValueError, match="block 1 holds NaN or inf"):
+        ProblemData(S_blocks=blocks, K=2, lam=0.125, mu=0.0625, alpha=1.0)
+
+
 def test_objective_rejects_mismatched_dimensions():
     problem = random_problem(np.random.default_rng(2))
     D = np.zeros((problem.M + 1, problem.K))

@@ -1,5 +1,5 @@
-"""The stacked round engine against the per-agent ragged reference, and
-the group layout it runs on."""
+"""The stacked round engine against the per-agent ragged reference and
+``check_round``, and the group layout it runs on."""
 
 import gc
 from unittest import mock
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import distdict.core as core_mod
 from distdict import (ProblemData, build_run_config, build_schedule,
-                      diffusion_baseline, run)
+                      check_round, diffusion_baseline, run)
 from distdict.agents import VARIANTS
 from distdict.network import SCHEDULE_KINDS
 
@@ -37,6 +37,8 @@ def assert_engine_matches_reference(problem, config, schedule,
     got = {}
 
     def watch(state):
+        if policy == "tracked":
+            check_round(problem, state)
         for sl, X in zip(problem.groups.slices, state.X):
             for j, n in enumerate(problem.block_sizes[sl]):
                 assert not np.any(X[j, :, n:]), "a padded code moved"

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distdict import (PatchDataset, PgmError, assemble_patches,
-                      extract_patches, patch_count, read_pgm,
-                      reconstruct_image, write_pgm)
+                      extract_patches, patch_count, read_pgm, write_pgm)
 
 from oracles import assemble_patches_loop, coverage_counts
 
@@ -122,7 +121,7 @@ def test_exact_codes_reproduce_the_image():
     ds = extract_patches(img, 4, 2)
     # dictionary = identity, codes = the patches themselves
     D = np.eye(16)
-    out = reconstruct_image(ds, D, [ds.patches])
+    out = assemble_patches(D @ ds.patches, ds.image_shape, 4, 2)
     covered = coverage_counts(12, 12, 4, 2) > 0
     assert np.max(np.abs(out[covered] - img[covered])) <= 0.5
 
@@ -132,7 +131,7 @@ def test_zero_codes_give_a_black_image():
     ds = extract_patches(img, 3, 3)
     D = np.zeros((9, 4))
     X = np.zeros((4, ds.num_patches))
-    out = reconstruct_image(ds, D, [X])
+    out = assemble_patches(D @ X, ds.image_shape, 3, 3)
     assert np.array_equal(out, np.zeros((9, 9)))
 
 

@@ -8,6 +8,12 @@ from pathlib import Path
 import distdict
 
 
+def test_every_exported_name_resolves_and_is_listed_once():
+    assert len(set(distdict.__all__)) == len(distdict.__all__)
+    for name in distdict.__all__:
+        assert getattr(distdict, name, None) is not None, name
+
+
 def test_import_loads_no_scipy():
     src = str(Path(distdict.__file__).resolve().parents[1])
     env = dict(os.environ)

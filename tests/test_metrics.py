@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import distdict.core as core_mod
 from distdict import (GraphSchedule, ProblemData, build_run_config,
-                      build_schedule, centralized_oracle, coding_prox_weight,
-                      consensus_error, diffusion_baseline, grad_dict,
-                      objective_global, project_dictionary, psnr_mse,
-                      stationarity_gap, x_update_linearized)
+                      build_schedule, centralized_oracle, check_round,
+                      coding_prox_weight, consensus_error,
+                      diffusion_baseline, grad_dict, objective_global,
+                      project_dictionary, psnr_mse, stationarity_gap,
+                      tracking_residual, x_update_linearized)
 
 from oracles import (objective_formula, projected_gradient_quadratic,
                      prox_scalar_grid, psnr_scalar, ragged_run,
@@ -285,11 +286,10 @@ def test_baseline_breaks_the_tracking_mean_identity():
     problem = toy_problem(rng, sizes=(3, 3, 2))
     config = build_run_config({"agents": problem.num_agents,
                                "max_rounds": 5, "metric_stride": 1})
-    agents = diffusion_baseline(problem, config).state.agents
-    tracker_mean = sum(a.tracker for a in agents) / len(agents)
-    grad_mean = sum(grad_dict(a.D, a.X, S)
-                    for a, S in zip(agents, problem.S_blocks)) / len(agents)
-    assert np.max(np.abs(tracker_mean - grad_mean)) > 1e-6
+    state = diffusion_baseline(problem, config).state
+    assert tracking_residual(problem, state) > 1e-6
+    with pytest.raises(ValueError, match="round 5: tracking residual"):
+        check_round(problem, state)
 
 
 def test_baseline_rejects_weights_that_fail_validation():

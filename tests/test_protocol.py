@@ -1,14 +1,18 @@
 """Round orchestration: consensus, tracking and the full simulation loop."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 import distdict.agents as agents_mod
 import distdict.core as core_mod
+import distdict.network as network_mod
 import distdict.protocol as protocol_mod
 from distdict import (GraphSpec, ProblemData, build_run_config,
-                      build_schedule, consensus_step, grad_dict,
-                      make_standard_problem, run, tracking_step)
+                      build_schedule, check_round, consensus_step,
+                      make_standard_problem, run, tracking_residual,
+                      tracking_step)
 
 
 def toy_problem(rng, sizes=(3, 2, 3), M=4, K=3):
@@ -85,18 +89,10 @@ def test_tracking_mean_identity_holds_along_a_full_run():
     problem = toy_problem(rng, sizes=(3, 2, 3, 2, 2))
     config = config_for(problem, graph="tv_ring_partition", window=2,
                         max_rounds=100)
-    worst = [0.0]
-
-    def check(state):
-        grads = [grad_dict(a.D, a.X, S)
-                 for a, S in zip(state.agents, problem.S_blocks)]
-        tracker_mean = sum(a.tracker for a in state.agents) / len(
-            state.agents)
-        grad_mean = sum(grads) / len(grads)
-        worst[0] = max(worst[0], np.max(np.abs(tracker_mean - grad_mean)))
-
-    run(problem, config, observer=check)
-    assert worst[0] <= 1e-10
+    residuals = []
+    run(problem, config, observer=lambda state: residuals.append(
+        tracking_residual(problem, state)))
+    assert len(residuals) == 100 and max(residuals) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +175,38 @@ def test_run_returns_the_state_it_ended_in():
     assert all(got is want for got, want in zip(end.X, X))
 
 
+def test_run_checks_each_schedule_once(monkeypatch):
+    rng = np.random.default_rng(52)
+    problem = toy_problem(rng)
+    config = config_for(problem, max_rounds=1)
+    schedule = build_schedule("static_ring", problem.num_agents)
+    calls = []
+    connected = network_mod.is_b_strongly_connected
+    monkeypatch.setattr(network_mod, "is_b_strongly_connected",
+                        lambda s: calls.append(s) or connected(s))
+    for passed in (None, schedule):  # built from config.graph, passed in
+        calls.clear()
+        run(problem, config, schedule=passed)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field, agent, value, fault", [
+    ("D", 2, np.nan, "non-finite D"),
+    ("tracker", 1, np.inf, "non-finite tracker"),
+    ("D", 0, 2.0, "dictionary column of norm"),
+])
+def test_check_round_names_the_round_and_the_agent_at_fault(
+        field, agent, value, fault):
+    rng = np.random.default_rng(53)
+    problem = toy_problem(rng)
+    state = run(problem, config_for(problem, max_rounds=6)).state
+    check_round(problem, state)
+    np.put(getattr(state, field)[agent], 0, value)
+    with pytest.raises(ValueError,
+                       match=f"^round 6: agent {agent} has a {fault}"):
+        check_round(problem, state)
+
+
 def test_run_validates_the_schedule_against_the_problem():
     rng = np.random.default_rng(48)
     problem = toy_problem(rng)  # three agents
@@ -205,13 +233,8 @@ def test_run_keeps_every_dictionary_copy_feasible():
     rng = np.random.default_rng(50)
     problem = toy_problem(rng)
     config = config_for(problem, max_rounds=25)
-
-    def check(state):
-        for a in state.agents:
-            assert np.all(np.linalg.norm(a.D, axis=0)
-                          <= problem.alpha + 1e-12)
-
-    run(problem, config, observer=check)
+    assert run(problem, config,
+               observer=partial(check_round, problem)).nu[-1] == 25
 
 
 def test_linearized_round_computes_each_gradient_and_norm_once(monkeypatch):
