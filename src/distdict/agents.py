@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ProblemData, d_update_linearized, d_update_plain,
-                   grad_dict, sigma_max, x_update_linearized, x_update_plain)
+                   sigma_max, x_update_linearized, x_update_plain)
+# unused here; bench/tracer.py wraps it by name on this module
+from .core import grad_dict  # noqa: F401
 
 VARIANTS = ("plain", "linearized")
 
@@ -102,13 +104,13 @@ def init_agents(problem: ProblemData, seed: int = 0) -> tuple:
     ``protocol.RoundState`` holds: ``X`` is the group stacks of
     ``problem.groups``, the others are ``(I, M, K)``.
 
-    The codes start at zero, each dictionary column is drawn from the
-    agent's own data columns and rescaled to norm alpha, and the tracker is
-    seeded with the initial local dictionary gradient.
+    The codes start at zero, and so do the tracker and ``grad_rest``: every
+    local gradient ``(D 0 - S) 0^T`` is zero. Each dictionary column is
+    drawn from the agent's own data columns and rescaled to norm alpha; a
+    zero column gets a random direction instead.
     """
-    dicts, grads = [], []
-    codes = [np.zeros((problem.K, n)) for n in problem.block_sizes]
-    for i, (S, X) in enumerate(zip(problem.S_blocks, codes)):
+    dicts = []
+    for i, S in enumerate(problem.S_blocks):
         rng = np.random.default_rng([seed, i])
         M, n_i = S.shape
         idx = rng.integers(0, n_i, size=problem.K)
@@ -120,10 +122,10 @@ def init_agents(problem: ProblemData, seed: int = 0) -> tuple:
             norms[k] = np.linalg.norm(col)
         D *= problem.alpha / norms
         dicts.append(D)
-        grads.append(grad_dict(D, X, S))
-    tracker = np.stack(grads)
-    return (np.stack(dicts), problem.groups.stack(codes), tracker,
-            problem.num_agents * tracker - tracker)
+    D = np.stack(dicts)
+    codes = [np.zeros((len(S), problem.K, S.shape[-1]))
+             for S in problem.S_groups]
+    return D, codes, np.zeros_like(D), np.zeros_like(D)
 
 
 def dictionary_step(D, X, S, grad_rest, grad, gamma: float,

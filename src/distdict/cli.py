@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import build_run_config, load_config
+from .config import build_run_config, check_keys, convert, load_config
 from .core import (grad_codes, grad_dict, project_dictionary,
                    x_update_linearized)
 from .denoise import denoise_image
@@ -28,9 +28,13 @@ from .synthetic import make_synthetic, make_test_image
 DENOISE_DEFAULTS = {"lam": "0.125", "mu": "0.0625", "alpha": "1.0",
                     "agents": "10", "max_rounds": "100",
                     "graph": "static_path"}
-# the instance keys a subcommand reads from the config file itself
-SYNTHETIC_KEYS = ("M", "K", "N", "k0", "sigma_n", "data_seed")
-IMAGE_KEYS = ("patch", "stride", "atoms", "noise_sigma", "image_side")
+# the instance keys a subcommand reads from the config file itself, with
+# their types and defaults; data_seed defaults to the run's seed
+SYNTHETIC_KEYS = {"M": (int, 16), "K": (int, 24), "N": (int, 200),
+                  "k0": (int, 4), "sigma_n": (float, 0.05),
+                  "data_seed": (int, None)}
+IMAGE_KEYS = {"patch": (int, 8), "stride": (int, 2), "atoms": (int, 64),
+              "noise_sigma": (float, 25.5), "image_side": (int, 64)}
 
 
 def _add_common(p: argparse.ArgumentParser, network: bool = True,
@@ -58,10 +62,13 @@ def _mapping(args, defaults=None) -> dict:
     return mapping
 
 
-def _config(args, mapping, own=()):
-    """The RunConfig of the mapping and flags, and the instance keys
-    ``own`` of the subcommand, taken out of the mapping first."""
-    own = {key: mapping.pop(key) for key in own if key in mapping}
+def _config(args, mapping, own):
+    """The RunConfig of the mapping and flags, and the values of the
+    subcommand's instance keys ``own`` (key -> (type, default)), taken out
+    of the mapping first."""
+    check_keys(mapping, own)
+    own = {key: convert(key, mapping.pop(key), kind) if key in mapping
+           else default for key, (kind, default) in own.items()}
     flags = vars(args)  # a subcommand lacks the flags it would ignore
     return build_run_config(mapping, seed=args.seed,
                             max_rounds=flags.get("rounds"),
@@ -76,15 +83,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _synthetic_problem(mapping, config):
-    M = int(mapping.get("M", 16))
-    K = int(mapping.get("K", 24))
-    N = int(mapping.get("N", 200))
-    k0 = int(mapping.get("k0", 4))
-    sigma_n = float(mapping.get("sigma_n", 0.05))
-    data_seed = int(mapping.get("data_seed", config.seed))
-    return make_synthetic(M=M, K=K, N=N, num_agents=config.graph.num_agents,
-                          k0=k0, noise_sigma=sigma_n, seed=data_seed,
+def _synthetic_problem(own, config):
+    seed = config.seed if own["data_seed"] is None else own["data_seed"]
+    return make_synthetic(M=own["M"], K=own["K"], N=own["N"],
+                          num_agents=config.graph.num_agents, k0=own["k0"],
+                          noise_sigma=own["sigma_n"], seed=seed,
                           lam=config.lam, mu=config.mu, alpha=config.alpha)
 
 
@@ -104,24 +107,20 @@ def cmd_run(args) -> int:
 
 def cmd_denoise(args) -> int:
     config, own = _config(args, _mapping(args, DENOISE_DEFAULTS), IMAGE_KEYS)
-    patch = int(own.get("patch", 8))
-    stride = int(own.get("stride", 2))
-    atoms = int(own.get("atoms", 64))
-    noise_sigma = float(own.get("noise_sigma", 25.5))
-    if args.noise_sigma is not None:
-        noise_sigma = args.noise_sigma
+    noise_sigma = (own["noise_sigma"] if args.noise_sigma is None
+                   else args.noise_sigma)
     if args.image:
         image = read_pgm(args.image).astype(float)
     else:
-        image = make_test_image(int(own.get("image_side", 64))).astype(float)
+        image = make_test_image(own["image_side"]).astype(float)
 
     rng = np.random.default_rng(config.seed)
     noisy = np.clip(image + noise_sigma * rng.standard_normal(image.shape),
                     0.0, 255.0)
     in_psnr, in_mse = psnr_mse(image, noisy)
 
-    result = denoise_image(noisy, config, patch_side=patch, stride=stride,
-                           num_atoms=atoms)
+    result = denoise_image(noisy, config, patch_side=own["patch"],
+                           stride=own["stride"], num_atoms=own["atoms"])
     out_psnr, out_mse = psnr_mse(image, result.image)
 
     out = _out_dir(args)
@@ -142,9 +141,10 @@ def cmd_compare(args) -> int:
         if key in mapping:
             raise ValueError(f"compare sets {key!r} itself; remove it from "
                              f"the config file")
-    config, own = _config(args, mapping, SYNTHETIC_KEYS + ("budgets",))
-    budgets = [int(b) for b in
-               (args.budgets or own.get("budgets", "200,1000")).split(",")]
+    config, own = _config(args, mapping,
+                          {**SYNTHETIC_KEYS, "budgets": (str, "200,1000")})
+    budgets = [convert("budgets", b, int)
+               for b in (args.budgets or own["budgets"]).split(",")]
     top = max(budgets)
     _, problem = _synthetic_problem(own, config)
 
@@ -263,7 +263,7 @@ def _check_run(num_agents) -> bool:
 
 
 def cmd_validate(args) -> int:
-    seed = _config(args, _mapping(args))[0].seed
+    seed = _config(args, _mapping(args), {})[0].seed
     rng = np.random.default_rng(seed)
     checks = []
     for kind, extra in (("static_path", {}), ("static_ring", {}),

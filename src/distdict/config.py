@@ -85,29 +85,46 @@ _KEYS = {names.get(f.name, f.name): (section, f.name, _TYPES[f.type])
          for f in fields(cls) if f.type in _TYPES}
 
 
+def convert(key, value: str, kind):
+    """The string ``value`` of config key ``key`` as a ``kind``."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"config key {key!r} expects {kind.__name__}, "
+                         f"got {value!r}") from None
+
+
+def check_keys(mapping, own=()) -> None:
+    """Raise ValueError, listing the valid keys, for a key of ``mapping``
+    that is neither a run key nor in ``own``, the keys a caller reads."""
+    valid = {*_KEYS, "rounds", *own}
+    unknown = sorted(set(mapping) - valid)
+    if unknown:
+        raise ValueError(f"unknown config key(s) {str(unknown)[1:-1]}; valid "
+                         f"keys: {', '.join(sorted(valid, key=str.lower))}")
+
+
 def build_run_config(mapping: dict = None, **overrides) -> RunConfig:
     """Assemble a RunConfig from a string mapping (e.g. a parsed config
     file) plus keyword overrides; overrides that are not None win. String
     values are converted to the type of the field they set, and ``period =
     none`` means the window. ``rounds`` is an alias of ``max_rounds``, which
     wins when both are given. Any other key raises ValueError listing the
-    valid keys, so a caller takes out the keys it reads itself first."""
+    valid keys (``check_keys``), so a caller takes out the keys it reads
+    itself first."""
     merged = dict(mapping or {})
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
+    check_keys(merged)
     if "rounds" in merged:
         merged.setdefault("max_rounds", merged.pop("rounds"))
-    unknown = sorted(set(merged) - set(_KEYS))
-    if unknown:
-        raise ValueError(f"unknown config key(s) {str(unknown)[1:-1]}; valid "
-                         f"keys: {', '.join(sorted(_KEYS))} and rounds")
     kwargs = {"run": {}, "steps": {}, "graph": {}}
     for key, value in merged.items():
         section, name, kind = _KEYS[key]
         if isinstance(value, str):
             none = key == "period" and value.strip().lower() == "none"
-            value = None if none else kind(value)
+            value = None if none else convert(key, value, kind)
         kwargs[section][name] = value
     return RunConfig(steps=StepSchedule(**kwargs["steps"]),
                      graph=GraphSpec(**kwargs["graph"]), **kwargs["run"])

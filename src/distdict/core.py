@@ -20,7 +20,6 @@ a zero gradient, and the shrinkage keeps that code at zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,21 +131,13 @@ class ProblemData:
             sizes=tuple(self.block_sizes))
         self.S_groups = self.groups.stack(self.S_blocks)
 
-    def code_groups(self, X) -> list:
-        """Codes as group stacks. ``X`` is either such a list of stacks,
-        as the round engine holds them, or one ``(K, n_i)`` block per
-        agent, which is checked and stacked."""
-        if len(X) == len(self.groups.slices) and all(np.ndim(x) == 3
-                                                     for x in X):
-            return X
-        if len(X) != self.num_agents:
-            raise ValueError("one code block per data block is required")
-        X = [np.asarray(x, dtype=float) for x in X]
-        for i, (x, n) in enumerate(zip(X, self.block_sizes)):
-            if x.shape != (self.K, n):
-                raise ValueError(f"code block {i} has shape {x.shape}, "
-                                 f"expected ({self.K}, {n})")
-        return self.groups.stack(X)
+    def check_code_stacks(self, X_groups) -> None:
+        """Raise ValueError unless ``X_groups`` holds one ``(c, K, n_g)``
+        code stack per agent group, as ``groups.stack`` makes them."""
+        want = [(len(S), self.K, S.shape[-1]) for S in self.S_groups]
+        if [np.shape(X) for X in X_groups] != want:
+            raise ValueError(f"codes must be group stacks of shapes {want}"
+                             f"; use problem.groups.stack on agent blocks")
 
     @property
     def M(self) -> int:
@@ -165,16 +156,17 @@ class ProblemData:
         return [S.shape[1] for S in self.S_blocks]
 
 
-def objective_global(D, X_blocks, problem: ProblemData) -> float:
-    """Evaluate the full objective at a common dictionary D and codes X_i,
-    given per agent or as group stacks (``ProblemData.code_groups``); the
-    sum runs over the groups."""
+def objective_global(D, X_groups, problem: ProblemData) -> float:
+    """Evaluate the full objective at a common dictionary D and the codes,
+    given as the group stacks of ``problem.groups``; the sum runs over the
+    groups."""
     D = np.asarray(D, dtype=float)
     if D.shape != (problem.M, problem.K):
         raise ValueError(f"D has shape {D.shape}, expected "
                          f"({problem.M}, {problem.K})")
+    problem.check_code_stacks(X_groups)
     total = 0.0
-    for S, X in zip(problem.S_groups, problem.code_groups(X_blocks)):
+    for S, X in zip(problem.S_groups, X_groups):
         R = residual(D, X, S)
         total += (0.5 * np.sum(np.square(R, out=R))
                   + problem.lam * np.sum(np.abs(X))
@@ -331,19 +323,19 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
     m-strongly convex with an L-Lipschitz gradient, where m = tau + 2 mu and
     L = sigma_max(U)^2 + m, so the step is 1/L and the momentum is the
     constant (1 - sqrt(m/L)) / (1 + sqrt(m/L)) of the accelerated method for
-    strongly convex problems (Nesterov 2004, section 2.2). An agent with
-    m = 0 has no such constant and takes FISTA's t_k momentum instead.
-    ``sigma`` is sigma_max(U), one value per agent for stacked input, for a
-    caller that already holds it; it is computed here when omitted.
+    strongly convex problems (Nesterov 2004, section 2.2). Every agent
+    needs m > 0, which every subproblem of the round engine has, since
+    ``eps_tau`` and ``mu`` are positive. ``sigma`` is sigma_max(U), one
+    value per agent for stacked input, for a caller that already holds it;
+    it is computed here when omitted.
 
     The solve stops once the proximal gradient step from the extrapolated
     point, max |X_{k+1} - Y_k|, falls to ``inner_tol``; that step vanishes
     only at the solution, while two equal iterates in a row need not.
     Returns ``(X_new, converged)``; non-convergence within
     ``inner_max_iter`` is reported through the flag, not raised. A
-    subproblem with L = 0 (U = 0 and tau = mu = 0) has no step size, and
-    X0, U or S holding NaN or inf has no solution worth iterating for;
-    both raise ``ValueError``.
+    subproblem that is not strongly convex (tau = mu = 0 for some agent),
+    and X0, U or S holding NaN or inf, raise ``ValueError``.
 
     The loop works in buffers allocated before it: one holds the forward
     step and then the stopping change, another the extrapolated point. The
@@ -361,6 +353,10 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
         raise ValueError("tau must be nonnegative")
     if mu < 0:
         raise ValueError("mu must be nonnegative")
+    m = tau + 2.0 * mu
+    if np.any(m <= 0):
+        raise ValueError("the coding subproblem must be strongly convex: "
+                         "tau + 2 mu > 0 for every agent")
     flat = np.ndim(X) == 2
     X0, U, S = _lift(X, U, S)
     Ut = U.swapaxes(-1, -2)
@@ -373,15 +369,8 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
         raise ValueError("X0, U and S must be finite")
     if sigma is None:
         sigma, _ = sigma_max(U)
-    m = np.broadcast_to(tau + 2.0 * mu, (len(X0), 1, 1))
-    L = np.reshape(np.square(sigma), (-1, 1, 1)) + m
-    if np.any(L <= 0):
-        raise ValueError("the coding subproblem has no curvature: "
-                         "U = 0 with tau = mu = 0")
-    step = 1.0 / L
-    strong = m > 0
-    fista = not strong.all()
-    r = np.sqrt(np.where(strong, m * step, 0.0))
+    step = 1.0 / (np.reshape(np.square(sigma), (-1, 1, 1)) + m)
+    r = np.sqrt(m * step)
     beta = (1.0 - r) / (1.0 + r)
     H *= -step
     H += (1.0 - step * m) * np.eye(U.shape[-1])
@@ -392,20 +381,14 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
     out = X0.copy()
     Xk = X0
     done = np.zeros(len(X0), dtype=bool)
-    mom = beta
-    t = 1.0
     for _ in range(inner_max_iter):
         np.matmul(H, Y, out=F)
         F += C
         Xn = soft_threshold(F, thr)
         np.subtract(Xn, Y, out=F)
         change = np.abs(F, out=F).reshape(len(F), -1).max(axis=1)
-        if fista:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            mom = np.where(strong, beta, (t - 1.0) / t_next)
-            t = t_next
         np.subtract(Xn, Xk, out=Y)
-        Y *= mom
+        Y *= beta
         Y += Xn
         Xk = Xn
         if change.min() <= inner_tol \

@@ -51,7 +51,7 @@ def denoise_image(noisy, config: RunConfig, *, patch_side: int = 8,
                           alpha=config.alpha)
     trace = run(problem, config)
     dictionary = mean_dictionary(trace.state.D)
-    codes = [agent.X for agent in trace.state.agents]
+    codes = problem.groups.unstack(trace.state.X)
     decoded = PIXEL_SCALE * (dictionary @ np.hstack(codes)) + offsets
     image = assemble_patches(decoded, dataset.image_shape, patch_side, stride)
     return DenoiseResult(image=image, trace=trace, dictionary=dictionary,

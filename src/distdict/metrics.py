@@ -94,19 +94,20 @@ def mean_dictionary(D_list) -> np.ndarray:
     return np.asarray(D_list, dtype=float).mean(axis=0)
 
 
-def stationarity_gap(D_bar, X_blocks, problem: ProblemData) -> float:
+def stationarity_gap(D_bar, X_groups, problem: ProblemData) -> float:
     """Max-norm distance of (D_bar, X) from its unit-weight prox/projection
     update, evaluated with gradients at the common dictionary D_bar.
 
-    The codes are given per agent or as group stacks
-    (``ProblemData.code_groups``). Each group forms one residual
-    ``R = D_bar X - S``, which gives both gradients: ``R X^T``, summed over
-    the group, for the dictionary and ``D_bar^T R`` for the codes.
+    The codes are the group stacks of ``problem.groups``. Each group forms
+    one residual ``R = D_bar X - S``, which gives both gradients: ``R X^T``,
+    summed over the group, for the dictionary and ``D_bar^T R`` for the
+    codes.
     """
+    problem.check_code_stacks(X_groups)
     D_bar = np.asarray(D_bar, dtype=float)
     grad_sum = np.zeros_like(D_bar)
     gap = 0.0
-    for S, X in zip(problem.S_groups, problem.code_groups(X_blocks)):
+    for S, X in zip(problem.S_groups, X_groups):
         R = residual(D_bar, X, S)
         grad_sum += (R @ X.swapaxes(-1, -2)).sum(axis=0)
         step = prox_codes(D_bar.T @ R, X, 1.0, problem.lam, problem.mu)

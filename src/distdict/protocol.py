@@ -79,17 +79,16 @@ def consensus_step(W, mats) -> np.ndarray:
 
 
 def tracking_step(W, trackers, grads_new, grads_old) -> np.ndarray:
-    """Consensus on the trackers plus the local gradient increment, on
-    ``(I, M, K)`` stacks (or lists of I matrices); returns a new stack.
+    """Consensus on the trackers (``consensus_step``, with its weight-size
+    check) plus the local gradient increment, on ``(I, M, K)`` stacks (or
+    lists of I matrices); returns a new stack.
 
     The old gradient is subtracted before the new one is added; with a
     single agent the mix is exact and the tracker then reproduces the new
     gradient bit for bit, which keeps the network run aligned with the
     centralized reference.
     """
-    mixed = np.tensordot(np.asarray(W, dtype=float),
-                         np.asarray(trackers, dtype=float), axes=1)
-    return (mixed - np.asarray(grads_old)) + np.asarray(grads_new)
+    return consensus_step(W, trackers) - grads_old + grads_new
 
 
 def _group_grads(problem, D, X) -> np.ndarray:
@@ -200,14 +199,10 @@ def _rounds(problem, config, schedule, observer, tracked) -> MetricsTrace:
 
     sched = config.steps
     state = RoundState(problem.groups, *init_agents(problem, seed=config.seed))
-    if tracked:
-        body, exchanges = _tracked_round, 2
-    else:
-        body, exchanges = _diffusion_round, 1
-        state.tracker = state.grad_rest = np.zeros_like(state.D)
+    body, exchanges = (_tracked_round, 2) if tracked else (_diffusion_round, 1)
     gammas = gamma_sequence(config.max_rounds + 1, sched.gamma0,
                             sched.eps_gamma)
-    grads = _group_grads(problem, state.D, state.X)
+    grads = np.zeros_like(state.D)  # the codes start at zero
     trace = MetricsTrace(state=state)
     _record(trace, problem, state, gammas[0], 0)
     flags = 0

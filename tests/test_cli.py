@@ -134,6 +134,32 @@ def test_config_keys_a_subcommand_does_not_read_fail_by_name(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keys.cfg"]
 
 
+def test_a_bad_instance_value_fails_naming_its_key(tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    for sub, key, value in (("run", "M", "6.5"), ("compare", "sigma_n", "x"),
+                            ("denoise", "patch", "eight"),
+                            ("compare", "budgets", "5,a")):
+        (tmp_path / "keys.cfg").write_text(f"{key} = {value}\n")
+        assert main([sub, "--config", "keys.cfg"]) == 1
+        assert f"config key '{key}' expects" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keys.cfg"]
+
+
+def test_an_unknown_key_lists_the_keys_the_subcommand_reads(tmp_path,
+                                                            capsys):
+    cfg = tmp_path / "keys.cfg"
+    cfg.write_text("MM = 6\n")
+    for sub, own in (("run", ("M", "data_seed")),
+                     ("compare", ("M", "budgets")),
+                     ("denoise", ("patch", "image_side"))):
+        assert main([sub, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        valid = err.split("valid keys: ", 1)[1].strip().split(", ")
+        assert "'MM'" in err
+        assert {"lam", "window", "rounds", *own} <= set(valid)
+
+
 def test_unreadable_noise_free_image_is_still_noised(tmp_path):
     # sigma 0 keeps the input identical: output PGM must equal the source
     from distdict import make_test_image, write_pgm

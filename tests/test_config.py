@@ -83,6 +83,14 @@ def test_invalid_values_are_rejected():
         build_run_config({"gamma0": "1.5"})
 
 
+def test_a_value_of_the_wrong_type_fails_naming_its_key():
+    for key, value in (("lam", "abc"), ("agents", "6.5"),
+                       ("inner_max_iter", "")):
+        with pytest.raises(ValueError,
+                           match=f"config key '{key}' expects .*{value!r}"):
+            build_run_config({key: value})
+
+
 def test_zero_round_budget_is_allowed():
     assert build_run_config({"max_rounds": "0"}).max_rounds == 0
 

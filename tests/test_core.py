@@ -37,15 +37,16 @@ def test_objective_zero_variables_gives_half_squared_data_norm():
     D = np.zeros((problem.M, problem.K))
     X = [np.zeros((problem.K, n)) for n in problem.block_sizes]
     expected = 0.5 * sum(np.sum(S ** 2) for S in problem.S_blocks)
-    assert objective_global(D, X, problem) == pytest.approx(expected,
-                                                            abs=1e-15)
+    assert objective_global(D, problem.groups.stack(X), problem) == \
+        pytest.approx(expected, abs=1e-15)
 
 
 def test_objective_zero_instance_is_zero():
     problem = ProblemData(S_blocks=[np.zeros((3, 2))], K=2, lam=0.125,
                           mu=0.0625, alpha=1.0)
     D = np.full((3, 2), 0.1)
-    assert objective_global(D, [np.zeros((2, 2))], problem) == 0.0
+    assert objective_global(D, problem.groups.stack([np.zeros((2, 2))]),
+                            problem) == 0.0
 
 
 def test_objective_matches_scalar_loop_oracle():
@@ -55,8 +56,8 @@ def test_objective_matches_scalar_loop_oracle():
     X = [rng.uniform(-1, 1, size=(3, n)) for n in problem.block_sizes]
     expected = objective_scalar_loop(D, X, problem.S_blocks, problem.lam,
                                      problem.mu)
-    assert objective_global(D, X, problem) == pytest.approx(expected,
-                                                            abs=1e-12)
+    assert objective_global(D, problem.groups.stack(X), problem) == \
+        pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -71,8 +72,8 @@ def test_objective_rejects_mismatched_dimensions():
     problem = random_problem(np.random.default_rng(2))
     D = np.zeros((problem.M + 1, problem.K))
     X = [np.zeros((problem.K, n)) for n in problem.block_sizes]
-    with pytest.raises(ValueError):
-        objective_global(D, X, problem)
+    with pytest.raises(ValueError, match="D has shape"):
+        objective_global(D, problem.groups.stack(X), problem)
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +379,25 @@ def test_x_plain_rejects_a_nonconvex_subproblem():
 
 
 def test_x_plain_rejects_a_subproblem_without_curvature():
-    # U = 0 with tau = mu = 0 gives L = 0 and no step size
-    with pytest.raises(ValueError, match="curvature"):
-        x_update_plain(np.ones((2, 3)), np.zeros((4, 2)), np.ones((4, 3)),
-                       0.0, 0.125, 0.0)
+    # tau = mu = 0 leaves m = tau + 2 mu = 0, with U = 0 (no step size) or
+    # without, and for one agent of a stack as for a lone solve
+    for U in (np.zeros((4, 2)), np.eye(4, 2)):
+        with pytest.raises(ValueError, match="must be strongly convex"):
+            x_update_plain(np.ones((2, 3)), U, np.ones((4, 3)), 0.0, 0.125,
+                           0.0)
     U = np.stack([np.eye(2), np.zeros((2, 2))])
-    with pytest.raises(ValueError, match="curvature"):
+    with pytest.raises(ValueError, match="must be strongly convex"):
         x_update_plain(np.ones((2, 2, 3)), U, np.ones((2, 2, 3)),
-                       np.array([0.0, 0.0])[:, None, None], 0.125, 0.0)
+                       np.array([0.5, 0.0])[:, None, None], 0.125, 0.0)
 
 
 def test_x_plain_momentum_is_chosen_per_agent():
-    # with mu = 0 the agent with tau = 0 has m = 0 and takes FISTA's t_k
-    # momentum, its neighbour in the stack the strongly convex constant
+    # with mu = 0 each agent's momentum constant comes from its own tau
     rng = np.random.default_rng(17)
     U = rng.normal(size=(2, 4, 3))
     S = rng.normal(size=(2, 4, 5))
     X0 = rng.normal(size=(2, 3, 5))
-    taus = (0.0, 0.7)
+    taus = (0.25, 0.7)
     out, converged = x_update_plain(X0, U, S, np.array(taus)[:, None, None],
                                     0.125, 0.0, inner_tol=1e-15,
                                     inner_max_iter=6)
@@ -424,17 +426,18 @@ def test_x_plain_does_not_stop_on_two_equal_iterates():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_x_plain_stack_meets_kkt_and_matches_lone_solves(data):
-    # with mu = 0 an agent drawn with tau = 0 has m = tau + 2 mu = 0 and
-    # takes the t_k momentum, beside strongly convex agents of the same
-    # stack; U has singular values in [0.5, 2] so that those agents, which
-    # solve a plain lasso, converge quickly too
+    # with mu = 0 the agents of a stack differ in m = tau + 2 mu > 0 alone;
+    # U has singular values in [0.5, 2] so that the weakly convex ones
+    # converge quickly too
     c = data.draw(st.integers(1, 4), label="agents")
     K = data.draw(st.integers(1, 4), label="K")
     M = data.draw(st.integers(K, 6), label="M")
     widths = data.draw(st.lists(st.integers(1, 5), min_size=c, max_size=c),
                        label="widths")
     mu = data.draw(st.sampled_from((0.0, 0.0625)), label="mu")
-    taus = data.draw(st.lists(st.sampled_from((0.0, 0.25, 1.0, 4.0)),
+    # tau = 0 only where mu > 0 keeps every subproblem strongly convex
+    tau_values = (0.25, 1.0, 4.0) if mu == 0 else (0.0, 0.25, 1.0, 4.0)
+    taus = data.draw(st.lists(st.sampled_from(tau_values),
                               min_size=c, max_size=c), label="taus")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     lam = 0.125
@@ -464,15 +467,16 @@ def test_x_plain_stack_meets_kkt_and_matches_lone_solves(data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_x_plain_gives_the_bits_of_the_earlier_loop(data):
-    # 2-d calls and stacks of 1-4 agents; with mu = 0 an agent drawn with
-    # tau = 0 takes the t_k momentum beside strongly convex ones, and the
-    # small caps end solves at the cap while others stop one by one
+    # 2-d calls and stacks of 1-4 agents, every subproblem strongly convex
+    # (tau = 0 only where mu > 0); the small caps end solves at the cap
+    # while others stop one by one
     c = data.draw(st.integers(0, 4), label="agents (0: a 2-d call)")
     K = data.draw(st.integers(1, 6), label="K")
     M = data.draw(st.integers(1, 6), label="M")
     n = data.draw(st.integers(1, 7), label="n")
     mu = data.draw(st.sampled_from((0.0, 0.0625)), label="mu")
-    taus = data.draw(st.lists(st.sampled_from((0.0, 0.25, 1.0, 4.0)),
+    tau_values = (0.25, 1.0, 4.0) if mu == 0 else (0.0, 0.25, 1.0, 4.0)
+    taus = data.draw(st.lists(st.sampled_from(tau_values),
                               min_size=max(c, 1), max_size=max(c, 1)),
                      label="taus")
     cap = data.draw(st.sampled_from((1, 2, 3, 2000)), label="cap")
@@ -684,17 +688,17 @@ def test_exact_block_minimization_never_increases_the_objective():
                              mu=0.0625)
     D = project_dictionary(rng.normal(size=(5, 4)), 1.0)
     X = [rng.normal(size=(4, n)) * 0.3 for n in problem.block_sizes]
-    before = objective_global(D, X, problem)
+    before = objective_global(D, problem.groups.stack(X), problem)
 
     S_all = np.hstack(problem.S_blocks)
     X_all = np.hstack(X)
     D_new, _ = d_update_plain(D, X_all, S_all, np.zeros_like(D), 1.0,
                               problem.alpha, inner_tol=1e-11)
-    after_d = objective_global(D_new, X, problem)
+    after_d = objective_global(D_new, problem.groups.stack(X), problem)
     assert after_d <= before + 1e-10
 
     X_new = list(X)
     X_new[0], _ = x_update_plain(X[0], D, problem.S_blocks[0], 1.0,
                                  problem.lam, problem.mu, inner_tol=1e-11)
-    after_x = objective_global(D, X_new, problem)
+    after_x = objective_global(D, problem.groups.stack(X_new), problem)
     assert after_x <= before + 1e-10

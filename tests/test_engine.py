@@ -5,12 +5,15 @@ import gc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distdict.core as core_mod
 from distdict import (ProblemData, build_run_config, build_schedule,
-                      check_round, diffusion_baseline, run)
+                      check_round, consensus_error, diffusion_baseline,
+                      mean_dictionary, objective_global, run,
+                      stationarity_gap)
 from distdict.agents import VARIANTS
 from distdict.network import SCHEDULE_KINDS
 
@@ -83,6 +86,59 @@ def test_engine_matches_the_ragged_reference(data):
     assert_engine_matches_reference(
         problem, config, schedule,
         data.draw(st.sampled_from(sorted(POLICIES)), label="round policy"))
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+@pytest.mark.parametrize("d_mode", VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_relabelling_the_features_permutes_every_round(variant, d_mode,
+                                                        kind, data):
+    # permuting the rows of every S_i by one pi permutes the rows of D,
+    # tracker and grad_rest in every round and leaves the codes and the
+    # objective, gap and consensus error as they were, up to rounding;
+    # uniform data has no zero column, which would take init_agents'
+    # random fallback
+    I = data.draw(st.integers(1, 4), label="agents")
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=I, max_size=I),
+                      label="block widths")
+    M, K = data.draw(st.tuples(st.integers(2, 5), st.integers(1, 4)),
+                     label="M, K")
+    per_group = data.draw(st.integers(1, I), label="agents per group")
+    pi = data.draw(st.permutations(range(M)), label="pi")
+    seed = data.draw(st.integers(0, 1000), label="seed")
+    with mock.patch.object(core_mod, "BUDGET",
+                           per_group * max(M, K) * max(sizes)):
+        problem = make_problem(np.random.default_rng(seed), sizes, M, K)
+        relabelled = ProblemData(S_blocks=[S[pi] for S in problem.S_blocks],
+                                 K=K, lam=problem.lam, mu=problem.mu,
+                                 alpha=problem.alpha)
+    # one record, after the last round, so that no zero gap ends a run early
+    config = build_run_config({"agents": I, "graph": kind, "window": 2,
+                               "max_rounds": 15, "metric_stride": 15,
+                               "variant": variant, "d_mode": d_mode,
+                               "seed": seed, "graph_seed": seed})
+    rounds = []
+    for instance in (problem, relabelled):
+        seen = []
+
+        def watch(state, instance=instance, seen=seen):
+            D_bar = mean_dictionary(state.D)
+            seen.append((state.D, state.tracker, state.grad_rest, state.X,
+                         objective_global(D_bar, state.X, instance),
+                         stationarity_gap(D_bar, state.X, instance),
+                         consensus_error(state.D, D_bar)))
+
+        run(instance, config, observer=watch)
+        rounds.append(seen)
+    assert len(rounds[0]) == len(rounds[1]) == 15
+    for ours, theirs in zip(*rounds):
+        for A, B in zip(ours[:3], theirs[:3]):
+            assert np.max(np.abs(A[:, pi] - B)) <= 1e-12
+        for X, Y in zip(ours[3], theirs[3]):
+            assert np.max(np.abs(X - Y)) <= 1e-12
+        assert ours[4:] == pytest.approx(theirs[4:], rel=1e-12, abs=1e-12)
 
 
 def test_wide_single_agent_group_beside_a_multi_agent_group():

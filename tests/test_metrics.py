@@ -36,7 +36,7 @@ def test_gap_vanishes_on_the_zero_instance():
     rng = np.random.default_rng(60)
     D_bar = project_dictionary(rng.normal(size=(3, 2)), 1.0)
     X = [np.zeros((2, 4)), np.zeros((2, 2))]
-    assert stationarity_gap(D_bar, X, problem) == 0.0
+    assert stationarity_gap(D_bar, problem.groups.stack(X), problem) == 0.0
 
 
 def test_gap_matches_numeric_minimization_oracles():
@@ -57,7 +57,7 @@ def test_gap_matches_numeric_minimization_oracles():
                                      problem.mu)
             gap_oracle = max(gap_oracle, abs(Xi[idx] - x_hat))
 
-    got = stationarity_gap(D_bar, X, problem)
+    got = stationarity_gap(D_bar, problem.groups.stack(X), problem)
     assert got == pytest.approx(gap_oracle, abs=1e-6)
 
 
@@ -66,6 +66,7 @@ def test_gap_is_continuous_under_small_perturbations():
     problem = toy_problem(rng)
     D_bar = project_dictionary(rng.normal(size=(4, 3)), 1.0)
     X = [rng.normal(size=(3, n)) * 0.4 for n in problem.block_sizes]
+    X = problem.groups.stack(X)
     base = stationarity_gap(D_bar, X, problem)
     for eta in (1e-6, 1e-4):
         D_pert = D_bar + eta * rng.normal(size=D_bar.shape)
@@ -90,12 +91,22 @@ def test_merit_functions_equal_their_earlier_formulas(data):
     # a quarter of the codes sit at zero, where the shrinkage's band is
     X = [rng.normal(size=(K, n)) * (rng.random((K, n)) > 0.25)
          for n in sizes]
-    groups = problem.code_groups(X)
+    groups = problem.groups.stack(X)
     want = stationarity_gap_formula(D_bar, groups, problem)
-    assert stationarity_gap(D_bar, X, problem) == want
     assert stationarity_gap(D_bar, groups, problem) == want
-    assert objective_global(D_bar, X, problem) == objective_formula(
+    assert objective_global(D_bar, groups, problem) == objective_formula(
         D_bar, groups, problem)
+
+
+def test_merit_functions_reject_per_agent_code_blocks():
+    rng = np.random.default_rng(63)
+    for problem in (toy_problem(rng), toy_problem(rng, sizes=(4,))):
+        D_bar = rng.normal(size=(problem.M, problem.K))
+        X = [rng.normal(size=(problem.K, n)) for n in problem.block_sizes]
+        for merit in (objective_global, stationarity_gap):
+            with pytest.raises(ValueError, match="problem.groups.stack"):
+                merit(D_bar, X, problem)
+            merit(D_bar, problem.groups.stack(X), problem)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,31 @@ def test_tracking_single_agent_reproduces_the_new_gradient_exactly():
     assert np.array_equal(out[0], g_new)
 
 
+def test_tracking_rejects_a_mismatched_weight_matrix():
+    mats = [np.zeros((2, 2))] * 2
+    with pytest.raises(ValueError, match="weight matrix size"):
+        tracking_step(np.eye(3), mats, mats, mats)
+
+
+def test_a_run_starts_from_zero_gradients_without_computing_them(
+        monkeypatch):
+    # the codes start at zero, so every initial local gradient is zero
+    calls = []
+    grad_dict = core_mod.grad_dict
+
+    def counted(*args):
+        calls.append(args)
+        return grad_dict(*args)
+
+    for module in (agents_mod, protocol_mod):
+        monkeypatch.setattr(module, "grad_dict", counted)
+    problem = toy_problem(np.random.default_rng(44))
+    state = run(problem, config_for(problem, max_rounds=0)).state
+    assert calls == []
+    assert not state.tracker.any() and not state.grad_rest.any()
+    assert tracking_residual(problem, state) == 0.0
+
+
 def test_tracking_mean_identity_holds_along_a_full_run():
     rng = np.random.default_rng(43)
     problem = toy_problem(rng, sizes=(3, 2, 3, 2, 2))
