@@ -145,7 +145,10 @@ def dictionary_step(D, X, S, grad_rest, grad, gamma: float,
     else:
         d_tilde = d_update_linearized(D, grad, grad_rest, sched.tau_d, alpha)
         ok = True
-    return D + gamma * (d_tilde - D), ok
+    D_half = d_tilde - D
+    D_half *= gamma
+    D_half += D
+    return D_half, ok
 
 
 def coding_step(X, D_half, S, tau_x: float, lam: float, mu: float,

@@ -145,6 +145,8 @@ def cmd_compare(args) -> int:
                           {**SYNTHETIC_KEYS, "budgets": (str, "200,1000")})
     budgets = [convert("budgets", b, int)
                for b in (args.budgets or own["budgets"]).split(",")]
+    if min(budgets) < 1:
+        raise ValueError(f"budgets must be at least 1, got {min(budgets)}")
     top = max(budgets)
     _, problem = _synthetic_problem(own, config)
 

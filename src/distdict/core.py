@@ -168,9 +168,9 @@ def objective_global(D, X_groups, problem: ProblemData) -> float:
     total = 0.0
     for S, X in zip(problem.S_groups, X_groups):
         R = residual(D, X, S)
-        total += (0.5 * np.sum(np.square(R, out=R))
-                  + problem.lam * np.sum(np.abs(X))
-                  + problem.mu * np.sum(X * X))
+        total += (0.5 * np.square(R, out=R).sum()
+                  + problem.lam * np.abs(X).sum()
+                  + problem.mu * (X * X).sum())
     return float(total)
 
 
@@ -180,13 +180,13 @@ def _check_triplet(D, X, S):
     S = np.asarray(S, dtype=float)
     if D.ndim not in (2, 3) or X.ndim not in (2, 3) or S.ndim not in (2, 3):
         raise ValueError("D, X and S must be 2-d arrays or stacks of them")
-    # S may not carry a stack that D @ X lacks: the residual is formed in
-    # the array of D @ X
-    try:
-        stack = np.broadcast_shapes(D.shape[:-2], X.shape[:-2])
-        fits = np.broadcast_shapes(stack, S.shape[:-2]) == stack
-    except ValueError:
-        fits = False
+    # each stack part is () or (c,), and D's and X's must broadcast; S may
+    # not carry a stack that D @ X lacks: the residual is formed in the
+    # array of D @ X
+    sD, sX, sS = D.shape[:-2], X.shape[:-2], S.shape[:-2]
+    stack = sX if sD in ((), (1,)) and sX else sD
+    fits = (sD == sX or sD in ((), (1,)) or sX in ((), (1,))) \
+        and (sS in ((), stack) or sS == (1,) and stack != ())
     if not fits or D.shape[-1] != X.shape[-2] \
             or D.shape[-2] != S.shape[-2] or X.shape[-1] != S.shape[-1]:
         raise ValueError(f"incompatible shapes D{D.shape} X{X.shape} "
@@ -220,15 +220,17 @@ def project_dictionary(D, alpha: float) -> np.ndarray:
     one dictionary or each of a stack.
 
     Columns with norm above alpha are rescaled onto the ball boundary,
-    columns already inside are untouched.
+    columns already inside are untouched. The norms are those of
+    ``np.linalg.norm`` (the square root of the summed squares), and the
+    factor ``alpha / norm`` is computed only where the norm exceeds alpha,
+    so ``alpha = inf`` and zero columns leave D as it is, with no warning.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     D = np.asarray(D, dtype=float)
-    norms = np.linalg.norm(D, axis=-2, keepdims=True)
-    scale = np.ones_like(norms)
-    over = norms > alpha
-    scale[over] = alpha / norms[over]
+    norms = np.sqrt(np.add.reduce(D * D, axis=-2, keepdims=True))
+    scale = np.divide(alpha, norms, out=np.ones_like(norms),
+                      where=norms > alpha)
     return D * scale
 
 
@@ -282,7 +284,7 @@ def x_update_linearized(X, U, S, tau, lam: float, mu: float):
     For stacked input ``tau`` may hold one weight per agent, shape
     ``(c, 1, 1)``.
     """
-    if np.any(np.asarray(tau) <= 0):
+    if (np.asarray(tau) <= 0).any():
         raise ValueError("tau must be positive")
     X = np.asarray(X, dtype=float)
     return prox_codes(grad_codes(U, X, S), X, tau, lam, mu)
@@ -349,12 +351,12 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
     iterate a lone solve would return, and ``converged`` is one flag per
     agent.
     """
-    if np.any(np.asarray(tau) < 0):
+    if (np.asarray(tau) < 0).any():
         raise ValueError("tau must be nonnegative")
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     m = tau + 2.0 * mu
-    if np.any(m <= 0):
+    if (np.asarray(m) <= 0).any():
         raise ValueError("the coding subproblem must be strongly convex: "
                          "tau + 2 mu > 0 for every agent")
     flat = np.ndim(X) == 2

@@ -91,7 +91,8 @@ class MetricsTrace:
 def mean_dictionary(D_list) -> np.ndarray:
     """Network mean of the dictionary copies, given as an ``(I, M, K)``
     stack or a list of ``(M, K)`` arrays."""
-    return np.asarray(D_list, dtype=float).mean(axis=0)
+    D = np.asarray(D_list, dtype=float)
+    return np.add.reduce(D, axis=0) / len(D)
 
 
 def stationarity_gap(D_bar, X_groups, problem: ProblemData) -> float:
@@ -112,11 +113,10 @@ def stationarity_gap(D_bar, X_groups, problem: ProblemData) -> float:
         grad_sum += (R @ X.swapaxes(-1, -2)).sum(axis=0)
         step = prox_codes(D_bar.T @ R, X, 1.0, problem.lam, problem.mu)
         step -= X
-        gap = max(gap, float(np.max(np.abs(step, out=step))))
-    D_hat = project_dictionary(D_bar - grad_sum / problem.num_agents,
-                               problem.alpha)
-    gap = max(gap, float(np.max(np.abs(D_bar - D_hat))))
-    return gap
+        gap = max(gap, float(np.abs(step, out=step).max()))
+    dev = D_bar - project_dictionary(D_bar - grad_sum / problem.num_agents,
+                                     problem.alpha)
+    return max(gap, float(np.abs(dev, out=dev).max()))
 
 
 def consensus_error(D_list, D_bar=None) -> float:
@@ -125,7 +125,8 @@ def consensus_error(D_list, D_bar=None) -> float:
     stack = np.asarray(D_list, dtype=float)
     if D_bar is None:
         D_bar = stack.mean(axis=0)
-    return float(np.max(np.abs(stack - D_bar)))
+    dev = stack - D_bar
+    return float(np.abs(dev, out=dev).max())
 
 
 def psnr_mse(reference, estimate, peak: float = 255.0):

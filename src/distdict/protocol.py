@@ -22,6 +22,7 @@ rather than once per agent; the mixing runs once over all agents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,13 +70,17 @@ def consensus_step(W, mats) -> np.ndarray:
     """Mix per-agent matrices: out[i] = sum_j W[i, j] mats[j].
 
     ``mats`` is an ``(I, M, K)`` stack or a list of I matrices; the result
-    is a new stack, from one ``tensordot``.
+    is a new stack, from one ``(I, I) @ (I, M K)`` product, the one that
+    ``np.tensordot(W, mats, axes=1)`` makes.
     """
     W = np.asarray(W, dtype=float)
     mats = np.asarray(mats, dtype=float)
-    if W.shape != (len(mats), len(mats)):
+    I = len(mats)
+    if W.shape != (I, I):
         raise ValueError("weight matrix size must match the agent count")
-    return np.tensordot(W, mats, axes=1)
+    # the row length is spelled out: -1 is undefined for zero agents
+    flat = mats.reshape(I, math.prod(mats.shape[1:]))
+    return (W @ flat).reshape(mats.shape)
 
 
 def tracking_step(W, trackers, grads_new, grads_old) -> np.ndarray:
@@ -88,7 +93,10 @@ def tracking_step(W, trackers, grads_new, grads_old) -> np.ndarray:
     gradient bit for bit, which keeps the network run aligned with the
     centralized reference.
     """
-    return consensus_step(W, trackers) - grads_old + grads_new
+    out = consensus_step(W, trackers)
+    out -= grads_old
+    out += grads_new
+    return out
 
 
 def _group_grads(problem, D, X) -> np.ndarray:
@@ -170,7 +178,8 @@ def _tracked_round(problem, state, W, gamma, sched, grads):
     state.D = consensus_step(W, halves)
     grads_new = _group_grads(problem, state.D, state.X)
     state.tracker = tracking_step(W, state.tracker, grads_new, grads)
-    state.grad_rest = problem.num_agents * state.tracker - grads_new
+    state.grad_rest = problem.num_agents * state.tracker
+    state.grad_rest -= grads_new
     return grads_new, flags
 
 

@@ -88,8 +88,7 @@ def x_update_plain_loop(X, U, S, tau, lam, mu, inner_tol=1e-8,
     m = np.broadcast_to(tau + 2.0 * mu, (len(X0), 1, 1))
     L = np.reshape(np.square(sigma), (-1, 1, 1)) + m
     step = 1.0 / L
-    strong = m > 0
-    r = np.sqrt(np.where(strong, m * step, 0.0))
+    r = np.sqrt(m * step)
     beta = (1.0 - r) / (1.0 + r)
     H = -step * (Ut @ U)
     H += (1.0 - step * m) * np.eye(U.shape[-1])
@@ -98,14 +97,11 @@ def x_update_plain_loop(X, U, S, tau, lam, mu, inner_tol=1e-8,
     Y = X0.copy()
     out = X0.copy()
     done = np.zeros(len(X0), dtype=bool)
-    t = 1.0
     for _ in range(inner_max_iter):
         Xn = soft_threshold(H @ Y + C, step * lam)
         change = np.max(np.abs(Xn - Y), axis=(-2, -1))
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        Y = Xn + np.where(strong, beta, (t - 1.0) / t_next) * (Xn - Xk)
+        Y = Xn + beta * (Xn - Xk)
         Xk = Xn
-        t = t_next
         now = (change <= inner_tol) & ~done
         if now.any():
             out[now] = Xn[now]
@@ -115,6 +111,39 @@ def x_update_plain_loop(X, U, S, tau, lam, mu, inner_tol=1e-8,
     else:
         out[~done] = Xk[~done]
     return (out[0], bool(done[0])) if flat else (out, done)
+
+
+def project_dictionary_formula(D, alpha):
+    """The column projection from ``np.linalg.norm``, with the factors
+    gathered and scattered through a boolean mask."""
+    D = np.asarray(D, dtype=float)
+    norms = np.linalg.norm(D, axis=-2, keepdims=True)
+    scale = np.ones_like(norms)
+    over = norms > alpha
+    scale[over] = alpha / norms[over]
+    return D * scale
+
+
+def consensus_tensordot(W, mats):
+    """The mix out[i] = sum_j W[i, j] mats[j] as one ``np.tensordot``."""
+    return np.tensordot(np.asarray(W, dtype=float),
+                        np.asarray(mats, dtype=float), axes=1)
+
+
+def stacks_fit_broadcast(d_shape, x_shape, s_shape):
+    """The gradients' earlier stack rule: the stacks of D and X broadcast,
+    and S's stack broadcasts into theirs without widening it."""
+    try:
+        stack = np.broadcast_shapes(d_shape[:-2], x_shape[:-2])
+        return np.broadcast_shapes(stack, s_shape[:-2]) == stack
+    except ValueError:
+        return False
+
+
+def consensus_error_formula(D_list):
+    """The worst deviation from ``np.mean`` of the copies."""
+    stack = np.asarray(D_list, dtype=float)
+    return float(np.max(np.abs(stack - stack.mean(axis=0))))
 
 
 def objective_formula(D, X_groups, problem):
@@ -131,8 +160,6 @@ def objective_formula(D, X_groups, problem):
 def stationarity_gap_formula(D_bar, X_groups, problem):
     """The gap with both gradients formed from their own residuals, the
     codes given as group stacks."""
-    from distdict.core import project_dictionary
-
     grad_sum = np.zeros_like(D_bar)
     gap = 0.0
     for S, X in zip(problem.S_groups, X_groups):
@@ -140,8 +167,8 @@ def stationarity_gap_formula(D_bar, X_groups, problem):
         X_hat = x_update_linearized_formula(X, D_bar, S, 1.0, problem.lam,
                                             problem.mu)
         gap = max(gap, float(np.max(np.abs(X - X_hat))))
-    D_hat = project_dictionary(D_bar - grad_sum / problem.num_agents,
-                               problem.alpha)
+    D_hat = project_dictionary_formula(D_bar - grad_sum / problem.num_agents,
+                                       problem.alpha)
     return max(gap, float(np.max(np.abs(D_bar - D_hat))))
 
 
@@ -213,14 +240,13 @@ def accelerated_coding_steps(X0, U, S, tau, lam, mu, iters):
     """``iters`` accelerated proximal gradient steps on the coding
     subproblem of ``elastic_net_kkt_residual``, entry by entry, with the
     spectral norm from a dense SVD. The momentum is the constant
-    (1 - q) / (1 + q), q = sqrt(m / L), when m = tau + 2 mu > 0, and
-    FISTA's (t_k - 1) / t_{k+1} when m = 0."""
+    (1 - q) / (1 + q), q = sqrt(m / L), with m = tau + 2 mu > 0."""
     m = tau + 2 * mu
     L = np.linalg.svd(U, compute_uv=False)[0] ** 2 + m
     q = np.sqrt(m / L)
+    beta = (1 - q) / (1 + q)
     X = np.array(X0, dtype=float)
     Y = X.copy()
-    t = 1.0
     for _ in range(iters):
         G = U.T @ (U @ Y - S) + tau * (Y - X0) + 2 * mu * Y
         X_new = np.zeros_like(X)
@@ -228,10 +254,8 @@ def accelerated_coding_steps(X0, U, S, tau, lam, mu, iters):
             for c in range(X.shape[1]):
                 v = Y[r, c] - G[r, c] / L
                 X_new[r, c] = max(abs(v) - lam / L, 0.0) * np.sign(v)
-        t_next = (1 + np.sqrt(1 + 4 * t * t)) / 2
-        beta = (1 - q) / (1 + q) if m > 0 else (t - 1) / t_next
         Y = X_new + beta * (X_new - X)
-        X, t = X_new, t_next
+        X = X_new
     return X
 
 

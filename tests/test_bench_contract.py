@@ -6,6 +6,7 @@ workload's own checks, so that an interface change shows here rather than
 as a failed benchmark run. Nothing under ``bench/`` is written.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -15,6 +16,9 @@ import distdict.denoise
 import distdict.protocol
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+# the spans of the four record functions, which together make record_s
+RECORD_SPANS = {"core.objective_global", "metrics.stationarity_gap",
+                "metrics.consensus_error", "metrics.mean_dictionary"}
 
 
 @pytest.fixture
@@ -47,6 +51,13 @@ def test_one_traced_execution_passes_the_workload_checks(bench, name):
     assert workload.time_to_gap(out) > 0.0
     assert spans.calls["core.sigma_max"] > 0
     assert spans.record_s > 0.0
+    # a record that stopped calling one of them through protocol's globals
+    # would drop its time from record_s unseen
+    assert {tracer.span_name(getattr(importlib.import_module(
+        f"distdict.{module}"), fn)) for module, fn in tracer.RECORD_SITES} \
+        == RECORD_SPANS
+    for span in sorted(RECORD_SPANS):
+        assert spans.calls[span] > 0, span
     if name == "synth_plain":
         # inner_iters counts the core.soft_threshold calls made inside
         # x_update_plain, the benchmark's only view of the solver's work

@@ -146,6 +146,17 @@ def test_a_bad_instance_value_fails_naming_its_key(tmp_path, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keys.cfg"]
 
 
+def test_compare_rejects_a_budget_below_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for budgets in ("-5", "0", "40,0"):
+        assert main(["compare", "--budgets", budgets]) == 1
+        assert "budgets must be at least 1" in capsys.readouterr().err
+    (tmp_path / "budgets.cfg").write_text("budgets = 40,-1\n")
+    assert main(["compare", "--config", "budgets.cfg"]) == 1
+    assert "budgets must be at least 1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["budgets.cfg"]
+
+
 def test_an_unknown_key_lists_the_keys_the_subcommand_reads(tmp_path,
                                                             capsys):
     cfg = tmp_path / "keys.cfg"

@@ -1,7 +1,9 @@
 """Objective, gradients, projections and subproblem solvers against
 independent oracles."""
 
+import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +17,10 @@ from distdict import (ProblemData, d_update_linearized, d_update_plain,
 from oracles import (accelerated_coding_steps, elastic_net_kkt_residual,
                      finite_difference_gradient, grad_codes_formula,
                      grad_dict_formula, objective_scalar_loop,
-                     project_column_line_search,
+                     project_column_line_search, project_dictionary_formula,
                      projected_gradient_quadratic, prox_scalar_grid,
-                     soft_threshold_sign, x_update_linearized_formula,
-                     x_update_plain_loop)
+                     soft_threshold_sign, stacks_fit_broadcast,
+                     x_update_linearized_formula, x_update_plain_loop)
 
 
 def random_problem(rng, M=4, K=3, sizes=(3, 3), lam=0.125, mu=0.0625,
@@ -106,6 +108,27 @@ def test_gradients_reject_a_stack_that_d_times_x_lacks(d_shape, x_shape,
             grad(D, X, S)
 
 
+def test_gradients_accept_the_shapes_of_the_earlier_stack_rule():
+    rng = np.random.default_rng(3)
+    stacks = [(), (0,), (1,), (2,), (3,)]
+    # matching core shapes, then a mismatched K, M and n
+    cores = [((2, 3), (3, 4), (2, 4)), ((2, 3), (5, 4), (2, 4)),
+             ((2, 3), (3, 4), (5, 4)), ((2, 3), (3, 4), (2, 5))]
+    for (sd, sx, ss), (dc, xc, sc) in itertools.product(
+            itertools.product(stacks, repeat=3), cores):
+        D, X, S = (rng.normal(size=shape)
+                   for shape in (sd + dc, sx + xc, ss + sc))
+        fits = (stacks_fit_broadcast(D.shape, X.shape, S.shape)
+                and (dc, xc, sc) == cores[0])
+        for grad, formula in ((grad_dict, grad_dict_formula),
+                              (grad_codes, grad_codes_formula)):
+            if fits:
+                assert np.array_equal(grad(D, X, S), formula(D, X, S))
+            else:
+                with pytest.raises(ValueError, match="incompatible shapes"):
+                    grad(D, X, S)
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
     D = rng.uniform(-1, 1, size=(4, 3))
@@ -167,6 +190,36 @@ def test_projection_is_nonexpansive():
         PA, PB = project_dictionary(A, 1.0), project_dictionary(B, 1.0)
         assert (np.linalg.norm(PA - PB, "fro")
                 <= np.linalg.norm(A - B, "fro") + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_projection_equals_its_earlier_formula(data):
+    # c = 0 is a 2-d dictionary; alpha = 5 q with q a power of two, so that
+    # the columns alpha e_j and (3 q, -4 q) have norm exactly alpha
+    c = data.draw(st.integers(0, 3), label="agents")
+    M, K = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                     label="M, K")
+    alpha = data.draw(st.sampled_from([0.3125, 1.25, 5.0, np.inf]),
+                      label="alpha")
+    scale = data.draw(st.sampled_from([0.1, 1.0, 10.0]), label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    D = rng.normal(scale=scale, size=((c,) if c else ()) + (M, K))
+    for k, kind in enumerate(rng.integers(0, 4, size=K)):
+        if kind == 0:
+            continue
+        D[..., k] = 0.0
+        if kind == 1 or np.isinf(alpha):
+            continue
+        if kind == 2 or M == 1:
+            D[..., rng.integers(M), k] = alpha * rng.choice([-1.0, 1.0])
+        else:
+            D[..., :2, k] = [3 * alpha / 5, -4 * alpha / 5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = project_dictionary(D, alpha)
+        want = project_dictionary_formula(D, alpha)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,14 @@ import distdict.core as core_mod
 from distdict import (GraphSchedule, ProblemData, build_run_config,
                       build_schedule, centralized_oracle, check_round,
                       coding_prox_weight, consensus_error,
-                      diffusion_baseline, grad_dict, objective_global,
-                      project_dictionary, psnr_mse, stationarity_gap,
-                      tracking_residual, x_update_linearized)
+                      diffusion_baseline, grad_dict, mean_dictionary,
+                      objective_global, project_dictionary, psnr_mse,
+                      stationarity_gap, tracking_residual,
+                      x_update_linearized)
 
-from oracles import (objective_formula, projected_gradient_quadratic,
-                     prox_scalar_grid, psnr_scalar, ragged_run,
-                     stationarity_gap_formula)
+from oracles import (consensus_error_formula, objective_formula,
+                     projected_gradient_quadratic, prox_scalar_grid,
+                     psnr_scalar, ragged_run, stationarity_gap_formula)
 
 
 def toy_problem(rng, sizes=(3, 2), M=4, K=3):
@@ -111,6 +112,23 @@ def test_merit_functions_reject_per_agent_code_blocks():
 
 # ---------------------------------------------------------------------------
 # consensus error
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mean_and_consensus_error_equal_their_earlier_formulas(data):
+    I = data.draw(st.integers(1, 12), label="agents")
+    M, K = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                     label="M, K")
+    as_list = data.draw(st.booleans(), label="list input")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    copies = rng.normal(size=(I, M, K))
+    arg = list(copies) if as_list else copies
+    D_bar = mean_dictionary(arg)
+    assert np.array_equal(D_bar, np.mean(copies, axis=0))
+    want = consensus_error_formula(arg)
+    assert consensus_error(arg) == want
+    assert consensus_error(arg, D_bar) == want
 
 
 def test_consensus_error_zero_on_agreement():

@@ -4,6 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import distdict.agents as agents_mod
 import distdict.core as core_mod
@@ -13,6 +14,8 @@ from distdict import (GraphSpec, ProblemData, build_run_config,
                       build_schedule, check_round, consensus_step,
                       make_standard_problem, run, tracking_residual,
                       tracking_step)
+
+from oracles import consensus_tensordot
 
 
 def toy_problem(rng, sizes=(3, 2, 3), M=4, K=3):
@@ -53,6 +56,27 @@ def test_consensus_two_agents_meet_at_the_average():
     out = consensus_step(np.full((2, 2), 0.5), [A, B])
     assert np.allclose(out[0], 0.5, atol=1e-15)
     assert np.allclose(out[1], 0.5, atol=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_consensus_equals_the_tensordot_mix(data):
+    I = data.draw(st.integers(1, 12), label="agents")
+    shape = data.draw(st.lists(st.integers(1, 7), max_size=2),
+                      label="matrix shape")
+    as_list = data.draw(st.booleans(), label="list input")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    W = rng.random((I, I))
+    mats = rng.normal(size=(I, *shape))
+    arg = list(mats) if as_list else mats
+    got = consensus_step(W, arg)
+    assert got.shape == mats.shape
+    assert np.array_equal(got, consensus_tensordot(W, arg))
+
+
+def test_consensus_of_no_agents_is_an_empty_stack():
+    out = consensus_step(np.zeros((0, 0)), np.zeros((0, 3, 2)))
+    assert out.shape == (0, 3, 2)
 
 
 def test_consensus_rejects_a_mismatched_weight_matrix():
