@@ -13,6 +13,7 @@ matrices and on a group of agents held as stacks with a leading agent axis
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ from .core import (ProblemData, d_update_linearized, d_update_plain,
 from .core import grad_dict  # noqa: F401
 
 VARIANTS = ("plain", "linearized")
+# the plain solvers of round nu stop at max(inner_tol, INNER_TOL_SCALE
+# gamma_nu^2); see StepSchedule.inner_tol_at
+INNER_TOL_SCALE = 1e-2
 
 
 @dataclass
@@ -33,6 +37,13 @@ class StepSchedule:
     degenerate but useful testing mode. ``eps_gamma`` controls the decay
     gamma[n] = gamma[n-1] * (1 - eps_gamma * gamma[n-1]) and must satisfy
     eps_gamma * gamma0 < 1 so the sequence stays positive.
+
+    The plain solvers of a round with step ``gamma`` stop at the tolerance
+    ``inner_tol_at(gamma)``: the framework converges with inexact local
+    solves as long as the errors eps_nu satisfy sum gamma_nu eps_nu < inf,
+    and a tolerance of order gamma_nu^2 is summable against gamma_nu, which
+    decays like 1 / (eps_gamma nu). ``inner_tol`` is its floor. Every float
+    field must be finite.
     """
 
     gamma0: float = 0.5
@@ -45,6 +56,8 @@ class StepSchedule:
     inner_max_iter: int = 2000
 
     def __post_init__(self):
+        check_finite(self, "gamma0", "eps_gamma", "tau_d", "eps_tau",
+                     "inner_tol")
         if not 0.0 <= self.gamma0 <= 1.0:
             raise ValueError("gamma0 must lie in [0, 1]")
         if self.eps_gamma <= 0 or self.eps_gamma * self.gamma0 >= 1.0:
@@ -61,6 +74,21 @@ class StepSchedule:
         if self.inner_tol <= 0 or self.inner_max_iter < 1:
             raise ValueError("inner_tol must be positive and inner_max_iter "
                              "at least 1")
+
+    def inner_tol_at(self, gamma: float) -> float:
+        """Stopping tolerance of the plain solvers in a round with step
+        ``gamma``: max(inner_tol, INNER_TOL_SCALE gamma^2). The floor binds
+        once gamma < sqrt(inner_tol / INNER_TOL_SCALE), 1e-3 by default."""
+        return max(self.inner_tol, INNER_TOL_SCALE * gamma * gamma)
+
+
+def check_finite(obj, *names) -> None:
+    """Raise ValueError naming the first of the fields ``names`` of ``obj``
+    that is NaN or infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -134,14 +162,16 @@ def dictionary_step(D, X, S, grad_rest, grad, gamma: float,
 
     ``grad`` is the local gradient ``grad_dict(D, X, S)`` at the current
     point, which the round loop already holds; the linearized mode steps
-    along it and the plain mode does not need it. Returns
+    along it and the plain mode does not need it. The plain mode solves to
+    ``sched.inner_tol_at(gamma)``. Returns
     ``(D_half, ok)`` with ``D_half = D + gamma (D_tilde - D)``; ``ok`` is
     False when the plain-mode inner solver hit its iteration cap, and for a
     stack of agents one such flag per agent.
     """
     if sched.d_mode == "plain":
         d_tilde, ok = d_update_plain(D, X, S, grad_rest, sched.tau_d, alpha,
-                                     sched.inner_tol, sched.inner_max_iter)
+                                     sched.inner_tol_at(gamma),
+                                     sched.inner_max_iter)
     else:
         d_tilde = d_update_linearized(D, grad, grad_rest, sched.tau_d, alpha)
         ok = True
@@ -152,9 +182,10 @@ def dictionary_step(D, X, S, grad_rest, grad, gamma: float,
 
 
 def coding_step(X, D_half, S, tau_x: float, lam: float, mu: float,
-                sched: StepSchedule, sigma=None) -> tuple:
+                gamma: float, sched: StepSchedule, sigma=None) -> tuple:
     """Update the private codes ``X`` against the blended dictionary
-    ``D_half``.
+    ``D_half`` in a round with step ``gamma``; the plain variant solves to
+    ``sched.inner_tol_at(gamma)``.
 
     ``sigma`` is ``sigma_max(D_half)`` when the caller holds it (see
     ``coding_prox_weight``); the plain variant computes it otherwise.
@@ -163,6 +194,7 @@ def coding_step(X, D_half, S, tau_x: float, lam: float, mu: float,
     per agent.
     """
     if sched.variant == "plain":
-        return x_update_plain(X, D_half, S, tau_x, lam, mu, sched.inner_tol,
-                              sched.inner_max_iter, sigma=sigma)
+        return x_update_plain(X, D_half, S, tau_x, lam, mu,
+                              sched.inner_tol_at(gamma), sched.inner_max_iter,
+                              sigma=sigma)
     return x_update_linearized(X, D_half, S, tau_x, lam, mu), True

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .agents import StepSchedule
+from .agents import StepSchedule, check_finite
 from .network import SCHEDULE_KINDS
 
 
@@ -29,7 +29,8 @@ class GraphSpec:
 
 @dataclass
 class RunConfig:
-    """Everything a simulation run needs besides the data itself."""
+    """Everything a simulation run needs besides the data itself; every
+    float field must be finite."""
 
     lam: float = 0.1
     mu: float = 0.05
@@ -42,6 +43,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self, "lam", "mu", "alpha", "stop_tol")
         if self.lam <= 0 or self.mu <= 0 or self.alpha <= 0:
             raise ValueError("lam, mu and alpha must be positive")
         if self.max_rounds < 0:

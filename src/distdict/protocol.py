@@ -145,10 +145,10 @@ def _record(trace, problem, state, gamma, flags):
                   consensus_error(state.D, D_bar), gamma, flags)
 
 
-def _coding_steps(problem, state, U, sched) -> int:
+def _coding_steps(problem, state, U, gamma, sched) -> int:
     """Refresh the codes of every group against its slice of the
-    ``(I, M, K)`` dictionary stack ``U``; returns the number of capped inner
-    solves."""
+    ``(I, M, K)`` dictionary stack ``U`` in a round with step ``gamma``;
+    returns the number of capped inner solves."""
     flags = 0
     # a new list, so one an observer kept stays as it was; each old code
     # stack is released as soon as its group has the new one
@@ -156,7 +156,7 @@ def _coding_steps(problem, state, U, sched) -> int:
     for g, (sl, S) in enumerate(zip(problem.groups.slices, problem.S_groups)):
         tau_x, sig = coding_prox_weight(U[sl], sched.eps_tau)
         codes[g], ok = coding_step(codes[g], U[sl], S, tau_x, problem.lam,
-                                   problem.mu, sched, sigma=sig)
+                                   problem.mu, gamma, sched, sigma=sig)
         flags += np.size(ok) - np.count_nonzero(ok)
     return flags
 
@@ -174,7 +174,7 @@ def _tracked_round(problem, state, W, gamma, sched, grads):
         flags += np.size(ok) - np.count_nonzero(ok)
         halves.append(D_half)
     halves = np.concatenate(halves)
-    flags += _coding_steps(problem, state, halves, sched)
+    flags += _coding_steps(problem, state, halves, gamma, sched)
     state.D = consensus_step(W, halves)
     grads_new = _group_grads(problem, state.D, state.X)
     state.tracker = tracking_step(W, state.tracker, grads_new, grads)
@@ -190,7 +190,7 @@ def _diffusion_round(problem, state, W, gamma, sched, grads):
     ``_tracked_round``."""
     state.D = consensus_step(
         W, project_dictionary(state.D - gamma * grads, problem.alpha))
-    flags = _coding_steps(problem, state, state.D, sched)
+    flags = _coding_steps(problem, state, state.D, gamma, sched)
     return _group_grads(problem, state.D, state.X), flags
 
 

@@ -411,7 +411,7 @@ def ragged_run(problem, config, schedule, observer):
                                            gammas[nu], sched, problem.alpha)
             tau_x, _ = coding_prox_weight(D_half, sched.eps_tau)
             a.X, ok_x = coding_step(a.X, D_half, S, tau_x, problem.lam,
-                                    problem.mu, sched)
+                                    problem.mu, gammas[nu], sched)
             flags += (not ok_d) + (not ok_x)
             halves.append(D_half)
         mixed = np.tensordot(W, np.stack(halves), axes=1)
@@ -461,6 +461,6 @@ def ragged_diffusion(problem, config, schedule, observer):
             a.D = D
             tau_x, _ = coding_prox_weight(D, sched.eps_tau)
             a.X, ok = coding_step(a.X, D, S, tau_x, problem.lam, problem.mu,
-                                  sched)
+                                  gammas[nu], sched)
             flags += not ok
         observer(nu + 1, agents, flags)

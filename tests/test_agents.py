@@ -8,6 +8,7 @@ from distdict import (ProblemData, StepSchedule,
                       build_run_config, coding_prox_weight, coding_step,
                       dictionary_step, gamma_sequence, grad_dict, init_agents,
                       run)
+from distdict.agents import INNER_TOL_SCALE
 
 
 def toy_problem(rng, M=4, K=3, sizes=(3, 2), lam=0.125, mu=0.0625):
@@ -65,6 +66,26 @@ def test_step_schedule_rejects_invalid_parameters():
         StepSchedule(eps_tau=0.0)
     with pytest.raises(ValueError):
         StepSchedule(variant="other")
+
+
+def test_inner_tolerance_follows_the_squared_step_down_to_its_floor():
+    sched = StepSchedule()
+    assert sched.inner_tol_at(sched.gamma0) == INNER_TOL_SCALE * 0.25
+    # the floor binds once gamma < sqrt(inner_tol / INNER_TOL_SCALE) = 1e-3
+    assert sched.inner_tol_at(2e-3) == pytest.approx(INNER_TOL_SCALE * 4e-6,
+                                                    rel=1e-12)
+    for gamma in (9.99e-4, 1e-5, 0.0):
+        assert sched.inner_tol_at(gamma) == sched.inner_tol
+    assert StepSchedule(inner_tol=1e-3).inner_tol_at(0.2) == 1e-3
+    g = gamma_sequence(200001, sched.gamma0, sched.eps_gamma)
+    tols = np.array([sched.inner_tol_at(x) for x in g])
+    assert np.all(tols >= sched.inner_tol)
+    assert np.all(np.diff(tols) <= 0)
+    assert np.all(tols[g < 1e-3] == sched.inner_tol)
+    # sum gamma_nu tol_nu converges: the terms beyond round 20 000 add
+    # less than a thousandth to it
+    weighted = g * tols
+    assert weighted[20000:].sum() < 1e-3 * weighted.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +206,7 @@ def test_coding_step_zero_data_keeps_zero_codes_in_both_variants():
         D, X, _, _ = first_agent(problem, seed=0)
         sched = StepSchedule(variant=variant)
         X_new, ok = coding_step(X, D.copy(), problem.S_blocks[0], 1.0,
-                                problem.lam, problem.mu, sched)
+                                problem.lam, problem.mu, 0.5, sched)
         assert ok
         assert np.array_equal(X_new, np.zeros((2, 2)))
 
@@ -200,7 +221,7 @@ def test_coding_step_huge_l1_weight_zeroes_the_codes():
     lam_huge = 10.0 * np.max(np.abs(grad_dict(D_half, X, S)))
     lam_huge = max(lam_huge,
                    10.0 * np.max(np.abs(D_half.T @ S)) + tau)
-    X_new, _ = coding_step(X, D_half, S, tau, lam_huge, problem.mu,
+    X_new, _ = coding_step(X, D_half, S, tau, lam_huge, problem.mu, 0.5,
                            StepSchedule(variant="linearized"))
     assert np.array_equal(X_new, np.zeros_like(X))
 

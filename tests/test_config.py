@@ -1,8 +1,14 @@
 """Flat key=value config parsing and run-configuration assembly."""
 
+from dataclasses import fields
+
 import pytest
 
-from distdict import GraphSpec, RunConfig, build_run_config, load_config
+from distdict import (GraphSpec, RunConfig, StepSchedule, build_run_config,
+                      load_config)
+
+FLOAT_KEYS = [f.name for cls in (RunConfig, StepSchedule, GraphSpec)
+              for f in fields(cls) if f.type == "float"]
 
 
 def test_load_config_parses_keys_comments_and_blanks(tmp_path):
@@ -81,6 +87,19 @@ def test_invalid_values_are_rejected():
         build_run_config({"graph": "nonexistent"})
     with pytest.raises(ValueError):
         build_run_config({"gamma0": "1.5"})
+
+
+def test_every_float_key_is_checked_for_finiteness():
+    assert sorted(FLOAT_KEYS) == ["alpha", "eps_gamma", "eps_tau", "gamma0",
+                                  "inner_tol", "lam", "mu", "stop_tol",
+                                  "tau_d"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_a_non_finite_float_value_fails_naming_its_key(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got "):
+        build_run_config({key: value})
 
 
 def test_a_value_of_the_wrong_type_fails_naming_its_key():

@@ -2,6 +2,7 @@
 ``check_round``, and the group layout it runs on."""
 
 import gc
+import inspect
 from unittest import mock
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distdict.agents as agents_mod
 import distdict.core as core_mod
 from distdict import (ProblemData, build_run_config, build_schedule,
                       check_round, consensus_error, diffusion_baseline,
-                      mean_dictionary, objective_global, run,
+                      gamma_sequence, mean_dictionary, objective_global, run,
                       stationarity_gap)
 from distdict.agents import VARIANTS
 from distdict.network import SCHEDULE_KINDS
@@ -86,6 +88,60 @@ def test_engine_matches_the_ragged_reference(data):
     assert_engine_matches_reference(
         problem, config, schedule,
         data.draw(st.sampled_from(sorted(POLICIES)), label="round policy"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_plain_solve_stops_at_the_tolerance_of_its_round(data):
+    # both plain solvers under both drivers; the diffusion round has no
+    # dictionary solve
+    I = data.draw(st.integers(1, 4), label="agents")
+    sizes = data.draw(st.lists(st.integers(1, 8), min_size=I, max_size=I),
+                      label="block widths")
+    M, K = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                     label="M, K")
+    gamma0 = data.draw(st.sampled_from((0.05, 0.5, 1.0)), label="gamma0")
+    mapping = {"agents": I, "graph": "static_ring", "max_rounds": 6,
+               "variant": "plain", "d_mode": "plain", "gamma0": gamma0,
+               "eps_gamma": data.draw(st.sampled_from((0.1, 0.9))),
+               "inner_tol": data.draw(st.sampled_from((1e-8, 1e-4))),
+               "seed": data.draw(st.integers(0, 1000), label="seed")}
+    policy = data.draw(st.sampled_from(sorted(POLICIES)), label="policy")
+    problem = make_problem(np.random.default_rng(mapping["seed"]), sizes,
+                           M, K)
+    config = build_run_config(mapping)
+    sched = config.steps
+    gammas = gamma_sequence(config.max_rounds, sched.gamma0, sched.eps_gamma)
+    nu = [0]    # the round under way; the observer moves it on
+    solves = []
+
+    def recorded(name):
+        solve = getattr(agents_mod, name)
+        signature = inspect.signature(solve)
+
+        def wrapper(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            tol = signature.bind(*args, **kwargs).arguments["inner_tol"]
+            solves.append((name, nu[0], tol, bool(np.all(out[1]))))
+            return out
+        return wrapper
+
+    with mock.patch.object(agents_mod, "x_update_plain",
+                           recorded("x_update_plain")), \
+            mock.patch.object(agents_mod, "d_update_plain",
+                              recorded("d_update_plain")):
+        trace = POLICIES[policy][0](
+            problem, config, build_schedule("static_ring", I),
+            lambda state: nu.__setitem__(0, state.nu))
+    names = {"x_update_plain"} | ({"d_update_plain"}
+                                  if policy == "tracked" else set())
+    per_round = len(names) * len(problem.groups.slices)
+    # a gap of exactly zero ends the run early
+    assert len(solves) == per_round * trace.nu[-1]
+    assert {name for name, *_ in solves} == names
+    for name, round_, tol, converged in solves:
+        assert tol == sched.inner_tol_at(gammas[round_]), (name, round_)
+        assert converged, (name, round_)
 
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)

@@ -372,3 +372,36 @@ def test_plain_coding_solver_takes_at_most_20_iterations_per_call(
     problem = plain_standard_run(30)
     assert counts["solves"] == 30 * len(problem.groups.slices)
     assert counts["iterations"] <= 20 * counts["solves"]
+
+
+def test_plain_standard_run_solves_its_coding_steps_inexactly(monkeypatch):
+    # the round tolerance inner_tol_at(gamma_nu) is loose while gamma_nu is
+    # large: about 1 550 lockstep iterations, where a fixed 1e-8 takes
+    # 3 044, and the gap target is still crossed by round 180 with no solve
+    # capped; one soft_threshold call per lockstep iteration
+    counts = {"iterations": 0}
+    inside = []
+    solve = agents_mod.x_update_plain
+    shrink = core_mod.soft_threshold
+
+    def counted_solve(*args, **kwargs):
+        inside.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_shrink(*args, **kwargs):
+        counts["iterations"] += bool(inside)
+        return shrink(*args, **kwargs)
+
+    monkeypatch.setattr(agents_mod, "x_update_plain", counted_solve)
+    monkeypatch.setattr(core_mod, "soft_threshold", counted_shrink)
+    _, problem = make_standard_problem()
+    trace = run(problem, config_for(problem, graph="static_ring",
+                                    variant="plain", max_rounds=200,
+                                    metric_stride=10))
+    assert counts["iterations"] <= 1700
+    crossed = [nu for nu, gap in zip(trace.nu, trace.delta) if gap <= 0.565]
+    assert crossed and crossed[0] <= 180
+    assert sum(trace.flags) == 0
