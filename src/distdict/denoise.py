@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import RunConfig
 from .core import ProblemData
-from .imaging import PatchDataset, assemble_patches, extract_patches
+from .imaging import assemble_patches, extract_patches
 from .metrics import MetricsTrace, mean_dictionary
 from .protocol import run
 
@@ -38,21 +38,36 @@ def denoise_image(noisy, config: RunConfig, *, patch_side: int = 8,
     Each patch has its mean removed and is scaled to [0, 1] before coding,
     so the sparse model only represents the contrast around the patch's
     average intensity; decoding adds the stored means back. Overlapping
-    decoded patches are averaged and the result clipped to [0, 255].
+    decoded patches are averaged and the result clipped to [0, 255]. A
+    pixel that no patch covers, in the last rows or columns when ``stride``
+    does not divide the image size less ``patch_side``, keeps its noisy
+    value, clipped the same way.
+
+    One patch matrix serves the whole pipeline: the patches are centered
+    and scaled in place, the agents' blocks are views of it, and once the
+    run has returned each agent's codes are decoded into its own columns.
     """
     noisy = np.asarray(noisy, dtype=float)
     dataset = extract_patches(noisy, patch_side, stride)
-    offsets = dataset.patches.mean(axis=0)
-    coding = PatchDataset(patches=(dataset.patches - offsets) / PIXEL_SCALE,
-                          image_shape=dataset.image_shape,
-                          patch_side=patch_side, stride=stride)
-    problem = ProblemData(S_blocks=coding.blocks(config.graph.num_agents),
-                          K=num_atoms, lam=config.lam, mu=config.mu,
-                          alpha=config.alpha)
+    patches = dataset.patches  # a fresh array, ours to overwrite
+    offsets = patches.mean(axis=0)
+    patches -= offsets
+    patches /= PIXEL_SCALE
+    num_agents = config.graph.num_agents
+    problem = ProblemData(S_blocks=dataset.blocks(num_agents), K=num_atoms,
+                          lam=config.lam, mu=config.mu, alpha=config.alpha)
     trace = run(problem, config)
     dictionary = mean_dictionary(trace.state.D)
     codes = problem.groups.unstack(trace.state.X)
-    decoded = PIXEL_SCALE * (dictionary @ np.hstack(codes)) + offsets
-    image = assemble_patches(decoded, dataset.image_shape, patch_side, stride)
+    # nothing reads the data once the run is over
+    for sl, X in zip(dataset.block_slices(num_agents), codes):
+        np.matmul(dictionary, X, out=patches[:, sl])
+    patches *= PIXEL_SCALE
+    patches += offsets
+    image = assemble_patches(patches, dataset.image_shape, patch_side, stride)
+    rows, cols = ((n - patch_side) // stride * stride + patch_side
+                  for n in noisy.shape)
+    image[rows:] = np.clip(noisy[rows:], 0.0, 255.0)
+    image[:, cols:] = np.clip(noisy[:, cols:], 0.0, 255.0)
     return DenoiseResult(image=image, trace=trace, dictionary=dictionary,
                          codes=codes)

@@ -352,6 +352,32 @@ def assemble_patches_loop(patches, image_shape, patch_side, stride):
     return np.clip(out, 0.0, 255.0)
 
 
+def denoise_with_copies(noisy, config, patch_side, stride, num_atoms):
+    """The denoising pipeline with a new array at every stage: centered
+    coding data ``(patches - offsets) / 255``, one decode
+    ``255 (D @ hstack(codes)) + offsets``, reassembly one patch at a time,
+    and the clipped noisy value wherever no patch lands. Returns
+    ``(image, trace)``."""
+    from distdict import ProblemData, extract_patches, mean_dictionary, run
+
+    noisy = np.asarray(noisy, dtype=float)
+    dataset = extract_patches(noisy, patch_side, stride)
+    offsets = dataset.patches.mean(axis=0)
+    coding = (dataset.patches - offsets) / 255.0
+    blocks = [coding[:, s]
+              for s in dataset.block_slices(config.graph.num_agents)]
+    problem = ProblemData(S_blocks=blocks, K=num_atoms, lam=config.lam,
+                          mu=config.mu, alpha=config.alpha)
+    trace = run(problem, config)
+    D = mean_dictionary(trace.state.D)
+    codes = problem.groups.unstack(trace.state.X)
+    decoded = 255.0 * (D @ np.hstack(codes)) + offsets
+    image = assemble_patches_loop(decoded, noisy.shape, patch_side, stride)
+    bare = coverage_counts(*noisy.shape, patch_side, stride) == 0
+    image[bare] = np.clip(noisy[bare], 0.0, 255.0)
+    return image, trace
+
+
 def psnr_scalar(reference, test):
     """PSNR/MSE recomputed with loops and the 255 peak convention."""
     reference = np.asarray(reference, dtype=float)

@@ -18,6 +18,7 @@ from distdict import (ProblemData, build_run_config, build_schedule,
                       stationarity_gap)
 from distdict.agents import VARIANTS
 from distdict.network import SCHEDULE_KINDS
+from distdict.protocol import RoundState, _tracked_round
 
 from oracles import ragged_diffusion, ragged_run
 
@@ -195,6 +196,69 @@ def test_relabelling_the_features_permutes_every_round(variant, d_mode,
         for X, Y in zip(ours[3], theirs[3]):
             assert np.max(np.abs(X - Y)) <= 1e-12
         assert ours[4:] == pytest.approx(theirs[4:], rel=1e-12, abs=1e-12)
+
+
+def assert_one_round_permutes_the_agents(sizes, per_group, perm, W, seed,
+                                         variant, d_mode):
+    # blocks, state stacks and gradients permuted by P, W -> P W P^T: one
+    # tracked round gives the permuted state, whatever groups and padding
+    # the two labellings make
+    rng = np.random.default_rng(seed)
+    I, M, K = len(sizes), 4, 3
+    with mock.patch.object(core_mod, "BUDGET", per_group * M * max(sizes)):
+        problem = make_problem(rng, sizes, M, K)
+        relabelled = ProblemData(
+            S_blocks=[problem.S_blocks[i] for i in perm], K=K,
+            lam=problem.lam, mu=problem.mu, alpha=problem.alpha)
+    D = core_mod.project_dictionary(rng.normal(size=(I, M, K)), 1.0)
+    codes = [rng.normal(size=(K, n)) for n in sizes]
+    tracker, grad_rest, grads = rng.normal(size=(3, I, M, K))
+    sched = build_run_config({"agents": I, "variant": variant,
+                              "d_mode": d_mode}).steps
+    outs = []
+    for instance, p, weights in ((problem, list(range(I)), W),
+                                 (relabelled, perm, W[np.ix_(perm, perm)])):
+        state = RoundState(instance.groups, D[p],
+                           instance.groups.stack([codes[i] for i in p]),
+                           tracker[p], grad_rest[p])
+        grads_new, flags = _tracked_round(instance, state, weights, 0.5,
+                                          sched, grads[p])
+        outs.append((state.D, state.tracker, state.grad_rest, grads_new,
+                     instance.groups.unstack(state.X), flags))
+    ours, theirs = outs
+    for A, B in zip(ours[:4], theirs[:4]):
+        assert np.max(np.abs(A[perm] - B)) <= 1e-12
+    for i, Y in zip(perm, theirs[4]):
+        assert np.max(np.abs(ours[4][i] - Y)) <= 1e-12
+    assert ours[5] == theirs[5]
+
+
+@pytest.mark.parametrize("d_mode", VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_relabelling_the_agents_permutes_one_round(variant, d_mode, data):
+    I = data.draw(st.integers(1, 5), label="agents")
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=I, max_size=I),
+                      label="block widths")
+    seed = data.draw(st.integers(0, 1000), label="seed")
+    kind = data.draw(st.sampled_from(SCHEDULE_KINDS), label="schedule")
+    W = build_schedule(kind, I, window=2, seed=seed).weights_at(0)
+    assert_one_round_permutes_the_agents(
+        sizes, data.draw(st.integers(1, I), label="agents per group"),
+        data.draw(st.permutations(range(I)), label="P"), W, seed, variant,
+        d_mode)
+
+
+@pytest.mark.parametrize("d_mode", VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_relabelling_the_agents_regroups_and_repads(variant, d_mode):
+    # two agents per group: (1, 5 | 2, 3) pads to widths 5 and 3, the
+    # relabelled (3, 1 | 5, 2) to 3 and 5
+    sizes, perm = (1, 5, 2, 3), [3, 0, 1, 2]
+    W = build_schedule("static_path", 4).weights_at(0)
+    assert_one_round_permutes_the_agents(sizes, 2, perm, W, 84, variant,
+                                         d_mode)
 
 
 def test_wide_single_agent_group_beside_a_multi_agent_group():
