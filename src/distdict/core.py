@@ -304,14 +304,40 @@ def prox_codes(G, X, tau, lam: float, mu: float) -> np.ndarray:
     return G
 
 
-def _freeze(out, done, Xn, change, inner_tol):
-    """Keep the iterate of every agent whose step ``change`` met the
-    tolerance for the first time; returns True once all have."""
-    now = (change <= inner_tol) & ~done
-    if now.any():
-        out[now] = Xn[now]
-        done |= now
-    return bool(done.all())
+def _prox_gradient(X0, H, C, prox, beta, inner_tol, inner_max_iter,
+                   right=False):
+    """Proximal gradient from the stack X0 with the constant momentum
+    ``beta``: the forward step from the extrapolated point Y is H Y + C, or
+    Y H + C when ``right``, with the step scaled in, and ``prox`` makes the
+    next iterate, the one new array of an iteration. Two buffers allocated
+    before the loop hold the forward step, then the stopping change, and
+    the extrapolated point. Each agent stops once its step
+    max |X_{k+1} - Y_k| falls to ``inner_tol``. Returns ``(out, done)``.
+    """
+    F = np.empty_like(C)
+    Y = X0.copy()
+    out = X0.copy()
+    Xk = X0
+    done = np.zeros(len(X0), dtype=bool)
+    for _ in range(inner_max_iter):
+        np.matmul(*((Y, H) if right else (H, Y)), out=F)
+        F += C
+        Xn = prox(F)
+        np.subtract(Xn, Y, out=F)
+        change = np.abs(F, out=F).reshape(len(F), -1).max(axis=1)
+        np.subtract(Xn, Xk, out=Y)
+        Y *= beta
+        Y += Xn
+        Xk = Xn
+        if change.min() <= inner_tol:
+            now = (change <= inner_tol) & ~done
+            out[now] = Xn[now]
+            done |= now
+            if done.all():
+                break
+    else:
+        out[~done] = Xk[~done]
+    return out, done
 
 
 def x_update_plain(X, U, S, tau, lam: float, mu: float,
@@ -343,17 +369,10 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
     subproblem that is not strongly convex (tau = mu = 0 for some agent),
     and X0, U or S holding NaN or inf, raise ``ValueError``.
 
-    The loop works in buffers allocated before it: one holds the forward
-    step and then the stopping change, another the extrapolated point. The
-    shrink makes the one new array of an iteration, the next iterate. The
-    per-agent threshold is spread to the full code shape once, so that the
-    shrink runs over whole arrays rather than row by row.
-
     For stacked input (``tau`` of shape ``(c, 1, 1)`` or a scalar) the
-    agents iterate in lockstep, each with its own momentum, and each one
-    stops on its own: an agent whose step falls to ``inner_tol`` keeps the
-    iterate a lone solve would return, and ``converged`` is one flag per
-    agent.
+    agents iterate in lockstep, each with its own momentum and its own
+    stop, so each keeps the iterate a lone solve would return, and
+    ``converged`` is one flag per agent.
     """
     if (np.asarray(tau) < 0).any():
         raise ValueError("tau must be nonnegative")
@@ -382,26 +401,10 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
     H += (1.0 - step * m) * np.eye(U.shape[-1])
     C *= step
     thr = np.broadcast_to(step * lam, C.shape).copy()
-    F = np.empty_like(C)
-    Y = X0.copy()
-    out = X0.copy()
-    Xk = X0
-    done = np.zeros(len(X0), dtype=bool)
-    for _ in range(inner_max_iter):
-        np.matmul(H, Y, out=F)
-        F += C
-        Xn = soft_threshold(F, thr)
-        np.subtract(Xn, Y, out=F)
-        change = np.abs(F, out=F).reshape(len(F), -1).max(axis=1)
-        np.subtract(Xn, Xk, out=Y)
-        Y *= beta
-        Y += Xn
-        Xk = Xn
-        if change.min() <= inner_tol \
-                and _freeze(out, done, Xn, change, inner_tol):
-            break
-    else:
-        out[~done] = Xk[~done]
+    # soft_threshold is looked up at every call, where bench/tracer.py
+    # counts the iterations
+    out, done = _prox_gradient(X0, H, C, lambda F: soft_threshold(F, thr),
+                               beta, inner_tol, inner_max_iter)
     return (out[0], bool(done[0])) if flat else (out, done)
 
 
@@ -426,39 +429,32 @@ def d_update_plain(D, X, S, grad_rest, tau: float, alpha: float,
         min_{D in the column-norm ball}
             1/2 ||S - D X||_F^2 + tau/2 ||D - D0||_F^2 + <grad_rest, D - D0>
 
-    by projected gradient with step 1/(sigma_max(X)^2 + tau). Returns
-    ``(D_new, converged)`` with the same non-fatal flag convention as the
-    coding solver, the same ``ValueError`` for NaN or inf in its input, and
-    the same lockstep with per-agent stopping for stacked input, and the
-    same ``StepSchedule.inner_tol_at(gamma)`` from the round engine. It
-    stays unaccelerated: with the projection active and sigma_max(X)^2
-    small next to tau, the coding solver's constant momentum raised the
-    mean iterations per call from 12.9 to 14.7 over 100 rounds of the
-    standard instance with both steps plain.
+    by projected gradient with step 1/(sigma_max(X)^2 + tau), in the loop
+    of ``x_update_plain`` with the column projection as the prox: the same
+    ``(D_new, converged)`` return, per-agent stop and ``ValueError`` for
+    NaN or inf in its input. It stays unaccelerated: with the projection
+    active and sigma_max(X)^2 small next to tau, the coding solver's
+    constant momentum raised the mean iterations per call from 12.9 to 14.7
+    over 100 rounds of the standard instance with both steps plain.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     flat = np.ndim(D) == 2
     D0, X, S, grad_rest = _lift(D, X, S, grad_rest)
     Xt = X.swapaxes(-1, -2)
-    XXt = X @ Xt
-    SXt = S @ Xt
-    # the diagonal of X X^T covers every entry of X, and S X^T every entry
-    # of S
-    if not all(np.isfinite(A).all() for A in (XXt, SXt, D0, grad_rest)):
+    # the forward step Y - step * grad as one affine map Y H + C, scaled
+    # below; the diagonal of X X^T covers every entry of X, and C every
+    # entry of S, D0 and grad_rest
+    H = X @ Xt
+    C = S @ Xt + tau * D0 - grad_rest
+    if not (np.isfinite(H).all() and np.isfinite(C).all()):
         raise ValueError("D0, X, S and grad_rest must be finite")
     sig, _ = sigma_max(X)
-    step = (1.0 / (sig * sig + tau))[:, None, None]
-    Dk = D0.copy()
-    out = D0.copy()
-    done = np.zeros(len(D0), dtype=bool)
-    for _ in range(inner_max_iter):
-        grad = Dk @ XXt - SXt + tau * (Dk - D0) + grad_rest
-        Dn = project_dictionary(Dk - step * grad, alpha)
-        change = np.max(np.abs(Dn - Dk), axis=(-2, -1))
-        Dk = Dn
-        if _freeze(out, done, Dn, change, inner_tol):
-            break
-    else:
-        out[~done] = Dk[~done]
+    step = 1.0 / (np.reshape(np.square(sig), (-1, 1, 1)) + tau)
+    H *= -step
+    H += (1.0 - step * tau) * np.eye(X.shape[-2])
+    C *= step
+    out, done = _prox_gradient(D0, H, C,
+                               lambda F: project_dictionary(F, alpha), 0.0,
+                               inner_tol, inner_max_iter, right=True)
     return (out[0], bool(done[0])) if flat else (out, done)

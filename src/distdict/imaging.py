@@ -161,7 +161,9 @@ def extract_patches(image, patch_side: int, stride: int = 1) -> PatchDataset:
 def assemble_patches(patches, image_shape, patch_side: int,
                      stride: int) -> np.ndarray:
     """Place patch columns at their row-major grid origins and average the
-    overlaps; clips to [0, 255].
+    overlaps; clips to [0, 255]. A pixel no patch covers (the last rows or
+    columns when ``stride`` does not divide the side less ``patch_side``)
+    comes out 0; ``denoise_image`` fills it with the clipped noisy value.
 
     The sum runs over the p^2 in-patch offsets, each one strided slice-add
     of a whole row of ``patches``. The offsets go in reverse order, so every

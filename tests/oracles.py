@@ -113,6 +113,47 @@ def x_update_plain_loop(X, U, S, tau, lam, mu, inner_tol=1e-8,
     return (out[0], bool(done[0])) if flat else (out, done)
 
 
+def d_update_plain_loop(D, X, S, grad_rest, tau, alpha, inner_tol=1e-8,
+                        inner_max_iter=2000):
+    """The plain dictionary solver's earlier loop, which forms the gradient
+    and the projected step in new arrays every iteration;
+    ``distdict.core.d_update_plain`` must match its flags, and its iterates
+    up to rounding. The package's projection and spectral norm are used, so
+    that only the loop is compared."""
+    from distdict.core import project_dictionary, sigma_max
+
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    flat = np.ndim(D) == 2
+    D0, X, S, grad_rest = [A if A.ndim == 3 else A[None]
+                           for A in (np.asarray(A, dtype=float)
+                                     for A in (D, X, S, grad_rest))]
+    Xt = X.swapaxes(-1, -2)
+    XXt = X @ Xt
+    SXt = S @ Xt
+    if not all(np.isfinite(A).all() for A in (XXt, SXt, D0, grad_rest)):
+        raise ValueError("D0, X, S and grad_rest must be finite")
+    sig, _ = sigma_max(X)
+    step = (1.0 / (sig * sig + tau))[:, None, None]
+    Dk = D0.copy()
+    out = D0.copy()
+    done = np.zeros(len(D0), dtype=bool)
+    for _ in range(inner_max_iter):
+        grad = Dk @ XXt - SXt + tau * (Dk - D0) + grad_rest
+        Dn = project_dictionary(Dk - step * grad, alpha)
+        change = np.max(np.abs(Dn - Dk), axis=(-2, -1))
+        Dk = Dn
+        now = (change <= inner_tol) & ~done
+        if now.any():
+            out[now] = Dn[now]
+            done |= now
+        if done.all():
+            break
+    else:
+        out[~done] = Dk[~done]
+    return (out[0], bool(done[0])) if flat else (out, done)
+
+
 def project_dictionary_formula(D, alpha):
     """The column projection from ``np.linalg.norm``, with the factors
     gathered and scattered through a boolean mask."""

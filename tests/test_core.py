@@ -4,17 +4,20 @@ independent oracles."""
 import itertools
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import distdict.core as core_mod
 from distdict import (ProblemData, d_update_linearized, d_update_plain,
                       grad_codes, grad_dict, objective_global,
                       project_dictionary, sigma_max, soft_threshold,
                       x_update_linearized, x_update_plain)
 
-from oracles import (accelerated_coding_steps, elastic_net_kkt_residual,
+from oracles import (accelerated_coding_steps, d_update_plain_loop,
+                     elastic_net_kkt_residual,
                      finite_difference_gradient, grad_codes_formula,
                      grad_dict_formula, objective_scalar_loop,
                      project_column_line_search, project_dictionary_formula,
@@ -323,6 +326,15 @@ def test_kernels_stay_within_their_allocation_budgets():
              for iters in (20, 200)]
     assert peaks[1] <= 9.0
     assert abs(peaks[1] - peaks[0]) <= 0.1
+    # the plain dictionary solver at the same group shape, in the same loop
+    D = project_dictionary(U, 1.0)
+    G = rng.normal(size=D.shape)
+    peaks = [peak_over(lambda: d_update_plain(D, X, S, G, 1.0, 1.0,
+                                              inner_tol=1e-300,
+                                              inner_max_iter=iters), D)
+             for iters in (20, 200)]
+    assert peaks[1] <= 9.5
+    assert abs(peaks[1] - peaks[0]) <= 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +560,23 @@ def test_x_plain_gives_the_bits_of_the_earlier_loop(data):
     assert np.array_equal(converged, want_converged)
 
 
+def test_x_plain_makes_one_shrink_per_iteration():
+    # bench/tracer.py counts the coding solver's iterations as the
+    # soft_threshold calls it looks up through distdict.core
+    rng = np.random.default_rng(24)
+    U = rng.normal(size=(2, 5, 4))
+    S = rng.normal(size=(2, 5, 6))
+    X0 = rng.normal(size=(2, 4, 6))
+    for iters in (1, 12):
+        with mock.patch.object(core_mod, "soft_threshold",
+                               wraps=soft_threshold) as shrink:
+            _, converged = x_update_plain(X0, U, S, np.ones((2, 1, 1)),
+                                          0.125, 0.0625, inner_tol=1e-300,
+                                          inner_max_iter=iters)
+        assert shrink.call_count == iters
+        assert not converged.any()
+
+
 def test_plain_solvers_reject_non_finite_input():
     rng = np.random.default_rng(23)
     U = rng.normal(size=(16, 24))
@@ -628,6 +657,33 @@ def test_d_linearized_matches_projected_gradient_oracle():
     want = projected_gradient_quadratic(D, grad_local + grad_rest, tau, 1.0,
                                         iters=200)
     assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_d_plain_matches_the_earlier_loop(data):
+    # 2-d calls and stacks of 1-3 agents, with and without the projection;
+    # the small caps end solves at the cap while others stop one by one
+    c = data.draw(st.integers(0, 3), label="agents (0: a 2-d call)")
+    K = data.draw(st.integers(1, 5), label="K")
+    M = data.draw(st.integers(1, 5), label="M")
+    n = data.draw(st.integers(1, 6), label="n")
+    tau = data.draw(st.sampled_from((0.5, 1.0, 4.0)), label="tau")
+    alpha = data.draw(st.sampled_from((1.0, np.inf)), label="alpha")
+    cap = data.draw(st.sampled_from((1, 3, 2000)), label="cap")
+    tol = data.draw(st.sampled_from((1e-12, 1e-6)), label="tol")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    lead = (c,) if c else ()
+    D0 = rng.normal(size=lead + (M, K))
+    X = rng.normal(size=lead + (K, n))
+    S = rng.normal(size=lead + (M, n))
+    G = 0.1 * rng.normal(size=lead + (M, K))
+    kw = dict(inner_tol=tol, inner_max_iter=cap)
+    out, converged = d_update_plain(D0, X, S, G, tau, alpha, **kw)
+    want, want_converged = d_update_plain_loop(D0, X, S, G, tau, alpha, **kw)
+    assert np.array_equal(converged, want_converged)
+    assert np.max(np.abs(out - want)) <= 1e-12 * max(1.0,
+                                                      np.max(np.abs(want)))
 
 
 def test_d_plain_is_stationary_on_a_pure_proximal_objective():

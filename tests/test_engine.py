@@ -261,6 +261,58 @@ def test_relabelling_the_agents_regroups_and_repads(variant, d_mode):
                                          d_mode)
 
 
+@pytest.mark.parametrize("d_mode", VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_relabelling_one_blocks_columns_permutes_only_its_codes(
+        variant, d_mode, data):
+    # the columns of one block S_a and of its codes permuted by P: one
+    # tracked round gives the same D, tracker, grad_rest, gradients and
+    # flags, agent a's new codes column-permuted and every other agent's
+    # codes as they were, though the plain solvers step a group in lockstep
+    I = data.draw(st.integers(1, 5), label="agents")
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=I, max_size=I),
+                      label="block widths")
+    per_group = data.draw(st.integers(1, I), label="agents per group")
+    a = data.draw(st.integers(0, I - 1), label="relabelled agent")
+    P = data.draw(st.permutations(range(sizes[a])), label="P")
+    seed = data.draw(st.integers(0, 1000), label="seed")
+    kind = data.draw(st.sampled_from(SCHEDULE_KINDS), label="schedule")
+    rng = np.random.default_rng(seed)
+    M, K = 4, 3
+    with mock.patch.object(core_mod, "BUDGET", per_group * M * max(sizes)):
+        problem = make_problem(rng, sizes, M, K)
+        blocks = list(problem.S_blocks)
+        blocks[a] = blocks[a][:, P]
+        relabelled = ProblemData(S_blocks=blocks, K=K, lam=problem.lam,
+                                 mu=problem.mu, alpha=problem.alpha)
+    D = core_mod.project_dictionary(rng.normal(size=(I, M, K)), 1.0)
+    codes = [rng.normal(size=(K, n)) for n in sizes]
+    tracker, grad_rest, grads = rng.normal(size=(3, I, M, K))
+    W = build_schedule(kind, I, window=2, seed=seed).weights_at(0)
+    sched = build_run_config({"agents": I, "variant": variant,
+                              "d_mode": d_mode}).steps
+    outs = []
+    for instance, X_a in ((problem, codes[a]), (relabelled, codes[a][:, P])):
+        X = codes[:a] + [X_a] + codes[a + 1:]
+        state = RoundState(instance.groups, D.copy(), instance.groups.stack(X),
+                           tracker.copy(), grad_rest.copy())
+        grads_new, flags = _tracked_round(instance, state, W, 0.5, sched,
+                                          grads.copy())
+        outs.append(((state.D, state.tracker, state.grad_rest, grads_new),
+                     instance.groups.unstack(state.X), flags))
+    (ours, our_codes, our_flags), (theirs, their_codes, their_flags) = outs
+    for A, B in zip(ours, theirs):
+        assert np.max(np.abs(A - B)) <= 1e-12
+    assert our_flags == their_flags
+    for i, (X, Y) in enumerate(zip(our_codes, their_codes)):
+        if i == a:
+            assert np.max(np.abs(X[:, P] - Y)) <= 1e-12
+        else:
+            assert np.array_equal(X, Y), f"agent {i}'s codes moved"
+
+
 def test_wide_single_agent_group_beside_a_multi_agent_group():
     # 4 x 2048 entries fill half the budget: two agents per group, so the
     # two narrow blocks share a padded stack and the wide one stands alone
