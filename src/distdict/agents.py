@@ -135,14 +135,26 @@ def init_agents(problem: ProblemData, seed: int = 0) -> tuple:
     The codes start at zero, and so do the tracker and ``grad_rest``: every
     local gradient ``(D 0 - S) 0^T`` is zero. Each dictionary column is
     drawn from the agent's own data columns and rescaled to norm alpha; a
-    zero column gets a random direction instead.
+    zero column gets a random direction instead. An atom drawn as a copy of
+    an earlier one at every agent would stay one up to rounding, and
+    rounding alone would split the pair, so it takes a column its agent has
+    not used yet, at each agent that has one.
     """
+    rngs = [np.random.default_rng([seed, i])
+            for i in range(len(problem.S_blocks))]
+    idx = np.stack([rng.integers(0, S.shape[1], size=problem.K)
+                    for rng, S in zip(rngs, problem.S_blocks)])
+    for k in range(1, problem.K):
+        if not np.any(np.all(idx[:, :k] == idx[:, k:k + 1], axis=0)):
+            continue
+        for i, (rng, S) in enumerate(zip(rngs, problem.S_blocks)):
+            unused = np.setdiff1d(np.arange(S.shape[1]), idx[i, :k])
+            if unused.size:
+                idx[i, k] = unused[rng.integers(unused.size)]
     dicts = []
-    for i, S in enumerate(problem.S_blocks):
-        rng = np.random.default_rng([seed, i])
-        M, n_i = S.shape
-        idx = rng.integers(0, n_i, size=problem.K)
-        D = S[:, idx].astype(float).copy()
+    for rng, S, cols in zip(rngs, problem.S_blocks, idx):
+        M = S.shape[0]
+        D = S[:, cols].astype(float).copy()
         norms = np.linalg.norm(D, axis=0)
         for k in np.flatnonzero(norms < 1e-12):
             col = rng.standard_normal(M)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import distdict.protocol as protocol_mod
 from distdict import (ProblemData, StepSchedule,
@@ -132,6 +134,30 @@ def test_initialization_is_deterministic_in_the_seed():
     c = init_agents(problem, seed=4)[0]
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       K=st.integers(1, 5), seed=st.integers(0, 1000))
+@example(sizes=[1, 1, 2, 2], K=2, seed=299)
+def test_no_atom_starts_as_a_copy_of_another_at_every_agent(sizes, K, seed):
+    # with replacement, the column draws of seed 299 give every agent of
+    # this example one column twice; where no atom is such a copy, the
+    # draws are the plain ones and the dictionaries are the data columns
+    problem = toy_problem(np.random.default_rng(seed), M=3, K=K, sizes=sizes)
+    D = init_agents(problem, seed=seed)[0]
+    drawn = np.stack([np.random.default_rng([seed, i]).integers(0, n, size=K)
+                      for i, n in enumerate(sizes)])
+    copies = [(k, l) for l in range(K) for k in range(l)
+              if np.array_equal(drawn[:, k], drawn[:, l])]
+    if not copies:
+        for D_i, S, cols in zip(D, problem.S_blocks, drawn):
+            want = S[:, cols] * (1.0 / np.linalg.norm(S[:, cols], axis=0))
+            assert np.array_equal(D_i, want)
+    if max(sizes) >= K:
+        for l in range(K):
+            for k in range(l):
+                assert not np.array_equal(D[:, :, k], D[:, :, l]), (k, l)
 
 
 # ---------------------------------------------------------------------------
