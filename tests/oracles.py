@@ -165,6 +165,16 @@ def project_dictionary_formula(D, alpha):
     return D * scale
 
 
+def sigma_max_eigvalsh(A):
+    """The spectral norm of A, or of each matrix of a stack, as the square
+    root of the top eigenvalue of the smaller Gram matrix by LAPACK's
+    ``eigvalsh``, clipped at zero."""
+    A = np.asarray(A, dtype=float)
+    At = A.swapaxes(-1, -2)
+    B = At @ A if A.shape[-1] <= A.shape[-2] else A @ At
+    return np.sqrt(np.maximum(0.0, np.linalg.eigvalsh(B)[..., -1]))
+
+
 def consensus_tensordot(W, mats):
     """The mix out[i] = sum_j W[i, j] mats[j] as one ``np.tensordot``."""
     return np.tensordot(np.asarray(W, dtype=float),

@@ -22,7 +22,8 @@ from oracles import (accelerated_coding_steps, d_update_plain_loop,
                      grad_dict_formula, objective_scalar_loop,
                      project_column_line_search, project_dictionary_formula,
                      projected_gradient_quadratic, prox_scalar_grid,
-                     soft_threshold_sign, stacks_fit_broadcast,
+                     sigma_max_eigvalsh, soft_threshold_sign,
+                     stacks_fit_broadcast,
                      x_update_linearized_formula, x_update_plain_loop)
 
 
@@ -785,6 +786,118 @@ def test_sigma_max_resolves_a_near_tied_top_pair():
     assert abs(value - 1.0) <= 1e-12
     assert abs(value - np.linalg.svd(A, compute_uv=False)[0]) <= 1e-12
     assert abs(sigma_max(A.T)[0] - value) <= 1e-12
+
+
+def rotated(rng, m, n, values):
+    """An m x n matrix with the singular values ``values`` (at most
+    min(m, n) of them) between random orthonormal frames."""
+    r = len(values)
+    left, _ = np.linalg.qr(rng.normal(size=(m, r)))
+    right, _ = np.linalg.qr(rng.normal(size=(n, r)))
+    return (left * values) @ right.T
+
+
+@st.composite
+def spectral_stacks(draw):
+    """Stacks of 1 to 6 matrices of one shape, tall, wide or square up to
+    16 x 16, or 64 x 64. Each matrix is zero, rank 1, full rank, an exact
+    top tie (a scaled identity, or a repeated top value on a permuted
+    diagonal) or a rotated near tie diag(1, 1 - g), at a scale from 1e-100
+    to 1e100."""
+    m, n = draw(st.one_of(st.tuples(st.integers(1, 16), st.integers(1, 16)),
+                          st.just((64, 64))))
+    r = min(m, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("zero", "rank 1", "full", "identity",
+                                     "repeated top", "near tie")))
+        if kind == "zero":
+            A = np.zeros((m, n))
+        elif kind == "rank 1":
+            A = np.outer(rng.normal(size=m), rng.normal(size=n))
+        elif kind == "full":
+            A = rng.normal(size=(m, n))
+        elif kind == "identity":
+            A = np.eye(m, n)
+        elif kind == "repeated top":
+            values = rng.uniform(0.0, 1.0, size=r)
+            values[rng.permutation(r)[:draw(st.integers(2, max(2, r)))]] = 1
+            A = np.zeros((m, n))
+            A[np.arange(r), np.arange(r)] = values
+            A = A[rng.permutation(m)][:, rng.permutation(n)]
+        else:
+            g = draw(st.sampled_from((1e-3, 1e-7, 1e-12)))
+            A = rotated(rng, m, n, [1.0, 1.0 - g][:r])
+        mats.append(A * 10.0 ** draw(st.integers(-100, 100)))
+    return np.stack(mats)
+
+
+def near_tie_beside_separated():
+    # the near tie needs 5 blocks, the random and diagonal ones 1 or 2
+    rng = np.random.default_rng(23)
+    return np.stack([rng.normal(size=(6, 4)),
+                     rotated(rng, 6, 4, [1.0, 1.0 - 1e-7]),
+                     np.diag([3.0, 1.0, 0.5, 0.0])[[0, 1, 2, 3, 3, 2]] * 1e3,
+                     np.zeros((6, 4))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectral_stacks())
+@example(near_tie_beside_separated())
+def test_sigma_max_matches_the_eigvalsh_formula(stack):
+    value, converged = sigma_max(stack)
+    want = sigma_max_eigvalsh(stack)
+    assert converged is True
+    # a zero matrix gives +0.0 exactly, since want is 0.0 there
+    assert np.all(np.abs(value - want) <= 1e-13 * want)
+    assert not np.signbit(value).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectral_stacks())
+@example(near_tie_beside_separated())
+def test_a_stacked_sigma_max_equals_its_lone_calls(stack):
+    value, _ = sigma_max(stack)
+    lone = np.array([sigma_max(A)[0] for A in stack])
+    assert value.tobytes() == lone.tobytes()
+
+
+def test_sigma_max_squares_each_matrix_until_its_bracket_closes():
+    # np.matmul runs only the squarings (the Gram product is an @); its
+    # calls are counted with the size of the stack they square
+    sizes = []
+    matmul = np.matmul
+
+    def counted(C, *args, **kwargs):
+        sizes.append(len(C))
+        return matmul(C, *args, **kwargs)
+
+    near = rotated(np.random.default_rng(24), 2, 2, [1.0, 1.0 - 1e-7])
+    with mock.patch.object(np, "matmul", counted):
+        # an exact 64-fold tie closes after 8 of the 10 blocks
+        sigma_max(np.eye(64))
+        assert sizes == [1] * 48
+        sizes.clear()
+        # the separated matrix leaves the stack after one block of 6
+        sigma_max(np.stack([np.diag([3.0, 1.0]), near]))
+        assert sizes == [2] * 6 + [1] * 24
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sigma_max_rejects_nan_and_inf(bad, stacked):
+    A = np.ones((4, 3))
+    A[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sigma_max(np.stack([np.ones((4, 3)), A]) if stacked else A)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_sigma_max_rejects_a_finite_input_whose_gram_overflows(stacked):
+    A = np.full((3, 2), 1e200)
+    with pytest.raises(ValueError, match="finite"):
+        sigma_max(np.stack([np.ones((3, 2)), A]) if stacked else A)
 
 
 # ---------------------------------------------------------------------------

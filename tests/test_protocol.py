@@ -12,8 +12,9 @@ import distdict.network as network_mod
 import distdict.protocol as protocol_mod
 from distdict import (GraphSpec, ProblemData, build_run_config,
                       build_schedule, check_round, consensus_step,
-                      make_standard_problem, run, tracking_residual,
-                      tracking_step)
+                      denoise_image, diffusion_baseline, make_standard_problem,
+                      make_test_image, run, tracking_residual, tracking_step)
+from distdict.agents import VARIANTS
 
 from oracles import consensus_tensordot
 
@@ -405,3 +406,28 @@ def test_plain_standard_run_solves_its_coding_steps_inexactly(monkeypatch):
     crossed = [nu for nu, gap in zip(trace.nu, trace.delta) if gap <= 0.565]
     assert crossed and crossed[0] <= 180
     assert sum(trace.flags) == 0
+
+
+def test_no_lapack_eigen_or_singular_value_routine_runs(monkeypatch):
+    # sigma_max squares Gram matrices; with LAPACK's eigen and singular
+    # value routines made to raise, every round loop still completes
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK routine ran")
+
+    for name in ("eigvalsh", "eigh", "svd", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    _, problem = make_standard_problem()
+    for variant in VARIANTS:
+        for d_mode in VARIANTS:
+            trace = run(problem, config_for(
+                problem, graph="static_ring", variant=variant, d_mode=d_mode,
+                max_rounds=5, metric_stride=5))
+            assert trace.nu[-1] == 5
+    trace = diffusion_baseline(problem, config_for(
+        problem, graph="static_ring", max_rounds=5, metric_stride=5))
+    assert trace.nu[-1] == 5
+    noisy = make_test_image(16).astype(float)
+    result = denoise_image(noisy, config_for(
+        problem, graph="static_path", agents=3, max_rounds=3,
+        metric_stride=3), patch_side=4, stride=2, num_atoms=6)
+    assert result.image.shape == noisy.shape
