@@ -7,8 +7,9 @@ of all other agents. The dictionary step returns ``D_half``, the damped
 local dictionary update that gets broadcast in the consensus step.
 
 The steps take and return arrays. They work the same on one agent's
-matrices and on a group of agents held as stacks with a leading agent axis
-(see ``core``); the round engine calls them once per group.
+matrices and on agents held as stacks with a leading agent axis (see
+``core``); the round engine calls the steps that read an agent's data once
+per group, and the others once over all agents.
 """
 
 from __future__ import annotations
@@ -174,11 +175,13 @@ def dictionary_step(D, X, S, grad_rest, grad, gamma: float,
 
     ``grad`` is the local gradient ``grad_dict(D, X, S)`` at the current
     point, which the round loop already holds; the linearized mode steps
-    along it and the plain mode does not need it. The plain mode solves to
-    ``sched.inner_tol_at(gamma)``. Returns
-    ``(D_half, ok)`` with ``D_half = D + gamma (D_tilde - D)``; ``ok`` is
-    False when the plain-mode inner solver hit its iteration cap, and for a
-    stack of agents one such flag per agent.
+    along it and reads neither ``X`` nor ``S``, and the plain mode does not
+    need it. The linearized step works on each agent's matrices alone, so
+    one call on a stack equals its calls on the parts bit for bit. The plain
+    mode solves to ``sched.inner_tol_at(gamma)``. Returns ``(D_half, ok)``
+    with ``D_half = D + gamma (D_tilde - D)``; ``ok`` is False when the
+    plain-mode inner solver hit its iteration cap, and for a stack of
+    agents one such flag per agent.
     """
     if sched.d_mode == "plain":
         d_tilde, ok = d_update_plain(D, X, S, grad_rest, sched.tau_d, alpha,

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import build_run_config, check_keys, convert, load_config
-from .core import (grad_codes, grad_dict, project_dictionary,
-                   x_update_linearized)
+from .core import (grad_codes, grad_dict, max_column_norm,
+                   project_dictionary, x_update_linearized)
 from .denoise import denoise_image
 from .imaging import PgmError, read_pgm, write_pgm
 from .metrics import CSV_COLUMNS, diffusion_baseline, psnr_mse
@@ -235,7 +235,7 @@ def _check_projection(rng) -> bool:
     for _ in range(20):
         D = rng.standard_normal((6, 4)) * rng.uniform(0.1, 5.0)
         P = project_dictionary(D, 1.0)
-        if np.max(np.linalg.norm(P, axis=0)) > 1.0 + 1e-12:
+        if max_column_norm(P) > 1.0 + 1e-12:
             return False
         if np.max(np.abs(project_dictionary(P, 1.0) - P)) > 1e-15:
             return False

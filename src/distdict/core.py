@@ -30,10 +30,16 @@ BUDGET = 2 ** 14
 
 # sigma_max's repeated squaring: squarings between two rescalings, the
 # relative width at which its bracket on the top eigenvalue closes, and the
-# number of blocks, which closes every bracket (see sigma_max)
-_SQUARINGS = 6
+# number of blocks, which closes every bracket (see sigma_max). A block
+# raises a trace-1 Gram matrix of size n to the power 2^s, and its top
+# eigenvalue, at least 1/n, must not underflow: n^-64 stays normal up to
+# n = 64 000, while n^-128 does so only up to n = 253 and n^-256 up to
+# n = 15, so no block may run more than 6 squarings. Blocks of 4 stop
+# closer to where a bracket closes: most close at p = 256, which blocks
+# of 6 reach only at p = 4096.
+_SQUARINGS = 4
 _BRACKET_TOL = 1e-13
-_BLOCKS = 10
+_BLOCKS = 12
 
 
 @dataclass(frozen=True)
@@ -242,6 +248,13 @@ def project_dictionary(D, alpha: float) -> np.ndarray:
     return D * (alpha / np.maximum(norms, alpha))
 
 
+def max_column_norm(D) -> float:
+    """The largest column norm of one dictionary or of any in a stack, as
+    ``np.linalg.norm`` gives the norms: the quantity the constraint
+    ``||D e_k||_2 <= alpha`` bounds."""
+    return float(np.linalg.norm(D, axis=-2).max())
+
+
 def soft_threshold(x, thresh):
     """Entrywise shrinkage max(|x| - thresh, 0) * sign(x) for a threshold
     ``thresh >= 0``, computed as x - min(max(x, -thresh), thresh) in one
@@ -264,17 +277,19 @@ def sigma_max(A):
 
     With t = tr B and C = B / t, each block squares C ``_SQUARINGS`` times
     and rescales it to trace 1, so after b blocks C = B^p / tr(B^p) with
-    p = 64^b, and l = log(tr(B^p) / t^p) / p gives log(lam_1 / t) <= l.
+    p = 16^b, and l = log(tr(B^p) / t^p) / p gives log(lam_1 / t) <= l.
     A trace-1 PSD C has ||C||_F^2 <= its top eigenvalue, so
     l + log(||C||_F^2) / p <= log(lam_1 / t): once that bracket is at most
     ``_BRACKET_TOL`` wide, the matrix stops squaring and keeps the upper
     end sqrt(t exp(l)), which a step of 1 / sigma^2 may safely take.
-    ||C||_F^2 >= 1/n bounds the width by ln(n) / p, so exact ties close
-    after 8 blocks for any n below 65 000 (where n^-64 does not yet
-    underflow), and ``_BLOCKS = 10`` always suffices: there is no cap and
-    no other path. A matrix whose bracket closes leaves the stack, so each
-    entry of a stacked call equals the lone call on its matrix bit for bit.
-    A zero A gives +0.0.
+    ||C||_F^2 >= 1/n bounds the width by ln(n) / p, and ``_BLOCKS = 12``
+    reach p = 16^12 = 2.8e14, so even an exact n-fold tie closes for any
+    n below 1e12: there is no cap and no other path. A matrix whose
+    bracket closes leaves the stack, so each entry of a stacked call equals
+    the lone call on its matrix bit for bit. A zero A gives +0.0. The
+    squarings run in two buffers, the Gram stack and one more of its size;
+    after a block in which some matrix closed, the others are copied out
+    and the old stack's buffer takes the next products.
 
     For a stack ``(c, m, n)`` the ``c`` values come as an array. Returns
     ``(value, converged)``; ``converged`` is always True and stays because
@@ -286,15 +301,17 @@ def sigma_max(A):
         raise ValueError("a nonempty 2-d array or stack of them is required")
     At = A.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        B = At @ A if A.shape[-1] <= A.shape[-2] else A @ At
-    B = B.reshape(-1, *B.shape[-2:])
-    t = B.trace(axis1=1, axis2=2)
+        C = At @ A if A.shape[-1] <= A.shape[-2] else A @ At
+    C = C.reshape(-1, *C.shape[-2:])
+    t = C.trace(axis1=1, axis2=2)
     if not np.isfinite(t).all():
         raise ValueError("sigma_max needs a finite A with a finite Gram "
                          "matrix A^T A")
-    ell = np.zeros(len(B))
+    ell = np.zeros(len(C))
     live = np.flatnonzero(t)
-    C = B[live] / t[live, None, None]
+    if live.size < len(C):
+        C = C[live]
+    C /= t[live, None, None]
     W = np.empty_like(C)
     p = 1.0
     for _ in range(_BLOCKS):
@@ -307,10 +324,12 @@ def sigma_max(A):
         ell[live] += np.log(s) / p
         fro = np.square(C, out=W).sum(axis=(1, 2))
         wide = np.log(fro) < -_BRACKET_TOL * p
-        if not np.count_nonzero(wide):
+        n = np.count_nonzero(wide)
+        if not n:
             break
-        live, C = live[wide], C[wide]
-        W = np.empty_like(C)
+        if n < len(C):
+            live = live[wide]
+            C, W = C[wide], C[:n]
     value = np.sqrt(t * np.exp(ell))
     return (float(value[0]) if A.ndim == 2 else value), True
 

@@ -15,9 +15,11 @@ The same loop runs adapt-then-combine diffusion, tracking switched off
 (``metrics.diffusion_baseline``), and at one agent the tracked round is the
 centralized method (``metrics.centralized_oracle``).
 
-The agents' state is held as stacks with a leading agent axis, and the
-local steps run once per agent group of the problem (``ProblemData.groups``)
-rather than once per agent; the mixing runs once over all agents.
+The agents' state is held as stacks with a leading agent axis. The steps
+that read each agent's data run once per agent group of the problem
+(``ProblemData.groups``) rather than once per agent; the steps that read
+only the ``(I, M, K)`` dictionary stacks, and the mixing, run once over all
+agents.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import numpy as np
 from .agents import (AgentState, coding_prox_weight, coding_step,
                      dictionary_step, gamma_sequence, init_agents)
 from .config import RunConfig
-from .core import (AgentGroups, ProblemData, grad_dict, objective_global,
-                   project_dictionary)
+from .core import (AgentGroups, ProblemData, grad_dict, max_column_norm,
+                   objective_global, project_dictionary)
 from .metrics import (MetricsTrace, consensus_error, mean_dictionary,
                       stationarity_gap)
 from .network import GraphSchedule, build_schedule, check_schedule
@@ -127,7 +129,7 @@ def check_round(problem, state) -> None:
             if not np.isfinite(A).all():
                 raise ValueError(f"round {state.nu}: agent {i} has a "
                                  f"non-finite {name}")
-        norm = np.linalg.norm(state.D[i], axis=0).max()
+        norm = max_column_norm(state.D[i])
         if norm > problem.alpha * (1 + 1e-12):
             raise ValueError(f"round {state.nu}: agent {i} has a dictionary "
                              f"column of norm {norm!r} above alpha")
@@ -148,15 +150,17 @@ def _record(trace, problem, state, gamma, flags):
 def _coding_steps(problem, state, U, gamma, sched) -> int:
     """Refresh the codes of every group against its slice of the
     ``(I, M, K)`` dictionary stack ``U`` in a round with step ``gamma``;
-    returns the number of capped inner solves."""
+    returns the number of capped inner solves. The proximal weights come
+    from one ``coding_prox_weight`` call over all agents."""
     flags = 0
+    tau_x, sig = coding_prox_weight(U, sched.eps_tau)
     # a new list, so one an observer kept stays as it was; each old code
     # stack is released as soon as its group has the new one
     codes = state.X = list(state.X)
     for g, (sl, S) in enumerate(zip(problem.groups.slices, problem.S_groups)):
-        tau_x, sig = coding_prox_weight(U[sl], sched.eps_tau)
-        codes[g], ok = coding_step(codes[g], U[sl], S, tau_x, problem.lam,
-                                   problem.mu, gamma, sched, sigma=sig)
+        codes[g], ok = coding_step(codes[g], U[sl], S, tau_x[sl],
+                                   problem.lam, problem.mu, gamma, sched,
+                                   sigma=sig[sl])
         flags += np.size(ok) - np.count_nonzero(ok)
     return flags
 
@@ -166,14 +170,19 @@ def _tracked_round(problem, state, W, gamma, sched, grads):
     tracking: two message exchanges. ``grads`` are the local gradients at
     the current point; returns those at the new point and the number of
     capped inner solves."""
-    halves = []
     flags = 0
-    for sl, S, X in zip(problem.groups.slices, problem.S_groups, state.X):
-        D_half, ok = dictionary_step(state.D[sl], X, S, state.grad_rest[sl],
-                                     grads[sl], gamma, sched, problem.alpha)
-        flags += np.size(ok) - np.count_nonzero(ok)
-        halves.append(D_half)
-    halves = np.concatenate(halves)
+    if sched.d_mode == "plain":
+        halves = np.empty_like(state.D)
+        for sl, S, X in zip(problem.groups.slices, problem.S_groups,
+                            state.X):
+            halves[sl], ok = dictionary_step(
+                state.D[sl], X, S, state.grad_rest[sl], grads[sl], gamma,
+                sched, problem.alpha)
+            flags += np.size(ok) - np.count_nonzero(ok)
+    else:
+        # the linearized step reads no codes or data: one call over all I
+        halves, _ = dictionary_step(state.D, None, None, state.grad_rest,
+                                    grads, gamma, sched, problem.alpha)
     flags += _coding_steps(problem, state, halves, gamma, sched)
     state.D = consensus_step(W, halves)
     grads_new = _group_grads(problem, state.D, state.X)
@@ -253,9 +262,10 @@ def run(problem: ProblemData, config: RunConfig, schedule: GraphSchedule = None,
         broken invariant.
 
     The agents' state lives in stacks with a leading agent axis. Each round
-    calls ``dictionary_step``, ``coding_prox_weight``, ``coding_step`` and
-    ``grad_dict`` once per agent group (``problem.groups``), then
-    ``consensus_step`` and ``tracking_step`` once on the ``(I, M, K)``
+    calls ``coding_step`` and ``grad_dict`` once per agent group
+    (``problem.groups``), and ``dictionary_step`` too when ``d_mode`` is
+    plain. ``coding_prox_weight``, the linearized ``dictionary_step``,
+    ``consensus_step`` and ``tracking_step`` run once on the ``(I, M, K)``
     stacks. A group of several agents pads its codes with zero columns to
     its widest block; the padding stays zero. The trace's ``flags`` count
     the agents whose inner solver hit its iteration cap.

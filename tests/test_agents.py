@@ -11,6 +11,7 @@ from distdict import (ProblemData, StepSchedule,
                       dictionary_step, gamma_sequence, grad_dict, init_agents,
                       run)
 from distdict.agents import INNER_TOL_SCALE
+from distdict.core import max_column_norm
 
 
 def toy_problem(rng, M=4, K=3, sizes=(3, 2), lam=0.125, mu=0.0625):
@@ -209,16 +210,20 @@ def test_dictionary_step_output_stays_feasible():
     rng = np.random.default_rng(35)
     problem = toy_problem(rng)
     D, X0, tracker, _ = init_agents(problem, seed=1)
-    for d, x0, t, S in zip(D, problem.groups.unstack(X0), tracker,
-                           problem.S_blocks):
-        X = rng.normal(size=x0.shape)
-        grad_rest = problem.num_agents * t - grad_dict(d, X, S)
-        for gamma in (0.25, 0.9):
-            D_half, _ = dictionary_step(d, X, S, grad_rest,
-                                        grad_dict(d, X, S), gamma,
+    X = [rng.normal(size=x.shape) for x in problem.groups.unstack(X0)]
+    grads = np.stack([grad_dict(d, x, S)
+                      for d, x, S in zip(D, X, problem.S_blocks)])
+    grad_rest = problem.num_agents * tracker - grads
+    for gamma in (0.25, 0.9):
+        for d, x, S, rest, grad in zip(D, X, problem.S_blocks, grad_rest,
+                                       grads):
+            D_half, _ = dictionary_step(d, x, S, rest, grad, gamma,
                                         StepSchedule(), problem.alpha)
-            norms = np.linalg.norm(D_half, axis=0)
-            assert np.all(norms <= problem.alpha + 1e-12)
+            assert max_column_norm(D_half) <= problem.alpha + 1e-12
+        # the one linearized call a round makes over the (I, M, K) stacks
+        D_half, _ = dictionary_step(D, None, None, grad_rest, grads, gamma,
+                                    StepSchedule(), problem.alpha)
+        assert max_column_norm(D_half) <= problem.alpha + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import distdict.core as core_mod
-from distdict import (ProblemData, d_update_linearized, d_update_plain,
-                      grad_codes, grad_dict, objective_global,
-                      project_dictionary, sigma_max, soft_threshold,
-                      x_update_linearized, x_update_plain)
+from distdict import (ProblemData, StepSchedule, d_update_linearized,
+                      d_update_plain, dictionary_step, grad_codes, grad_dict,
+                      objective_global, project_dictionary, sigma_max,
+                      soft_threshold, x_update_linearized, x_update_plain)
 
 from oracles import (accelerated_coding_steps, d_update_plain_loop,
                      elastic_net_kkt_residual,
@@ -842,9 +842,17 @@ def near_tie_beside_separated():
                      np.zeros((6, 4))])
 
 
+def top_share_two_percent():
+    # the top eigenvalue holds 1.44 / 64.44 of the Gram's trace; raised to
+    # the power 256 that share underflows
+    rng = np.random.default_rng(25)
+    return rotated(rng, 64, 64, [1.2] + [1.0] * 63)[None]
+
+
 @settings(max_examples=300, deadline=None)
 @given(spectral_stacks())
 @example(near_tie_beside_separated())
+@example(top_share_two_percent())
 def test_sigma_max_matches_the_eigvalsh_formula(stack):
     value, converged = sigma_max(stack)
     want = sigma_max_eigvalsh(stack)
@@ -863,6 +871,25 @@ def test_a_stacked_sigma_max_equals_its_lone_calls(stack):
     assert value.tobytes() == lone.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 8), st.integers(1, 8),
+       st.floats(0.0, 1.0), st.sampled_from((0.5, 1.0, 4.0)),
+       st.floats(0.1, 10.0), st.integers(0, 2 ** 32 - 1), st.data())
+def test_a_stacked_dictionary_step_equals_its_group_calls(
+        I, M, K, gamma, alpha, tau_d, seed, data):
+    rng = np.random.default_rng(seed)
+    D, grad_rest, grad = rng.normal(size=(3, I, M, K))
+    cuts = sorted(data.draw(st.sets(st.integers(1, I - 1))) if I > 1 else [])
+    bounds = [0, *cuts, I]
+    sched = StepSchedule(tau_d=tau_d)
+    whole, _ = dictionary_step(D, None, None, grad_rest, grad, gamma, sched,
+                               alpha)
+    parts = [dictionary_step(D[lo:hi], None, None, grad_rest[lo:hi],
+                             grad[lo:hi], gamma, sched, alpha)[0]
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
+    assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+
 def test_sigma_max_squares_each_matrix_until_its_bracket_closes():
     # np.matmul runs only the squarings (the Gram product is an @); its
     # calls are counted with the size of the stack they square
@@ -875,13 +902,13 @@ def test_sigma_max_squares_each_matrix_until_its_bracket_closes():
 
     near = rotated(np.random.default_rng(24), 2, 2, [1.0, 1.0 - 1e-7])
     with mock.patch.object(np, "matmul", counted):
-        # an exact 64-fold tie closes after 8 of the 10 blocks
+        # an exact 64-fold tie closes after the last of the 12 blocks
         sigma_max(np.eye(64))
         assert sizes == [1] * 48
         sizes.clear()
-        # the separated matrix leaves the stack after one block of 6
+        # the separated matrix leaves the stack after one block of 4
         sigma_max(np.stack([np.diag([3.0, 1.0]), near]))
-        assert sizes == [2] * 6 + [1] * 24
+        assert sizes == [2] * 4 + [1] * 24
 
 
 @pytest.mark.parametrize("stacked", [False, True])

@@ -330,7 +330,7 @@ def plain_standard_run(rounds):
     return problem
 
 
-def test_plain_round_takes_one_norm_per_group(monkeypatch):
+def test_plain_round_takes_one_norm_per_round(monkeypatch):
     counts = {"agents": 0, "core": 0}
 
     def counted(name, fn):
@@ -345,7 +345,36 @@ def test_plain_round_takes_one_norm_per_group(monkeypatch):
     monkeypatch.setattr(core_mod, "sigma_max",
                         counted("core", core_mod.sigma_max))
     problem = plain_standard_run(10)
-    assert counts == {"agents": 10 * len(problem.groups.slices), "core": 0}
+    assert len(problem.groups.slices) == 1
+    assert counts == {"agents": 10, "core": 0}
+
+
+@pytest.mark.parametrize("driver,d_mode,steps", [
+    ("run", "linearized", [(3, 16, 4)] * 2),
+    # the plain dictionary solve needs each group's codes and data
+    ("run", "plain", [(1, 16, 4)] * 6),
+    ("diffusion", "linearized", [])])
+def test_dictionary_side_steps_run_once_per_round_over_all_agents(
+        monkeypatch, driver, d_mode, steps):
+    # blocks this wide make every agent its own group, as in denoise128
+    problem = toy_problem(np.random.default_rng(54), sizes=(520, 513, 600),
+                          M=16, K=4)
+    assert len(problem.groups.slices) == problem.num_agents == 3
+    shapes = {"coding_prox_weight": [], "dictionary_step": []}
+
+    def recorded(name, fn):
+        def wrapper(D, *args, **kwargs):
+            shapes[name].append(np.shape(D))
+            return fn(D, *args, **kwargs)
+        return wrapper
+
+    for name in shapes:
+        monkeypatch.setattr(protocol_mod, name,
+                            recorded(name, getattr(protocol_mod, name)))
+    config = config_for(problem, max_rounds=2, d_mode=d_mode)
+    (run if driver == "run" else diffusion_baseline)(problem, config)
+    assert shapes == {"coding_prox_weight": [(3, 16, 4)] * 2,
+                      "dictionary_step": steps}
 
 
 def test_plain_coding_solver_takes_at_most_20_iterations_per_call(
