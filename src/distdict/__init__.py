@@ -16,8 +16,8 @@ from .core import (ProblemData, d_update_linearized, d_update_plain,
                    project_dictionary, sigma_max, soft_threshold,
                    x_update_linearized, x_update_plain)
 from .denoise import DenoiseResult, denoise_image
-from .imaging import (PatchDataset, PgmError, assemble_patches,
-                      extract_patches, patch_count, read_pgm, write_pgm)
+from .imaging import (PgmError, assemble_patches, extract_patches,
+                      patch_count, read_pgm, write_pgm)
 from .metrics import (MetricsTrace, centralized_oracle, consensus_error,
                       diffusion_baseline, mean_dictionary, psnr_mse,
                       stationarity_gap)
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentState", "DenoiseResult", "GraphSchedule", "GraphSpec",
-    "MetricsTrace", "PatchDataset", "PgmError", "ProblemData", "RoundState",
+    "MetricsTrace", "PgmError", "ProblemData", "RoundState",
     "RunConfig", "StepSchedule", "SyntheticInstance", "assemble_patches",
     "build_run_config", "build_schedule", "centralized_oracle", "check_round",
     "coding_prox_weight", "coding_step", "consensus_error", "consensus_step",

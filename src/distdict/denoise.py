@@ -17,6 +17,7 @@ from .core import ProblemData
 from .imaging import assemble_patches, extract_patches
 from .metrics import MetricsTrace, mean_dictionary
 from .protocol import run
+from .synthetic import partition_columns
 
 PIXEL_SCALE = 255.0
 
@@ -48,23 +49,23 @@ def denoise_image(noisy, config: RunConfig, *, patch_side: int = 8,
     run has returned each agent's codes are decoded into its own columns.
     """
     noisy = np.asarray(noisy, dtype=float)
-    dataset = extract_patches(noisy, patch_side, stride)
-    patches = dataset.patches  # a fresh array, ours to overwrite
+    patches = extract_patches(noisy, patch_side, stride)  # ours to overwrite
     offsets = patches.mean(axis=0)
     patches -= offsets
     patches /= PIXEL_SCALE
-    num_agents = config.graph.num_agents
-    problem = ProblemData(S_blocks=dataset.blocks(num_agents), K=num_atoms,
-                          lam=config.lam, mu=config.mu, alpha=config.alpha)
+    slices = partition_columns(patches.shape[1], config.graph.num_agents)
+    problem = ProblemData(S_blocks=[patches[:, s] for s in slices],
+                          K=num_atoms, lam=config.lam, mu=config.mu,
+                          alpha=config.alpha)
     trace = run(problem, config)
     dictionary = mean_dictionary(trace.state.D)
     codes = problem.groups.unstack(trace.state.X)
     # nothing reads the data once the run is over
-    for sl, X in zip(dataset.block_slices(num_agents), codes):
-        np.matmul(dictionary, X, out=patches[:, sl])
+    for s, X in zip(slices, codes):
+        np.matmul(dictionary, X, out=patches[:, s])
     patches *= PIXEL_SCALE
     patches += offsets
-    image = assemble_patches(patches, dataset.image_shape, patch_side, stride)
+    image = assemble_patches(patches, noisy.shape, patch_side, stride)
     rows, cols = ((n - patch_side) // stride * stride + patch_side
                   for n in noisy.shape)
     image[rows:] = np.clip(noisy[rows:], 0.0, 255.0)

@@ -1,13 +1,7 @@
 """Grayscale PGM input/output and the overlapping-patch image pipeline."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from .synthetic import partition_columns
 
 
 class PgmError(ValueError):
@@ -117,34 +111,14 @@ def patch_count(height: int, width: int, patch_side: int, stride: int) -> int:
             * ((height - patch_side) // stride + 1))
 
 
-@dataclass
-class PatchDataset:
-    """Vectorized overlapping patches of one image.
+def extract_patches(image, patch_side: int, stride: int = 1) -> np.ndarray:
+    """Collect all patch_side x patch_side windows on the stride grid.
 
-    ``patches`` has one column per patch (row-major flattening of each
-    patch), columns ordered by row-major top-left corners.
+    Returns the ``(patch_side**2, n)`` patch matrix: one column per patch
+    (the patch flattened row by row), columns ordered by the patches'
+    top-left corners, row-major. It is a new C-contiguous float64 array
+    that owns its data, so the caller may overwrite it.
     """
-
-    patches: np.ndarray
-    image_shape: tuple
-    patch_side: int
-    stride: int
-
-    @property
-    def num_patches(self) -> int:
-        return self.patches.shape[1]
-
-    def block_slices(self, num_agents: int) -> list:
-        """Contiguous column blocks, remainder spread over the first ones
-        (``synthetic.partition_columns``)."""
-        return partition_columns(self.num_patches, num_agents)
-
-    def blocks(self, num_agents: int) -> list:
-        return [self.patches[:, s] for s in self.block_slices(num_agents)]
-
-
-def extract_patches(image, patch_side: int, stride: int = 1) -> PatchDataset:
-    """Collect all patch_side x patch_side windows on the stride grid."""
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise ValueError("a 2-d image is required")
@@ -153,9 +127,7 @@ def extract_patches(image, patch_side: int, stride: int = 1) -> PatchDataset:
     windows = sliding_window_view(img, (patch_side, patch_side))
     windows = windows[::stride, ::stride]
     nr, nc = windows.shape[:2]
-    patches = windows.reshape(nr * nc, patch_side * patch_side).T.copy()
-    return PatchDataset(patches=patches, image_shape=(h, w),
-                        patch_side=patch_side, stride=stride)
+    return windows.reshape(nr * nc, patch_side * patch_side).T.copy()
 
 
 def assemble_patches(patches, image_shape, patch_side: int,

@@ -409,14 +409,15 @@ def denoise_with_copies(noisy, config, patch_side, stride, num_atoms):
     ``255 (D @ hstack(codes)) + offsets``, reassembly one patch at a time,
     and the clipped noisy value wherever no patch lands. Returns
     ``(image, trace)``."""
-    from distdict import ProblemData, extract_patches, mean_dictionary, run
+    from distdict import (ProblemData, extract_patches, mean_dictionary,
+                          partition_columns, run)
 
     noisy = np.asarray(noisy, dtype=float)
-    dataset = extract_patches(noisy, patch_side, stride)
-    offsets = dataset.patches.mean(axis=0)
-    coding = (dataset.patches - offsets) / 255.0
-    blocks = [coding[:, s]
-              for s in dataset.block_slices(config.graph.num_agents)]
+    patches = extract_patches(noisy, patch_side, stride)
+    offsets = patches.mean(axis=0)
+    coding = (patches - offsets) / 255.0
+    blocks = [coding[:, s] for s in
+              partition_columns(patches.shape[1], config.graph.num_agents)]
     problem = ProblemData(S_blocks=blocks, K=num_atoms, lam=config.lam,
                           mu=config.mu, alpha=config.alpha)
     trace = run(problem, config)

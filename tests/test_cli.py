@@ -19,6 +19,23 @@ def test_validate_passes_on_the_defaults(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("kernel, check", [
+    ("grad_dict", "gradients vs finite differences"),
+    ("grad_codes", "gradients vs finite differences"),
+    ("x_update_linearized", "coding prox optimality"),
+    ("project_dictionary", "dictionary projection"),
+])
+def test_validate_fails_on_a_wrong_kernel(kernel, check, monkeypatch, capsys):
+    import distdict.cli as cli
+
+    right = getattr(cli, kernel)
+    monkeypatch.setattr(cli, kernel, lambda *args: 1.01 * right(*args))
+    assert main(["validate"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] \
+        == [f"FAIL {check}"]
+
+
 def test_run_writes_a_trace(tmp_path, capsys):
     code = main(["run", "--rounds", "5", "--agents", "3", "--out-dir",
                  str(tmp_path)])

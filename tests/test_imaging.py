@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from distdict import (PatchDataset, PgmError, assemble_patches,
-                      extract_patches, patch_count, read_pgm, write_pgm)
+from distdict import (PgmError, assemble_patches, extract_patches,
+                      partition_columns, patch_count, read_pgm, write_pgm)
 
 from oracles import assemble_patches_loop, coverage_counts
 
@@ -89,26 +89,46 @@ def test_patch_count_rejects_oversized_patches():
 
 def test_extracted_columns_enumerate_corners_row_major():
     img = np.arange(16.0).reshape(4, 4)
-    ds = extract_patches(img, 2, 2)
-    assert ds.num_patches == 4
+    patches = extract_patches(img, 2, 2)
+    assert patches.shape == (4, 4)
     # corner order: (0,0), (0,2), (2,0), (2,2); each column is the patch
     # flattened row by row
-    assert np.array_equal(ds.patches[:, 0], [0, 1, 4, 5])
-    assert np.array_equal(ds.patches[:, 1], [2, 3, 6, 7])
-    assert np.array_equal(ds.patches[:, 2], [8, 9, 12, 13])
-    assert np.array_equal(ds.patches[:, 3], [10, 11, 14, 15])
+    assert np.array_equal(patches[:, 0], [0, 1, 4, 5])
+    assert np.array_equal(patches[:, 1], [2, 3, 6, 7])
+    assert np.array_equal(patches[:, 2], [8, 9, 12, 13])
+    assert np.array_equal(patches[:, 3], [10, 11, 14, 15])
+
+
+@pytest.mark.parametrize("dtype, side, patch, stride", [
+    (float, 5, 1, 1),     # the windows reshape to a view of the image
+    (float, 9, 3, 2),
+    (np.uint8, 6, 2, 1),
+])
+def test_extracted_matrix_is_a_new_array_the_caller_may_overwrite(
+        dtype, side, patch, stride):
+    # denoise_image centers and scales the matrix in place
+    img = np.arange(side * side).reshape(side, side).astype(dtype)
+    before = img.copy()
+    patches = extract_patches(img, patch, stride)
+    assert patches.dtype == np.float64
+    assert patches.flags.c_contiguous and patches.flags.owndata
+    assert not np.shares_memory(patches, img)
+    patches[...] = -1.0
+    assert np.array_equal(img, before) and img.dtype == dtype
 
 
 def test_block_partition_covers_all_patches_contiguously():
-    img = np.zeros((10, 10))
-    ds = extract_patches(img, 3, 1)  # 64 patches
-    slices = ds.block_slices(5)
+    img = np.arange(100.0).reshape(10, 10)
+    patches = extract_patches(img, 3, 1)  # 64 patches
+    slices = partition_columns(patches.shape[1], 5)
     sizes = [s.stop - s.start for s in slices]
-    assert sum(sizes) == ds.num_patches
+    assert sum(sizes) == patches.shape[1]
     assert max(sizes) - min(sizes) <= 1
     assert slices[0].start == 0
     for left, right in zip(slices, slices[1:]):
         assert left.stop == right.start
+    blocks = [patches[:, s] for s in slices]
+    assert np.array_equal(np.hstack(blocks), patches)
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +138,20 @@ def test_block_partition_covers_all_patches_contiguously():
 def test_exact_codes_reproduce_the_image():
     rng = np.random.default_rng(82)
     img = rng.uniform(0, 255, size=(12, 12))
-    ds = extract_patches(img, 4, 2)
+    patches = extract_patches(img, 4, 2)
     # dictionary = identity, codes = the patches themselves
     D = np.eye(16)
-    out = assemble_patches(D @ ds.patches, ds.image_shape, 4, 2)
+    out = assemble_patches(D @ patches, img.shape, 4, 2)
     covered = coverage_counts(12, 12, 4, 2) > 0
     assert np.max(np.abs(out[covered] - img[covered])) <= 0.5
 
 
 def test_zero_codes_give_a_black_image():
     img = np.full((9, 9), 200.0)
-    ds = extract_patches(img, 3, 3)
+    patches = extract_patches(img, 3, 3)
     D = np.zeros((9, 4))
-    X = np.zeros((4, ds.num_patches))
-    out = assemble_patches(D @ X, ds.image_shape, 3, 3)
+    X = np.zeros((4, patches.shape[1]))
+    out = assemble_patches(D @ X, img.shape, 3, 3)
     assert np.array_equal(out, np.zeros((9, 9)))
 
 
@@ -139,8 +159,8 @@ def test_overlap_averaging_uses_the_true_coverage_counts():
     h = w = 12
     p, s = 5, 3
     counts = coverage_counts(h, w, p, s)
-    ds = extract_patches(np.zeros((h, w)), p, s)
-    ones = np.ones((p * p, ds.num_patches))
+    patches = extract_patches(np.zeros((h, w)), p, s)
+    ones = np.ones((p * p, patches.shape[1]))
     # accumulating all-ones patches and dividing by the coverage must give
     # exactly 1 on covered pixels and 0 elsewhere
     out = assemble_patches(ones, (h, w), p, s)
@@ -149,8 +169,8 @@ def test_overlap_averaging_uses_the_true_coverage_counts():
 
 
 def test_uncovered_pixels_stay_zero_and_values_clip():
-    ds = extract_patches(np.zeros((7, 7)), 4, 3)  # right/bottom strips bare
-    hot = np.full((16, ds.num_patches), 300.0)
+    patches = extract_patches(np.zeros((7, 7)), 4, 3)  # bare right, bottom
+    hot = np.full((16, patches.shape[1]), 300.0)
     out = assemble_patches(hot, (7, 7), 4, 3)
     counts = coverage_counts(7, 7, 4, 3)
     assert np.all(out[counts == 0] == 0.0)
@@ -183,12 +203,3 @@ def test_assemble_equals_the_per_patch_loop(geometry, seed):
 def test_assemble_rejects_a_wrong_patch_matrix_shape():
     with pytest.raises(ValueError):
         assemble_patches(np.zeros((16, 3)), (12, 12), 4, 2)
-
-
-def test_dataset_blocks_match_the_slices():
-    img = np.arange(36.0).reshape(6, 6)
-    ds = extract_patches(img, 3, 1)
-    blocks = ds.blocks(3)
-    rebuilt = np.hstack(blocks)
-    assert np.array_equal(rebuilt, ds.patches)
-    assert isinstance(ds, PatchDataset)
