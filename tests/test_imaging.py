@@ -131,6 +131,16 @@ def test_block_partition_covers_all_patches_contiguously():
     assert np.array_equal(np.hstack(blocks), patches)
 
 
+def test_dataset_blocks_match_the_slices():
+    # the agents' blocks, as denoise_image cuts them, rebuild the matrix
+    img = np.arange(36.0).reshape(6, 6)
+    patches = extract_patches(img, 3, 1)
+    blocks = [patches[:, s] for s in partition_columns(patches.shape[1], 3)]
+    rebuilt = np.hstack(blocks)
+    assert np.array_equal(rebuilt, patches)
+    assert isinstance(patches, np.ndarray)
+
+
 # ---------------------------------------------------------------------------
 # reassembly
 
