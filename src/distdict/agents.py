@@ -190,10 +190,11 @@ def dictionary_step(D, X, S, grad_rest, grad, gamma: float,
     else:
         d_tilde = d_update_linearized(D, grad, grad_rest, sched.tau_d, alpha)
         ok = True
-    D_half = d_tilde - D
-    D_half *= gamma
-    D_half += D
-    return D_half, ok
+    # damped in place: d_tilde is the solver's own new array
+    d_tilde -= D
+    d_tilde *= gamma
+    d_tilde += D
+    return d_tilde, ok
 
 
 def coding_step(X, D_half, S, tau_x: float, lam: float, mu: float,

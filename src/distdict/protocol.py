@@ -19,7 +19,9 @@ The agents' state is held as stacks with a leading agent axis. The steps
 that read each agent's data run once per agent group of the problem
 (``ProblemData.groups``) rather than once per agent; the steps that read
 only the ``(I, M, K)`` dictionary stacks, and the mixing, run once over all
-agents.
+agents. The code keeps the round's math above but not its order: the mix
+reads only the blended dictionaries, so it runs first, and one pass over
+the groups then takes each group's codes and at once its local gradient.
 """
 
 from __future__ import annotations
@@ -101,18 +103,13 @@ def tracking_step(W, trackers, grads_new, grads_old) -> np.ndarray:
     return out
 
 
-def _group_grads(problem, D, X) -> np.ndarray:
-    """Local dictionary gradients of all agents as one ``(I, M, K)`` stack,
-    one ``grad_dict`` call per group."""
-    return np.concatenate([grad_dict(D[sl], Xg, S) for sl, S, Xg in
-                           zip(problem.groups.slices, problem.S_groups, X)])
-
-
 def tracking_residual(problem, state) -> float:
     """``max|mean(tracker) - mean(local grad)|`` over the agents of a
     ``RoundState``: zero up to rounding while gradient tracking holds, and
     exactly zero at one agent."""
-    grads = _group_grads(problem, state.D, state.X)
+    grads = np.concatenate([grad_dict(state.D[sl], Xg, S) for sl, S, Xg in
+                            zip(problem.groups.slices, problem.S_groups,
+                                state.X)])
     return float(np.max(np.abs(state.tracker.mean(axis=0)
                                - grads.mean(axis=0))))
 
@@ -147,13 +144,15 @@ def _record(trace, problem, state, gamma, flags):
                   consensus_error(state.D, D_bar), gamma, flags)
 
 
-def _coding_steps(problem, state, U, gamma, sched) -> int:
-    """Refresh the codes of every group against its slice of the
-    ``(I, M, K)`` dictionary stack ``U`` in a round with step ``gamma``;
-    returns the number of capped inner solves. The proximal weights come
-    from one ``coding_prox_weight`` call over all agents."""
+def _local_steps(problem, state, U, gamma, sched):
+    """One pass over the groups: each refreshes its codes against its slice
+    of the ``(I, M, K)`` dictionary stack ``U`` with step ``gamma``, then
+    takes its local gradients at ``state.D``. Returns the gradients as one
+    ``(I, M, K)`` stack and the number of capped inner solves. The proximal
+    weights come from one ``coding_prox_weight`` call over all agents."""
     flags = 0
     tau_x, sig = coding_prox_weight(U, sched.eps_tau)
+    grads = np.empty_like(state.D)
     # a new list, so one an observer kept stays as it was; each old code
     # stack is released as soon as its group has the new one
     codes = state.X = list(state.X)
@@ -161,8 +160,9 @@ def _coding_steps(problem, state, U, gamma, sched) -> int:
         codes[g], ok = coding_step(codes[g], U[sl], S, tau_x[sl],
                                    problem.lam, problem.mu, gamma, sched,
                                    sigma=sig[sl])
+        grads[sl] = grad_dict(state.D[sl], codes[g], S)
         flags += np.size(ok) - np.count_nonzero(ok)
-    return flags
+    return grads, flags
 
 
 def _tracked_round(problem, state, W, gamma, sched, grads):
@@ -183,13 +183,12 @@ def _tracked_round(problem, state, W, gamma, sched, grads):
         # the linearized step reads no codes or data: one call over all I
         halves, _ = dictionary_step(state.D, None, None, state.grad_rest,
                                     grads, gamma, sched, problem.alpha)
-    flags += _coding_steps(problem, state, halves, gamma, sched)
     state.D = consensus_step(W, halves)
-    grads_new = _group_grads(problem, state.D, state.X)
+    grads_new, capped = _local_steps(problem, state, halves, gamma, sched)
     state.tracker = tracking_step(W, state.tracker, grads_new, grads)
     state.grad_rest = problem.num_agents * state.tracker
     state.grad_rest -= grads_new
-    return grads_new, flags
+    return grads_new, flags + capped
 
 
 def _diffusion_round(problem, state, W, gamma, sched, grads):
@@ -199,8 +198,7 @@ def _diffusion_round(problem, state, W, gamma, sched, grads):
     ``_tracked_round``."""
     state.D = consensus_step(
         W, project_dictionary(state.D - gamma * grads, problem.alpha))
-    flags = _coding_steps(problem, state, state.D, gamma, sched)
-    return _group_grads(problem, state.D, state.X), flags
+    return _local_steps(problem, state, state.D, gamma, sched)
 
 
 def _rounds(problem, config, schedule, observer, tracked) -> MetricsTrace:
@@ -257,14 +255,15 @@ def run(problem: ProblemData, config: RunConfig, schedule: GraphSchedule = None,
         Called as ``observer(state)`` with the RoundState after every
         round's combine step (regardless of the metric stride). It must not
         modify the agents' ``D`` or ``X``: the next dictionary step reuses
-        the gradient computed at them in the combine step. Pass
+        the local gradient the round took at them. Pass
         ``functools.partial(check_round, problem)`` to stop at the first
         broken invariant.
 
     The agents' state lives in stacks with a leading agent axis. Each round
-    calls ``coding_step`` and ``grad_dict`` once per agent group
-    (``problem.groups``), and ``dictionary_step`` too when ``d_mode`` is
-    plain. ``coding_prox_weight``, the linearized ``dictionary_step``,
+    calls ``dictionary_step`` once per agent group (``problem.groups``)
+    when ``d_mode`` is plain, then, in one pass over the groups, each
+    group's ``coding_step`` followed by its ``grad_dict``.
+    ``coding_prox_weight``, the linearized ``dictionary_step``,
     ``consensus_step`` and ``tracking_step`` run once on the ``(I, M, K)``
     stacks. A group of several agents pads its codes with zero columns to
     its widest block; the padding stays zero. The trace's ``flags`` count
