@@ -1,10 +1,11 @@
 """Per-agent state and the local half of one optimization round.
 
 Each agent keeps a private copy ``D`` of the dictionary, its own codes
-``X``, a ``tracker`` that follows the network average of the dictionary
-gradients, and ``grad_rest``, the running estimate of the summed gradient
-of all other agents. The dictionary step returns ``D_half``, the damped
-local dictionary update that gets broadcast in the consensus step.
+``X`` and a ``tracker`` y that follows the network average of the
+dictionary gradients; ``I y`` is its local gradient plus its estimate of
+the others', the one linear term of both dictionary surrogates. The
+dictionary step returns ``D_half``, the damped local dictionary update that
+gets broadcast in the consensus step.
 
 The steps take and return arrays. They work the same on one agent's
 matrices and on agents held as stacks with a leading agent axis (see
@@ -100,7 +101,6 @@ class AgentState:
     D: np.ndarray
     X: np.ndarray
     tracker: np.ndarray
-    grad_rest: np.ndarray
 
 
 def gamma_sequence(count: int, gamma0: float, eps: float) -> np.ndarray:
@@ -129,14 +129,14 @@ def coding_prox_weight(D_half, eps_tau: float) -> tuple:
 
 
 def init_agents(problem: ProblemData, seed: int = 0) -> tuple:
-    """Initial agent state ``(D, X, tracker, grad_rest)``, the stacks that
+    """Initial agent state ``(D, X, tracker)``, the stacks that
     ``protocol.RoundState`` holds: ``X`` is the group stacks of
     ``problem.groups``, the others are ``(I, M, K)``.
 
-    The codes start at zero, and so do the tracker and ``grad_rest``: every
-    local gradient ``(D 0 - S) 0^T`` is zero. Each dictionary column is
-    drawn from the agent's own data columns and rescaled to norm alpha; a
-    zero column gets a random direction instead. An atom drawn as a copy of
+    The codes start at zero, and so does the tracker: every local gradient
+    ``(D 0 - S) 0^T`` is zero. Each dictionary column is drawn from the
+    agent's own data columns and rescaled to norm alpha; a zero column gets
+    a random direction instead. An atom drawn as a copy of
     an earlier one at every agent would stay one up to rounding, and
     rounding alone would split the pair, so it takes a column its agent has
     not used yet, at each agent that has one.
@@ -166,29 +166,27 @@ def init_agents(problem: ProblemData, seed: int = 0) -> tuple:
     D = np.stack(dicts)
     codes = [np.zeros((len(S), problem.K, S.shape[-1]))
              for S in problem.S_groups]
-    return D, codes, np.zeros_like(D), np.zeros_like(D)
+    return D, codes, np.zeros_like(D)
 
 
-def dictionary_step(D, X, S, grad_rest, grad, gamma: float,
-                    sched: StepSchedule, alpha: float) -> tuple:
+def dictionary_step(D, X, direction, gamma: float, sched: StepSchedule,
+                    alpha: float) -> tuple:
     """Solve the local dictionary surrogate and damp it with ``gamma``.
 
-    ``grad`` is the local gradient ``grad_dict(D, X, S)`` at the current
-    point, which the round loop already holds; the linearized mode steps
-    along it and reads neither ``X`` nor ``S``, and the plain mode does not
-    need it. The linearized step works on each agent's matrices alone, so
-    one call on a stack equals its calls on the parts bit for bit. The plain
-    mode solves to ``sched.inner_tol_at(gamma)``. Returns ``(D_half, ok)``
-    with ``D_half = D + gamma (D_tilde - D)``; ``ok`` is False when the
-    plain-mode inner solver hit its iteration cap, and for a stack of
-    agents one such flag per agent.
+    ``direction`` is the surrogate's linear term ``I y``, I times the
+    tracker. The linearized mode takes ``proj(D - I y / tau_d)`` and reads
+    no ``X``, so one call on a stack equals its calls on the parts bit for
+    bit; the plain mode solves to ``sched.inner_tol_at(gamma)``. Returns
+    ``(D_half, ok)`` with ``D_half = D + gamma (D_tilde - D)``; ``ok`` is
+    False when the plain-mode inner solver hit its iteration cap, and for a
+    stack of agents one such flag per agent.
     """
     if sched.d_mode == "plain":
-        d_tilde, ok = d_update_plain(D, X, S, grad_rest, sched.tau_d, alpha,
+        d_tilde, ok = d_update_plain(D, X, direction, sched.tau_d, alpha,
                                      sched.inner_tol_at(gamma),
                                      sched.inner_max_iter)
     else:
-        d_tilde = d_update_linearized(D, grad, grad_rest, sched.tau_d, alpha)
+        d_tilde = d_update_linearized(D, direction, sched.tau_d, alpha)
         ok = True
     # damped in place: d_tilde is the solver's own new array
     d_tilde -= D

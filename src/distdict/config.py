@@ -58,8 +58,8 @@ class RunConfig:
 
 def load_config(path) -> dict:
     """Parse a flat key=value file; '#' starts a comment, blank lines are
-    skipped. Returns the raw string mapping."""
-    mapping = {}
+    skipped, a key set twice raises ValueError. Returns the string mapping."""
+    mapping, where = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -73,7 +73,10 @@ def load_config(path) -> dict:
             value = value.strip()
             if not key:
                 raise ValueError(f"{path}:{lineno}: empty key")
-            mapping[key] = value
+            if key in mapping:
+                raise ValueError(f"{path}: key {key!r} is set on lines "
+                                 f"{where[key]} and {lineno}")
+            mapping[key], where[key] = value, lineno
     return mapping
 
 

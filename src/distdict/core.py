@@ -473,47 +473,51 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
     return (out[0], bool(done[0])) if flat else (out, done)
 
 
-def d_update_linearized(D, grad_local, grad_rest, tau: float, alpha: float):
+def d_update_linearized(D, direction, tau: float, alpha: float):
     """Closed-form dictionary step: one projected gradient step that solves
 
         min_{D in the column-norm ball}
-            <grad_local + grad_rest, D - D0> + tau/2 ||D - D0||_F^2,
+            <direction, D - D0> + tau/2 ||D - D0||_F^2,
 
-    for one agent or each agent of a stack.
+    that is proj(D0 - direction / tau), for one agent or each agent of a
+    stack. The round engine passes ``I y``, I times the agent's tracker.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     D = np.asarray(D, dtype=float)
-    return project_dictionary(D - (grad_local + grad_rest) / tau, alpha)
+    return project_dictionary(D - direction / tau, alpha)
 
 
-def d_update_plain(D, X, S, grad_rest, tau: float, alpha: float,
+def d_update_plain(D, X, direction, tau: float, alpha: float,
                    inner_tol: float = 1e-8, inner_max_iter: int = 2000):
     """Solve the full local dictionary subproblem
 
         min_{D in the column-norm ball}
-            1/2 ||S - D X||_F^2 + tau/2 ||D - D0||_F^2 + <grad_rest, D - D0>
+            <direction, D - D0> + 1/2 ||(D - D0) X||_F^2 + tau/2 ||D - D0||_F^2
 
     by projected gradient with step 1/(sigma_max(X)^2 + tau), in the loop
     of ``x_update_plain`` with the column projection as the prox: the same
     ``(D_new, converged)`` return, per-agent stop and ``ValueError`` for
-    NaN or inf in its input. It stays unaccelerated: with the projection
-    active and sigma_max(X)^2 small next to tau, the coding solver's
-    constant momentum raised the mean iterations per call from 12.9 to 14.7
-    over 100 rounds of the standard instance with both steps plain.
+    NaN or inf in its input. With ``direction = I y``, this is the surrogate
+    1/2 ||S - D X||^2 + tau/2 ||D - D0||^2 + <I y - grad, D - D0> up to a
+    constant, grad = (D0 X - S) X^T: the data cancels. It stays
+    unaccelerated: with the projection active and sigma_max(X)^2 small next
+    to tau, the coding solver's constant momentum raised the mean
+    iterations per call from 12.9 to 14.7 over 100 rounds of the standard
+    instance with both steps plain.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     flat = np.ndim(D) == 2
-    D0, X, S, grad_rest = _lift(D, X, S, grad_rest)
-    Xt = X.swapaxes(-1, -2)
+    D0, X, direction = _lift(D, X, direction)
     # the forward step Y - step * grad as one affine map Y H + C, scaled
     # below; the diagonal of X X^T covers every entry of X, and C every
-    # entry of S, D0 and grad_rest
-    H = X @ Xt
-    C = S @ Xt + tau * D0 - grad_rest
+    # entry of D0 and direction
+    H = X @ X.swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):  # NaN or inf input may make NaN
+        C = D0 @ H + tau * D0 - direction
     if not (np.isfinite(H).all() and np.isfinite(C).all()):
-        raise ValueError("D0, X, S and grad_rest must be finite")
+        raise ValueError("D0, X and direction must be finite")
     sig, _ = sigma_max(X)
     step = 1.0 / (np.reshape(np.square(sig), (-1, 1, 1)) + tau)
     H *= -step

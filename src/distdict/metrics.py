@@ -145,10 +145,10 @@ def psnr_mse(reference, estimate, peak: float = 255.0):
 def centralized_oracle(problem: ProblemData, config: RunConfig,
                        observer=None) -> MetricsTrace:
     """Single-machine reference: ``protocol.run`` on the pooled data as one
-    agent. With one agent the tracker equals the local gradient and the
-    others-gradient term is exactly zero, so each round is the centralized
-    SCA step; the trace counts its two message exchanges per round and
-    ``observer(state)`` is called as in ``run``.
+    agent. With one agent the tracker equals the local gradient bit for
+    bit, so the direction ``I y`` is that gradient and each round is the
+    centralized SCA step; the trace counts its two message exchanges per
+    round and ``observer(state)`` is called as in ``run``.
     """
     from .protocol import run  # protocol imports this module
 

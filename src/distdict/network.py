@@ -137,11 +137,11 @@ def metropolis_weights(adj) -> np.ndarray:
 
 
 def validate_weights(W, adj, theta_min: float = DEFAULT_THETA_MIN) -> bool:
-    """True iff W is doubly stochastic within 1e-12, matches the adjacency
-    sparsity pattern exactly, and has all nonzero entries >= theta_min."""
+    """True iff W is finite, doubly stochastic within 1e-12, matches the
+    adjacency pattern exactly, and has all nonzero entries >= theta_min."""
     W = np.asarray(W, dtype=float)
     A = np.asarray(adj, dtype=bool)
-    if W.shape != A.shape:
+    if W.shape != A.shape or not np.isfinite(W).all():
         return False
     pattern = W != 0.0
     if not np.array_equal(pattern, A):

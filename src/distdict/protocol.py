@@ -2,14 +2,13 @@
 
 One round is
 
-  local   : every agent solves its dictionary surrogate, damps it with the
-            diminishing step size, and refreshes its codes against the
-            blended dictionary;
+  local   : every agent solves its dictionary surrogate along ``I y``, I
+            times its tracker, damps it with the diminishing step size, and
+            refreshes its codes against the blended dictionary;
   exchange: agents broadcast the blended dictionaries and the trackers
             (two message exchanges per round);
-  combine : dictionaries are mixed with the doubly stochastic weights, the
-            trackers absorb the local gradient increments, and the
-            others-gradient estimates are refreshed.
+  combine : dictionaries are mixed with the doubly stochastic weights, and
+            the trackers absorb the local gradient increments.
 
 The same loop runs adapt-then-combine diffusion, tracking switched off
 (``metrics.diffusion_baseline``), and at one agent the tracked round is the
@@ -47,9 +46,9 @@ from .network import is_b_strongly_connected, validate_weights  # noqa: F401
 class RoundState:
     """Global snapshot handed to observers at the end of each round.
 
-    ``D``, ``tracker`` and ``grad_rest`` are ``(I, M, K)`` stacks over the
-    agents, and ``X`` holds one ``(c, K, n_g)`` stack per agent group of
-    ``groups``. Every round binds new arrays and writes none it handed out
+    ``D`` and ``tracker`` are ``(I, M, K)`` stacks over the agents, and
+    ``X`` holds one ``(c, K, n_g)`` stack per agent group of ``groups``.
+    Every round binds new arrays and writes none it handed out
     before, so an array an observer keeps stays as it was.
     """
 
@@ -57,7 +56,6 @@ class RoundState:
     D: np.ndarray
     X: list
     tracker: np.ndarray
-    grad_rest: np.ndarray
     nu: int = 0
     messages: int = 0
 
@@ -65,8 +63,7 @@ class RoundState:
     def agents(self) -> list:
         """One AgentState per agent, of views into the stacks; ``X`` has
         the agent's own shape ``(K, n_i)``."""
-        return [AgentState(D=self.D[i], X=x, tracker=self.tracker[i],
-                           grad_rest=self.grad_rest[i])
+        return [AgentState(D=self.D[i], X=x, tracker=self.tracker[i])
                 for i, x in enumerate(self.groups.unstack(self.X))]
 
 
@@ -116,13 +113,12 @@ def tracking_residual(problem, state) -> float:
 
 def check_round(problem, state) -> None:
     """Raise ValueError naming the round and the agent at the first broken
-    invariant of a tracked run: a non-finite ``D``, code, ``tracker`` or
-    ``grad_rest``, a dictionary column above ``alpha * (1 + 1e-12)``, or a
-    tracking residual above 1e-10. A driver takes it as ``observer``."""
+    invariant of a tracked run: a non-finite ``D``, code or ``tracker``, a
+    dictionary column above ``alpha * (1 + 1e-12)``, or a tracking residual
+    above 1e-10. A driver takes it as ``observer``."""
     codes = state.groups.unstack(state.X)
-    for i, parts in enumerate(zip(state.D, codes, state.tracker,
-                                  state.grad_rest)):
-        for name, A in zip(("D", "code", "tracker", "grad_rest"), parts):
+    for i, parts in enumerate(zip(state.D, codes, state.tracker)):
+        for name, A in zip(("D", "code", "tracker"), parts):
             if not np.isfinite(A).all():
                 raise ValueError(f"round {state.nu}: agent {i} has a "
                                  f"non-finite {name}")
@@ -166,28 +162,25 @@ def _local_steps(problem, state, U, gamma, sched):
 
 
 def _tracked_round(problem, state, W, gamma, sched, grads):
-    """Local SCA steps, consensus on the blended dictionaries and gradient
-    tracking: two message exchanges. ``grads`` are the local gradients at
-    the current point; returns those at the new point and the number of
-    capped inner solves."""
+    """Local SCA steps along ``I y``, consensus on the blended dictionaries
+    and gradient tracking: two message exchanges. ``grads`` are the local
+    gradients at the current point; returns those at the new point and the
+    number of capped inner solves."""
     flags = 0
+    direction = problem.num_agents * state.tracker
     if sched.d_mode == "plain":
         halves = np.empty_like(state.D)
-        for sl, S, X in zip(problem.groups.slices, problem.S_groups,
-                            state.X):
-            halves[sl], ok = dictionary_step(
-                state.D[sl], X, S, state.grad_rest[sl], grads[sl], gamma,
-                sched, problem.alpha)
+        for sl, X in zip(problem.groups.slices, state.X):
+            halves[sl], ok = dictionary_step(state.D[sl], X, direction[sl],
+                                             gamma, sched, problem.alpha)
             flags += np.size(ok) - np.count_nonzero(ok)
     else:
-        # the linearized step reads no codes or data: one call over all I
-        halves, _ = dictionary_step(state.D, None, None, state.grad_rest,
-                                    grads, gamma, sched, problem.alpha)
+        # the linearized step reads no codes: one call over all I
+        halves, _ = dictionary_step(state.D, None, direction, gamma, sched,
+                                    problem.alpha)
     state.D = consensus_step(W, halves)
     grads_new, capped = _local_steps(problem, state, halves, gamma, sched)
     state.tracker = tracking_step(W, state.tracker, grads_new, grads)
-    state.grad_rest = problem.num_agents * state.tracker
-    state.grad_rest -= grads_new
     return grads_new, flags + capped
 
 

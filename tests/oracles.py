@@ -113,26 +113,29 @@ def x_update_plain_loop(X, U, S, tau, lam, mu, inner_tol=1e-8,
     return (out[0], bool(done[0])) if flat else (out, done)
 
 
-def d_update_plain_loop(D, X, S, grad_rest, tau, alpha, inner_tol=1e-8,
+def d_update_plain_loop(D, X, S, direction, tau, alpha, inner_tol=1e-8,
                         inner_max_iter=2000):
     """The plain dictionary solver's earlier loop, which forms the gradient
-    and the projected step in new arrays every iteration;
-    ``distdict.core.d_update_plain`` must match its flags, and its iterates
-    up to rounding. The package's projection and spectral norm are used, so
-    that only the loop is compared."""
-    from distdict.core import project_dictionary, sigma_max
+    and the projected step in new arrays every iteration, on the surrogate
+    1/2 ||S - D X||^2 + tau/2 ||D - D0||^2 + <grad_rest, D - D0> with the
+    others-gradient estimate grad_rest = direction - grad_dict(D0, X, S);
+    ``distdict.core.d_update_plain``, which reads no ``S``, must match its
+    flags, and its iterates up to rounding. The package's projection and
+    spectral norm are used, so that only the loop is compared."""
+    from distdict.core import grad_dict, project_dictionary, sigma_max
 
     if tau <= 0:
         raise ValueError("tau must be positive")
     flat = np.ndim(D) == 2
-    D0, X, S, grad_rest = [A if A.ndim == 3 else A[None]
+    D0, X, S, direction = [A if A.ndim == 3 else A[None]
                            for A in (np.asarray(A, dtype=float)
-                                     for A in (D, X, S, grad_rest))]
+                                     for A in (D, X, S, direction))]
     Xt = X.swapaxes(-1, -2)
     XXt = X @ Xt
     SXt = S @ Xt
+    grad_rest = direction - grad_dict(D0, X, S)
     if not all(np.isfinite(A).all() for A in (XXt, SXt, D0, grad_rest)):
-        raise ValueError("D0, X, S and grad_rest must be finite")
+        raise ValueError("D0, X, S and direction must be finite")
     sig, _ = sigma_max(X)
     step = (1.0 / (sig * sig + tau))[:, None, None]
     Dk = D0.copy()
@@ -454,9 +457,8 @@ def per_agent_start(problem, seed):
     each holding its own copies of its 2-d matrices, the codes unpadded."""
     from distdict.agents import AgentState, init_agents
 
-    D, X, tracker, grad_rest = init_agents(problem, seed=seed)
-    return [AgentState(D=D[i].copy(), X=x.copy(), tracker=tracker[i].copy(),
-                       grad_rest=grad_rest[i].copy())
+    D, X, tracker = init_agents(problem, seed=seed)
+    return [AgentState(D=D[i].copy(), X=x.copy(), tracker=tracker[i].copy())
             for i, x in enumerate(problem.groups.unstack(X))]
 
 
@@ -484,8 +486,8 @@ def ragged_run(problem, config, schedule, observer):
         W = schedule.weights_at(nu)
         flags = 0
         halves = []
-        for a, S, g in zip(agents, problem.S_blocks, grads_prev):
-            D_half, ok_d = dictionary_step(a.D, a.X, S, a.grad_rest, g,
+        for a, S in zip(agents, problem.S_blocks):
+            D_half, ok_d = dictionary_step(a.D, a.X, I * a.tracker,
                                            gammas[nu], sched, problem.alpha)
             tau_x, _ = coding_prox_weight(D_half, sched.eps_tau)
             a.X, ok_x = coding_step(a.X, D_half, S, tau_x, problem.lam,
@@ -500,9 +502,8 @@ def ragged_run(problem, config, schedule, observer):
         trackers = (np.tensordot(W, np.stack([a.tracker for a in agents]),
                                  axes=1)
                     - np.stack(grads_prev)) + np.stack(grads_new)
-        for i, a in enumerate(agents):
-            a.tracker = trackers[i]
-            a.grad_rest = I * trackers[i] - grads_new[i]
+        for a, tracker in zip(agents, trackers):
+            a.tracker = tracker
         grads_prev = grads_new
         observer(nu + 1, agents, flags)
 
@@ -515,7 +516,7 @@ def ragged_diffusion(problem, config, schedule, observer):
     codes are refreshed against the mixed copy.
 
     Calls ``observer(nu, agents, flags)`` as ``ragged_run`` does; the
-    agents' trackers and others-gradient estimates are zero throughout.
+    agents' trackers are zero throughout.
     """
     from distdict.agents import coding_prox_weight, coding_step, gamma_sequence
     from distdict.core import grad_dict, project_dictionary
@@ -524,7 +525,6 @@ def ragged_diffusion(problem, config, schedule, observer):
     agents = per_agent_start(problem, config.seed)
     for a in agents:
         a.tracker = np.zeros_like(a.D)
-        a.grad_rest = np.zeros_like(a.D)
     gammas = gamma_sequence(config.max_rounds + 1, sched.gamma0,
                             sched.eps_gamma)
     for nu in range(config.max_rounds):

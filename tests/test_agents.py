@@ -1,5 +1,7 @@
 """Per-agent schedules, initialization and local update steps."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +12,7 @@ from distdict import (ProblemData, StepSchedule,
                       build_run_config, coding_prox_weight, coding_step,
                       dictionary_step, gamma_sequence, grad_dict, init_agents,
                       run)
-from distdict.agents import INNER_TOL_SCALE
+from distdict.agents import INNER_TOL_SCALE, VARIANTS
 from distdict.core import max_column_norm
 
 
@@ -20,10 +22,9 @@ def toy_problem(rng, M=4, K=3, sizes=(3, 2), lam=0.125, mu=0.0625):
 
 
 def first_agent(problem, seed):
-    """Agent 0's initial ``D``, ``X``, tracker and ``grad_rest`` as 2-d
-    arrays."""
-    D, X, tracker, grad_rest = init_agents(problem, seed=seed)
-    return D[0], problem.groups.unstack(X)[0], tracker[0], grad_rest[0]
+    """Agent 0's initial ``D``, ``X`` and tracker as 2-d arrays."""
+    D, X, tracker = init_agents(problem, seed=seed)
+    return D[0], problem.groups.unstack(X)[0], tracker[0]
 
 
 # ---------------------------------------------------------------------------
@@ -113,18 +114,14 @@ def test_coding_prox_weight_floor_and_known_values():
 def test_initial_states_have_zero_codes_and_feasible_dictionaries():
     rng = np.random.default_rng(30)
     problem = toy_problem(rng)
-    D, X, tracker, grad_rest = init_agents(problem, seed=7)
+    D, X, tracker = init_agents(problem, seed=7)
     assert len(D) == problem.num_agents
     protocol_mod.check_round(problem, protocol_mod.RoundState(
-        problem.groups, D, X, tracker, grad_rest))
-    for d, x, t, rest, S, n in zip(D, problem.groups.unstack(X), tracker,
-                                   grad_rest, problem.S_blocks,
-                                   problem.block_sizes):
+        problem.groups, D, X, tracker))
+    for d, x, t, S, n in zip(D, problem.groups.unstack(X), tracker,
+                             problem.S_blocks, problem.block_sizes):
         assert np.array_equal(x, np.zeros((problem.K, n)))
-        g = grad_dict(d, x, S)
-        assert np.array_equal(t, g)
-        expected_rest = problem.num_agents * g - g
-        assert np.allclose(rest, expected_rest, atol=1e-15)
+        assert np.array_equal(t, grad_dict(d, x, S))
 
 
 def test_initialization_is_deterministic_in_the_seed():
@@ -168,10 +165,10 @@ def test_no_atom_starts_as_a_copy_of_another_at_every_agent(sizes, K, seed):
 def test_dictionary_step_gamma_zero_freezes_the_blend():
     rng = np.random.default_rng(32)
     problem = toy_problem(rng)
-    D, X, _, grad_rest = first_agent(problem, seed=0)
-    S = problem.S_blocks[0]
-    D_half, ok = dictionary_step(D, X, S, grad_rest, grad_dict(D, X, S), 0.0,
-                                 StepSchedule(), problem.alpha)
+    D, X, _ = first_agent(problem, seed=0)
+    direction = grad_dict(D, X, problem.S_blocks[0])
+    D_half, ok = dictionary_step(D, X, direction, 0.0, StepSchedule(),
+                                 problem.alpha)
     assert ok
     assert np.array_equal(D_half, D)
 
@@ -180,48 +177,45 @@ def test_dictionary_step_gamma_one_jumps_to_the_surrogate_solution():
     rng = np.random.default_rng(33)
     problem = toy_problem(rng)
     sched = StepSchedule()
-    D, X, _, grad_rest = first_agent(problem, seed=0)
-    S = problem.S_blocks[0]
-    g = grad_dict(D, X, S)
-    full, _ = dictionary_step(D, X, S, grad_rest, g, 1.0, sched,
-                              problem.alpha)
-    half, _ = dictionary_step(D, X, S, grad_rest, g, 0.5, sched,
-                              problem.alpha)
+    D, X, _ = first_agent(problem, seed=0)
+    direction = grad_dict(D, X, problem.S_blocks[0])
+    full, _ = dictionary_step(D, X, direction, 1.0, sched, problem.alpha)
+    half, _ = dictionary_step(D, X, direction, 0.5, sched, problem.alpha)
     # the half step lands exactly between the start and the full step
     assert np.allclose(half, 0.5 * (D + full), atol=1e-12)
 
 
 def test_dictionary_step_fixed_point_is_preserved_for_any_gamma():
-    # When local and remote gradients cancel, the surrogate solution is the
-    # current feasible dictionary, so the blend cannot move.
+    # When the direction I y is zero (the local and the others' gradients
+    # cancel), the surrogate solution in either mode is the current feasible
+    # dictionary, so the blend cannot move.
     rng = np.random.default_rng(34)
     problem = toy_problem(rng)
-    D, X, _, _ = first_agent(problem, seed=0)
-    X = np.zeros_like(X)
-    S = problem.S_blocks[0]
-    grad_rest = -grad_dict(D, X, S)
-    for gamma in (0.0, 0.3, 1.0):
-        D_half, _ = dictionary_step(D, X, S, grad_rest, grad_dict(D, X, S),
-                                    gamma, StepSchedule(), problem.alpha)
+    D, X, _ = first_agent(problem, seed=0)
+    X = rng.normal(size=X.shape)
+    for d_mode, gamma in itertools.product(VARIANTS, (0.0, 0.3, 1.0)):
+        D_half, _ = dictionary_step(D, X, np.zeros_like(D), gamma,
+                                    StepSchedule(d_mode=d_mode),
+                                    problem.alpha)
         assert np.allclose(D_half, D, atol=1e-14)
 
 
 def test_dictionary_step_output_stays_feasible():
     rng = np.random.default_rng(35)
     problem = toy_problem(rng)
-    D, X0, tracker, _ = init_agents(problem, seed=1)
+    D, X0, _ = init_agents(problem, seed=1)
     X = [rng.normal(size=x.shape) for x in problem.groups.unstack(X0)]
-    grads = np.stack([grad_dict(d, x, S)
-                      for d, x, S in zip(D, X, problem.S_blocks)])
-    grad_rest = problem.num_agents * tracker - grads
+    direction = problem.num_agents * np.stack(
+        [grad_dict(d, x, S) for d, x, S in zip(D, X, problem.S_blocks)])
     for gamma in (0.25, 0.9):
-        for d, x, S, rest, grad in zip(D, X, problem.S_blocks, grad_rest,
-                                       grads):
-            D_half, _ = dictionary_step(d, x, S, rest, grad, gamma,
-                                        StepSchedule(), problem.alpha)
+        for (d, x, dirn), d_mode in itertools.product(
+                zip(D, X, direction), VARIANTS):
+            D_half, _ = dictionary_step(d, x, dirn, gamma,
+                                        StepSchedule(d_mode=d_mode),
+                                        problem.alpha)
             assert max_column_norm(D_half) <= problem.alpha + 1e-12
         # the one linearized call a round makes over the (I, M, K) stacks
-        D_half, _ = dictionary_step(D, None, None, grad_rest, grads, gamma,
+        D_half, _ = dictionary_step(D, None, direction, gamma,
                                     StepSchedule(), problem.alpha)
         assert max_column_norm(D_half) <= problem.alpha + 1e-12
 
@@ -234,7 +228,7 @@ def test_coding_step_zero_data_keeps_zero_codes_in_both_variants():
     for variant in ("linearized", "plain"):
         problem = ProblemData(S_blocks=[np.zeros((3, 2))], K=2, lam=0.125,
                               mu=0.0625, alpha=1.0)
-        D, X, _, _ = first_agent(problem, seed=0)
+        D, X, _ = first_agent(problem, seed=0)
         sched = StepSchedule(variant=variant)
         X_new, ok = coding_step(X, D.copy(), problem.S_blocks[0], 1.0,
                                 problem.lam, problem.mu, 0.5, sched)
@@ -245,7 +239,7 @@ def test_coding_step_zero_data_keeps_zero_codes_in_both_variants():
 def test_coding_step_huge_l1_weight_zeroes_the_codes():
     rng = np.random.default_rng(36)
     problem = toy_problem(rng)
-    D, X, _, _ = first_agent(problem, seed=2)
+    D, X, _ = first_agent(problem, seed=2)
     D_half = D.copy()
     S = problem.S_blocks[0]
     tau, _ = coding_prox_weight(D_half, 1e-6)
@@ -258,43 +252,43 @@ def test_coding_step_huge_l1_weight_zeroes_the_codes():
 
 
 # ---------------------------------------------------------------------------
-# remote-gradient estimate, as the round engine hands it to observers
+# the dictionary step's direction I y, as the round engine hands the
+# tracker to observers
 
 
-def grad_rest_per_round(problem, rounds=5, **mapping):
-    """Run the engine and return, per round, each agent's grad_rest with
-    its local gradient; checks grad_rest == I * tracker - own gradient."""
+def direction_per_round(problem, rounds=5, **mapping):
+    """Run the engine and return, per round, each agent's direction
+    ``I * tracker`` with its local gradient, taken per group as the engine
+    takes it."""
     config = build_run_config(dict(mapping, agents=problem.num_agents,
                                    max_rounds=rounds, metric_stride=rounds))
     seen = []
 
     def watch(state):
-        rows = []
-        for a, S in zip(state.agents, problem.S_blocks):
-            g = grad_dict(a.D, a.X, S)
-            assert np.allclose(a.grad_rest,
-                               problem.num_agents * a.tracker - g,
-                               rtol=0.0, atol=1e-12)
-            rows.append((a.grad_rest.copy(), g))
-        seen.append(rows)
+        grads = np.concatenate([grad_dict(state.D[sl], Xg, S) for sl, S, Xg
+                                in zip(problem.groups.slices,
+                                       problem.S_groups, state.X)])
+        seen.append(list(zip(problem.num_agents * state.tracker, grads)))
 
     run(problem, config, observer=watch)
     assert len(seen) == rounds
     return seen
 
 
-def test_grad_rest_is_zero_for_a_single_agent():
+def test_direction_is_the_local_gradient_for_a_single_agent():
     rng = np.random.default_rng(37)
     problem = ProblemData(S_blocks=[rng.normal(size=(4, 5))], K=3,
                           lam=0.125, mu=0.0625, alpha=1.0)
-    for rows in grad_rest_per_round(problem):
-        assert np.allclose(rows[0][0], 0.0, atol=1e-15)
+    for d_mode in VARIANTS:
+        for rows in direction_per_round(problem, d_mode=d_mode):
+            direction, g = rows[0]
+            assert g.any()
+            assert np.array_equal(direction, g)
 
 
-def test_grad_rest_sums_the_other_agents_gradients_at_a_common_point(
-        monkeypatch):
+def test_direction_sums_all_agents_gradients_at_a_common_point(monkeypatch):
     # all agents share the data block and start from one state, so they
-    # stay at a common point and each estimate is the sum of the others'
+    # stay at a common point and each direction is the sum of all agents'
     # gradients
     rng = np.random.default_rng(38)
     block = rng.normal(size=(4, 3))
@@ -303,21 +297,21 @@ def test_grad_rest_sums_the_other_agents_gradients_at_a_common_point(
 
     def common_start(problem, seed=0):
         # agent 0's state for everyone; the codes are zero for all agents
-        D, X, tracker, grad_rest = init_agents(problem, seed=seed)
-        D, tracker, grad_rest = (np.repeat(a[:1], problem.num_agents, axis=0)
-                                 for a in (D, tracker, grad_rest))
-        return D, X, tracker, grad_rest
+        D, X, tracker = init_agents(problem, seed=seed)
+        D, tracker = (np.repeat(a[:1], problem.num_agents, axis=0)
+                      for a in (D, tracker))
+        return D, X, tracker
 
     monkeypatch.setattr(protocol_mod, "init_agents", common_start)
-    for rows in grad_rest_per_round(problem, graph="static_ring"):
-        for i, (rest, _) in enumerate(rows):
-            others = sum(g for j, (_, g) in enumerate(rows) if j != i)
-            assert np.allclose(rest, others, rtol=0.0, atol=1e-12)
+    for rows in direction_per_round(problem, graph="static_ring"):
+        total = sum(g for _, g in rows)
+        for direction, _ in rows:
+            assert np.allclose(direction, total, rtol=0.0, atol=1e-12)
 
 
-def test_grad_rest_zero_instance_is_zero():
+def test_direction_zero_instance_is_zero():
     problem = ProblemData(S_blocks=[np.zeros((3, 2)), np.zeros((3, 2))],
                           K=2, lam=0.125, mu=0.0625, alpha=1.0)
-    for rows in grad_rest_per_round(problem):
-        for rest, _ in rows:
-            assert np.array_equal(rest, np.zeros((3, 2)))
+    for rows in direction_per_round(problem):
+        for direction, _ in rows:
+            assert np.array_equal(direction, np.zeros((3, 2)))

@@ -127,11 +127,18 @@ def test_compare_merges_all_algorithms(tmp_path, capsys):
     assert "budget" in out
 
 
-def test_errors_exit_nonzero(tmp_path, capsys):
+def test_errors_exit_nonzero(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("this is not key value\n")
     assert main(["run", "--config", str(bad_cfg)]) == 1
     assert "error:" in capsys.readouterr().err
+
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("rounds = 3\nrounds = 4\n")
+    assert main(["run", "--config", str(twice)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'rounds'" in err and "lines 1 and 2" in err
 
     missing = tmp_path / "missing.pgm"
     assert main(["denoise", "--image", str(missing)]) == 1

@@ -38,6 +38,16 @@ def test_load_config_reports_file_and_line_on_errors(tmp_path):
     assert ":2:" in str(info.value)
 
 
+def test_load_config_rejects_a_key_set_twice(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("lam = 0.2\n# lam = 0.5\nagents = 4\n\nlam = 0.3\n")
+    with pytest.raises(ValueError) as info:
+        load_config(path)
+    message = str(info.value)
+    assert str(path) in message and "'lam'" in message
+    assert "lines 1 and 5" in message
+
+
 def test_build_run_config_routes_keys_to_the_right_places():
     config = build_run_config({"lam": "0.2", "mu": "0.1", "gamma0": "0.4",
                                "tau_d": "2.5", "graph": "static_path",

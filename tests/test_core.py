@@ -330,7 +330,7 @@ def test_kernels_stay_within_their_allocation_budgets():
     # the plain dictionary solver at the same group shape, in the same loop
     D = project_dictionary(U, 1.0)
     G = rng.normal(size=D.shape)
-    peaks = [peak_over(lambda: d_update_plain(D, X, S, G, 1.0, 1.0,
+    peaks = [peak_over(lambda: d_update_plain(D, X, G, 1.0, 1.0,
                                               inner_tol=1e-300,
                                               inner_max_iter=iters), D)
              for iters in (20, 200)]
@@ -593,13 +593,12 @@ def test_plain_solvers_reject_non_finite_input():
     D0 = project_dictionary(U, 1.0)
     G = rng.normal(size=D0.shape)
     for bad in (np.nan, np.inf):
-        for name in ("D0", "X", "S", "grad_rest"):
-            args = {"D0": D0.copy(), "X": X0.copy(), "S": S.copy(),
-                    "grad_rest": G.copy()}
+        for name in ("D0", "X", "direction"):
+            args = {"D0": D0.copy(), "X": X0.copy(), "direction": G.copy()}
             args[name][3, 5] = bad
             with pytest.raises(ValueError, match="finite"):
-                d_update_plain(args["D0"], args["X"], args["S"],
-                               args["grad_rest"], 1.0, np.inf)
+                d_update_plain(args["D0"], args["X"], args["direction"],
+                               1.0, np.inf)
     # a stack with one bad agent fails too
     Ust = np.stack([U, U])
     Ust[1, 0, 0] = np.nan
@@ -633,8 +632,7 @@ def test_x_variants_agree_when_the_prox_weights_are_matched():
 def test_d_linearized_fixed_point_when_gradients_cancel():
     rng = np.random.default_rng(14)
     D = project_dictionary(rng.normal(size=(4, 3)), 1.0)
-    out = d_update_linearized(D, np.zeros_like(D), np.zeros_like(D), 2.0,
-                              1.0)
+    out = d_update_linearized(D, np.zeros_like(D), 2.0, 1.0)
     assert np.allclose(out, D, atol=1e-15)
 
 
@@ -643,7 +641,7 @@ def test_d_linearized_single_column_is_a_projected_gradient_step():
     D = rng.normal(size=(4, 1))
     G = rng.normal(size=(4, 1))
     tau = 1.7
-    out = d_update_linearized(D, G, np.zeros_like(G), tau, 1.0)
+    out = d_update_linearized(D, G, tau, 1.0)
     assert np.allclose(out, project_dictionary(D - G / tau, 1.0),
                        atol=1e-15)
 
@@ -651,12 +649,10 @@ def test_d_linearized_single_column_is_a_projected_gradient_step():
 def test_d_linearized_matches_projected_gradient_oracle():
     rng = np.random.default_rng(16)
     D = rng.normal(size=(3, 2))
-    grad_local = rng.normal(size=(3, 2))
-    grad_rest = rng.normal(size=(3, 2))
+    direction = rng.normal(size=(3, 2))
     tau = 2.2
-    got = d_update_linearized(D, grad_local, grad_rest, tau, 1.0)
-    want = projected_gradient_quadratic(D, grad_local + grad_rest, tau, 1.0,
-                                        iters=200)
+    got = d_update_linearized(D, direction, tau, 1.0)
+    want = projected_gradient_quadratic(D, direction, tau, 1.0, iters=200)
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -664,7 +660,9 @@ def test_d_linearized_matches_projected_gradient_oracle():
 @given(data=st.data())
 def test_d_plain_matches_the_earlier_loop(data):
     # 2-d calls and stacks of 1-3 agents, with and without the projection;
-    # the small caps end solves at the cap while others stop one by one
+    # the small caps end solves at the cap while others stop one by one.
+    # The loop reads S and the solver does not: the data cancels out of the
+    # surrogate once its linear term is the direction
     c = data.draw(st.integers(0, 3), label="agents (0: a 2-d call)")
     K = data.draw(st.integers(1, 5), label="K")
     M = data.draw(st.integers(1, 5), label="M")
@@ -680,7 +678,7 @@ def test_d_plain_matches_the_earlier_loop(data):
     S = rng.normal(size=lead + (M, n))
     G = 0.1 * rng.normal(size=lead + (M, K))
     kw = dict(inner_tol=tol, inner_max_iter=cap)
-    out, converged = d_update_plain(D0, X, S, G, tau, alpha, **kw)
+    out, converged = d_update_plain(D0, X, G, tau, alpha, **kw)
     want, want_converged = d_update_plain_loop(D0, X, S, G, tau, alpha, **kw)
     assert np.array_equal(converged, want_converged)
     assert np.max(np.abs(out - want)) <= 1e-12 * max(1.0,
@@ -691,8 +689,7 @@ def test_d_plain_is_stationary_on_a_pure_proximal_objective():
     rng = np.random.default_rng(17)
     D = project_dictionary(rng.normal(size=(4, 3)), 1.0)
     X = np.zeros((3, 5))
-    S = rng.normal(size=(4, 5))
-    out, converged = d_update_plain(D, X, S, np.zeros_like(D), 1.5, 1.0)
+    out, converged = d_update_plain(D, X, np.zeros_like(D), 1.5, 1.0)
     assert converged
     assert np.allclose(out, D, atol=1e-12)
 
@@ -703,8 +700,9 @@ def test_d_plain_solves_the_normal_equations_when_unconstrained():
     X = rng.normal(size=(2, 6))
     S = rng.normal(size=(3, 6))
     grad_rest = rng.normal(size=(3, 2)) * 0.1
+    direction = grad_dict(D0, X, S) + grad_rest
     tau = 1.0
-    out, converged = d_update_plain(D0, X, S, grad_rest, tau, np.inf,
+    out, converged = d_update_plain(D0, X, direction, tau, np.inf,
                                     inner_tol=1e-12,
                                     inner_max_iter=20000)
     assert converged
@@ -717,13 +715,12 @@ def test_d_plain_first_inner_iterate_matches_the_linearized_form():
     D0 = project_dictionary(rng.normal(size=(4, 3)), 1.0)
     X = rng.normal(size=(3, 6))
     S = rng.normal(size=(4, 6))
-    grad_rest = rng.normal(size=(4, 3)) * 0.1
+    direction = grad_dict(D0, X, S) + rng.normal(size=(4, 3)) * 0.1
     tau = 0.9
     sigma_sq = sigma_max(X)[0] ** 2
-    one_step, _ = d_update_plain(D0, X, S, grad_rest, tau, 1.0,
+    one_step, _ = d_update_plain(D0, X, direction, tau, 1.0,
                                  inner_max_iter=1)
-    linearized = d_update_linearized(D0, grad_dict(D0, X, S), grad_rest,
-                                     sigma_sq + tau, 1.0)
+    linearized = d_update_linearized(D0, direction, sigma_sq + tau, 1.0)
     assert np.max(np.abs(one_step - linearized)) <= 1e-12
 
 
@@ -878,14 +875,13 @@ def test_a_stacked_sigma_max_equals_its_lone_calls(stack):
 def test_a_stacked_dictionary_step_equals_its_group_calls(
         I, M, K, gamma, alpha, tau_d, seed, data):
     rng = np.random.default_rng(seed)
-    D, grad_rest, grad = rng.normal(size=(3, I, M, K))
+    D, direction = rng.normal(size=(2, I, M, K))
     cuts = sorted(data.draw(st.sets(st.integers(1, I - 1))) if I > 1 else [])
     bounds = [0, *cuts, I]
     sched = StepSchedule(tau_d=tau_d)
-    whole, _ = dictionary_step(D, None, None, grad_rest, grad, gamma, sched,
-                               alpha)
-    parts = [dictionary_step(D[lo:hi], None, None, grad_rest[lo:hi],
-                             grad[lo:hi], gamma, sched, alpha)[0]
+    whole, _ = dictionary_step(D, None, direction, gamma, sched, alpha)
+    parts = [dictionary_step(D[lo:hi], None, direction[lo:hi], gamma, sched,
+                             alpha)[0]
              for lo, hi in zip(bounds[:-1], bounds[1:])]
     assert whole.tobytes() == np.concatenate(parts).tobytes()
 
@@ -941,7 +937,7 @@ def test_exact_block_minimization_never_increases_the_objective():
 
     S_all = np.hstack(problem.S_blocks)
     X_all = np.hstack(X)
-    D_new, _ = d_update_plain(D, X_all, S_all, np.zeros_like(D), 1.0,
+    D_new, _ = d_update_plain(D, X_all, grad_dict(D, X_all, S_all), 1.0,
                               problem.alpha, inner_tol=1e-11)
     after_d = objective_global(D_new, problem.groups.stack(X), problem)
     assert after_d <= before + 1e-10

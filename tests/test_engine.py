@@ -152,8 +152,8 @@ def test_every_plain_solve_stops_at_the_tolerance_of_its_round(data):
 @given(data=st.data())
 def test_relabelling_the_features_permutes_every_round(variant, d_mode,
                                                         kind, data):
-    # permuting the rows of every S_i by one pi permutes the rows of D,
-    # tracker and grad_rest in every round and leaves the codes and the
+    # permuting the rows of every S_i by one pi permutes the rows of D and
+    # the tracker in every round and leaves the codes and the
     # objective, gap and consensus error as they were, up to rounding;
     # uniform data has no zero column, which would take init_agents'
     # random fallback
@@ -182,7 +182,7 @@ def test_relabelling_the_features_permutes_every_round(variant, d_mode,
 
         def watch(state, instance=instance, seen=seen):
             D_bar = mean_dictionary(state.D)
-            seen.append((state.D, state.tracker, state.grad_rest, state.X,
+            seen.append((state.D, state.tracker, state.X,
                          objective_global(D_bar, state.X, instance),
                          stationarity_gap(D_bar, state.X, instance),
                          consensus_error(state.D, D_bar)))
@@ -191,11 +191,11 @@ def test_relabelling_the_features_permutes_every_round(variant, d_mode,
         rounds.append(seen)
     assert len(rounds[0]) == len(rounds[1]) == 15
     for ours, theirs in zip(*rounds):
-        for A, B in zip(ours[:3], theirs[:3]):
+        for A, B in zip(ours[:2], theirs[:2]):
             assert np.max(np.abs(A[:, pi] - B)) <= 1e-12
-        for X, Y in zip(ours[3], theirs[3]):
+        for X, Y in zip(ours[2], theirs[2]):
             assert np.max(np.abs(X - Y)) <= 1e-12
-        assert ours[4:] == pytest.approx(theirs[4:], rel=1e-12, abs=1e-12)
+        assert ours[3:] == pytest.approx(theirs[3:], rel=1e-12, abs=1e-12)
 
 
 def assert_one_round_permutes_the_agents(sizes, per_group, perm, W, seed,
@@ -212,7 +212,7 @@ def assert_one_round_permutes_the_agents(sizes, per_group, perm, W, seed,
             lam=problem.lam, mu=problem.mu, alpha=problem.alpha)
     D = core_mod.project_dictionary(rng.normal(size=(I, M, K)), 1.0)
     codes = [rng.normal(size=(K, n)) for n in sizes]
-    tracker, grad_rest, grads = rng.normal(size=(3, I, M, K))
+    tracker, grads = rng.normal(size=(2, I, M, K))
     sched = build_run_config({"agents": I, "variant": variant,
                               "d_mode": d_mode}).steps
     outs = []
@@ -220,17 +220,17 @@ def assert_one_round_permutes_the_agents(sizes, per_group, perm, W, seed,
                                  (relabelled, perm, W[np.ix_(perm, perm)])):
         state = RoundState(instance.groups, D[p],
                            instance.groups.stack([codes[i] for i in p]),
-                           tracker[p], grad_rest[p])
+                           tracker[p])
         grads_new, flags = _tracked_round(instance, state, weights, 0.5,
                                           sched, grads[p])
-        outs.append((state.D, state.tracker, state.grad_rest, grads_new,
+        outs.append((state.D, state.tracker, grads_new,
                      instance.groups.unstack(state.X), flags))
     ours, theirs = outs
-    for A, B in zip(ours[:4], theirs[:4]):
+    for A, B in zip(ours[:3], theirs[:3]):
         assert np.max(np.abs(A[perm] - B)) <= 1e-12
-    for i, Y in zip(perm, theirs[4]):
-        assert np.max(np.abs(ours[4][i] - Y)) <= 1e-12
-    assert ours[5] == theirs[5]
+    for i, Y in zip(perm, theirs[3]):
+        assert np.max(np.abs(ours[3][i] - Y)) <= 1e-12
+    assert ours[4] == theirs[4]
 
 
 @pytest.mark.parametrize("d_mode", VARIANTS)
@@ -268,9 +268,9 @@ def test_relabelling_the_agents_regroups_and_repads(variant, d_mode):
 def test_relabelling_one_blocks_columns_permutes_only_its_codes(
         variant, d_mode, data):
     # the columns of one block S_a and of its codes permuted by P: one
-    # tracked round gives the same D, tracker, grad_rest, gradients and
-    # flags, agent a's new codes column-permuted and every other agent's
-    # codes as they were, though the plain solvers step a group in lockstep
+    # tracked round gives the same D, tracker, gradients and flags, agent
+    # a's new codes column-permuted and every other agent's codes as they
+    # were, though the plain solvers step a group in lockstep
     I = data.draw(st.integers(1, 5), label="agents")
     sizes = data.draw(st.lists(st.integers(1, 6), min_size=I, max_size=I),
                       label="block widths")
@@ -289,7 +289,7 @@ def test_relabelling_one_blocks_columns_permutes_only_its_codes(
                                  mu=problem.mu, alpha=problem.alpha)
     D = core_mod.project_dictionary(rng.normal(size=(I, M, K)), 1.0)
     codes = [rng.normal(size=(K, n)) for n in sizes]
-    tracker, grad_rest, grads = rng.normal(size=(3, I, M, K))
+    tracker, grads = rng.normal(size=(2, I, M, K))
     W = build_schedule(kind, I, window=2, seed=seed).weights_at(0)
     sched = build_run_config({"agents": I, "variant": variant,
                               "d_mode": d_mode}).steps
@@ -297,10 +297,10 @@ def test_relabelling_one_blocks_columns_permutes_only_its_codes(
     for instance, X_a in ((problem, codes[a]), (relabelled, codes[a][:, P])):
         X = codes[:a] + [X_a] + codes[a + 1:]
         state = RoundState(instance.groups, D.copy(), instance.groups.stack(X),
-                           tracker.copy(), grad_rest.copy())
+                           tracker.copy())
         grads_new, flags = _tracked_round(instance, state, W, 0.5, sched,
                                           grads.copy())
-        outs.append(((state.D, state.tracker, state.grad_rest, grads_new),
+        outs.append(((state.D, state.tracker, grads_new),
                      instance.groups.unstack(state.X), flags))
     (ours, our_codes, our_flags), (theirs, their_codes, their_flags) = outs
     for A, B in zip(ours, theirs):
@@ -366,7 +366,7 @@ def test_arrays_an_observer_kept_are_never_written_again():
     kept = []
 
     def keep(state):
-        arrays = [state.D, state.tracker, state.grad_rest, *state.X]
+        arrays = [state.D, state.tracker, *state.X]
         arrays += [a.X for a in state.agents]
         kept.append([(A, A.copy()) for A in arrays])
 

@@ -296,7 +296,7 @@ def test_baseline_single_agent_is_projected_alternating_descent():
     # manual replay with the library primitives
     from distdict import init_agents
     from distdict.agents import gamma_sequence
-    D, X, _, _ = init_agents(problem, seed=config.seed)
+    D, X, _ = init_agents(problem, seed=config.seed)
     D, X = D[0].copy(), X[0][0].copy()
     S = problem.S_blocks[0]
     gammas = gamma_sequence(config.max_rounds + 1,

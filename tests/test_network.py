@@ -268,6 +268,19 @@ def test_validate_rejects_pattern_mismatch_and_small_entries():
     assert validate_weights(tiny, A, theta_min=1e-4)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+def test_a_non_finite_weight_fails_validation(entry, value):
+    # NaN passes the pattern, theta_min and row-sum comparisons on its own
+    path = build_schedule("static_path", 3)
+    W = path.weights[0].copy()
+    W[entry] = value
+    assert not validate_weights(W, path.adjacency[0])
+    with pytest.raises(ValueError, match="phase 0 weights fail validation"):
+        check_schedule(GraphSchedule(adjacency=path.adjacency, weights=[W],
+                                     window=path.window))
+
+
 # ---------------------------------------------------------------------------
 # mixing behaviour
 

@@ -132,7 +132,7 @@ def test_a_run_starts_from_zero_gradients_without_computing_them(
     problem = toy_problem(np.random.default_rng(44))
     state = run(problem, config_for(problem, max_rounds=0)).state
     assert calls == []
-    assert not state.tracker.any() and not state.grad_rest.any()
+    assert not state.tracker.any()
     assert tracking_residual(problem, state) == 0.0
 
 
@@ -209,7 +209,7 @@ def test_run_returns_the_state_it_ended_in():
     initial = protocol_mod.RoundState(
         problem.groups, *protocol_mod.init_agents(problem, seed=5))
     for got, want in zip(start.agents, initial.agents):
-        for name in ("D", "X", "tracker", "grad_rest"):
+        for name in ("D", "X", "tracker"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
     # an early stop hands back the arrays of the last round run
@@ -217,13 +217,12 @@ def test_run_returns_the_state_it_ended_in():
     config = config_for(problem, max_rounds=500, metric_stride=1,
                         stop_tol=1e-3)
     trace = run(problem, config, observer=lambda s: seen.append(
-        (s.D, s.X, s.tracker, s.grad_rest)))
+        (s.D, s.X, s.tracker)))
     end = trace.state
     assert end.nu == trace.nu[-1] == len(seen) < 500
     assert end.messages == 2 * end.nu
-    D, X, tracker, grad_rest = seen[-1]
+    D, X, tracker = seen[-1]
     assert end.D is D and end.tracker is tracker
-    assert end.grad_rest is grad_rest
     assert all(got is want for got, want in zip(end.X, X))
 
 
