@@ -7,15 +7,16 @@ the others', the one linear term of both dictionary surrogates. The
 dictionary step returns ``D_half``, the damped local dictionary update that
 gets broadcast in the consensus step.
 
-The steps take and return arrays. They work the same on one agent's
-matrices and on agents held as stacks with a leading agent axis (see
-``core``); the round engine calls the steps that read an agent's data once
-per group, and the others once over all agents.
+The steps take and return agent stacks with a leading agent axis (see
+``core``); one agent is a stack of one. The round engine calls the steps
+that read an agent's data once per group, and the others once over all
+agents.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ class StepSchedule:
     solves as long as the errors eps_nu satisfy sum gamma_nu eps_nu < inf,
     and a tolerance of order gamma_nu^2 is summable against gamma_nu, which
     decays like 1 / (eps_gamma nu). ``inner_tol`` is its floor. Every float
-    field must be finite.
+    field must be finite, and ``inner_max_iter`` an integer.
     """
 
     gamma0: float = 0.5
@@ -60,6 +61,7 @@ class StepSchedule:
     def __post_init__(self):
         check_finite(self, "gamma0", "eps_gamma", "tau_d", "eps_tau",
                      "inner_tol")
+        check_integer(self, "inner_max_iter")
         if not 0.0 <= self.gamma0 <= 1.0:
             raise ValueError("gamma0 must lie in [0, 1]")
         if self.eps_gamma <= 0 or self.eps_gamma * self.gamma0 >= 1.0:
@@ -93,6 +95,19 @@ def check_finite(obj, *names) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def check_integer(obj, *names) -> None:
+    """Raise ValueError naming the first of the fields ``names`` of ``obj``
+    that is not an integer; a float is not one, even with an integral
+    value."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") \
+                from None
+
+
 @dataclass
 class AgentState:
     """Local variables of one agent, as ``protocol.RoundState.agents``
@@ -119,13 +134,12 @@ def coding_prox_weight(D_half, eps_tau: float) -> tuple:
     and the norm sigma_max(D_half) it came from, which ``coding_step`` hands
     to the plain solver so that it need not take the norm again.
 
-    For a stack of ``c`` dictionaries, one weight per agent with shape
-    ``(c, 1, 1)``, which broadcasts over the agents' codes, and ``c`` norms.
+    For a ``(c, M, K)`` stack of dictionaries, one weight per agent with
+    shape ``(c, 1, 1)``, which broadcasts over the agents' codes, and ``c``
+    norms.
     """
     sig, _ = sigma_max(D_half)
-    if np.ndim(sig):
-        return np.maximum(eps_tau, sig * sig)[:, None, None], sig
-    return max(eps_tau, sig * sig), sig
+    return np.maximum(eps_tau, sig * sig)[:, None, None], sig
 
 
 def init_agents(problem: ProblemData, seed: int = 0) -> tuple:
@@ -177,9 +191,9 @@ def dictionary_step(D, X, direction, gamma: float, sched: StepSchedule,
     tracker. The linearized mode takes ``proj(D - I y / tau_d)`` and reads
     no ``X``, so one call on a stack equals its calls on the parts bit for
     bit; the plain mode solves to ``sched.inner_tol_at(gamma)``. Returns
-    ``(D_half, ok)`` with ``D_half = D + gamma (D_tilde - D)``; ``ok`` is
-    False when the plain-mode inner solver hit its iteration cap, and for a
-    stack of agents one such flag per agent.
+    ``(D_half, ok)`` with ``D_half = D + gamma (D_tilde - D)``; in plain
+    mode ``ok`` holds one flag per agent, False where the inner solver hit
+    its iteration cap, and in linearized mode it is True.
     """
     if sched.d_mode == "plain":
         d_tilde, ok = d_update_plain(D, X, direction, sched.tau_d, alpha,
@@ -195,20 +209,20 @@ def dictionary_step(D, X, direction, gamma: float, sched: StepSchedule,
     return d_tilde, ok
 
 
-def coding_step(X, D_half, S, tau_x: float, lam: float, mu: float,
-                gamma: float, sched: StepSchedule, sigma=None) -> tuple:
+def coding_step(X, D_half, S, tau_x, lam: float, mu: float,
+                gamma: float, sched: StepSchedule, sigma) -> tuple:
     """Update the private codes ``X`` against the blended dictionary
     ``D_half`` in a round with step ``gamma``; the plain variant solves to
     ``sched.inner_tol_at(gamma)``.
 
-    ``sigma`` is ``sigma_max(D_half)`` when the caller holds it (see
-    ``coding_prox_weight``); the plain variant computes it otherwise.
-    Returns ``(X_new, ok)``; ``ok`` is False when the plain-variant inner
-    solver hit its iteration cap, and for a stack of agents one such flag
-    per agent.
+    ``tau_x`` and ``sigma`` are the weights and norms of
+    ``coding_prox_weight``; the plain variant reads ``sigma``. Returns
+    ``(X_new, ok)``; in the plain variant ``ok`` holds one flag per agent,
+    False where the inner solver hit its iteration cap, and in the
+    linearized one it is True.
     """
     if sched.variant == "plain":
         return x_update_plain(X, D_half, S, tau_x, lam, mu,
                               sched.inner_tol_at(gamma), sched.inner_max_iter,
-                              sigma=sigma)
+                              sigma)
     return x_update_linearized(X, D_half, S, tau_x, lam, mu), True

@@ -191,7 +191,8 @@ def _check_gradients(rng) -> bool:
 
         for wrt in ("D", "X"):
             point = D if wrt == "D" else X
-            g = grad_dict(D, X, S) if wrt == "D" else grad_codes(D, X, S)
+            grad = grad_dict if wrt == "D" else grad_codes
+            g = grad(D[None], X[None], S[None])[0]
             num = np.zeros_like(point)
             it = np.nditer(point, flags=["multi_index"])
             while not it.finished:
@@ -219,8 +220,9 @@ def _check_prox(rng) -> bool:
                                float(rng.uniform(0.01, 1.0)),
                                float(rng.uniform(0.01, 1.0)))
         # with U = 1 and S = x0 - g the fit gradient at x0 equals g
-        x = x_update_linearized(np.array([[x0]]), np.array([[1.0]]),
-                                np.array([[x0 - g]]), tau, lam, mu)[0, 0]
+        x = x_update_linearized(np.full((1, 1, 1), x0), np.ones((1, 1, 1)),
+                                np.full((1, 1, 1), x0 - g), tau, lam,
+                                mu)[0, 0, 0]
         resid = g + tau * (x - x0) + 2 * mu * x
         if x > 0 and abs(resid + lam) > 1e-9:
             return False

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .agents import StepSchedule, check_finite
+from .agents import StepSchedule, check_finite, check_integer
 from .network import SCHEDULE_KINDS
 
 
 @dataclass
 class GraphSpec:
-    """Parameters handed to the schedule builder."""
+    """Parameters handed to the schedule builder; ``period``, when set, is
+    an integer of at least 1, as are ``num_agents`` and ``window``."""
 
     kind: str = "static_ring"
     num_agents: int = 5
@@ -21,16 +22,21 @@ class GraphSpec:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"graph kind must be one of {SCHEDULE_KINDS}")
+        check_integer(self, "num_agents", "window", "seed")
         if self.num_agents < 1:
             raise ValueError("num_agents must be at least 1")
         if self.window < 1:
             raise ValueError("window must be at least 1")
+        if self.period is not None:
+            check_integer(self, "period")
+            if self.period < 1:
+                raise ValueError("period must be at least 1")
 
 
 @dataclass
 class RunConfig:
     """Everything a simulation run needs besides the data itself; every
-    float field must be finite."""
+    float field must be finite, and every int field an integer."""
 
     lam: float = 0.1
     mu: float = 0.05
@@ -44,6 +50,7 @@ class RunConfig:
 
     def __post_init__(self):
         check_finite(self, "lam", "mu", "alpha", "stop_tol")
+        check_integer(self, "max_rounds", "metric_stride", "seed")
         if self.lam <= 0 or self.mu <= 0 or self.alpha <= 0:
             raise ValueError("lam, mu and alpha must be positive")
         if self.max_rounds < 0:

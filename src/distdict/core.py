@@ -9,13 +9,16 @@ The global problem is
 where the data matrix S is split into column blocks S_i owned by the agents.
 Everything in this module is local math; networking lives elsewhere.
 
-The kernels take either one agent's matrices or stacks of them with a
+The kernels that read data or solve a subproblem take stacks with a
 leading agent axis, as the round engine holds them: ``D`` of shape
 ``(c, M, K)``, ``X`` of shape ``(c, K, n)`` and ``S`` of shape ``(c, M, n)``
-for a group of ``c`` agents. A 2-d call is the single-agent case and returns
-what it always did. Stacked blocks narrower than ``n`` are padded with zero
+for a group of ``c`` agents; one agent is a stack of one. Any other shape
+raises ValueError. Stacked blocks narrower than ``n`` are padded with zero
 columns, and the padding is exact: a zero data column with a zero code gives
-a zero gradient, and the shrinkage keeps that code at zero.
+a zero gradient, and the shrinkage keeps that code at zero. ``residual``,
+``prox_codes``, ``project_dictionary``, ``max_column_norm`` and
+``d_update_linearized`` work on any shape, the 2-d mean dictionary
+included.
 """
 
 from __future__ import annotations
@@ -134,8 +137,8 @@ class ProblemData:
             raise ValueError("K must be at least 1")
         if self.lam <= 0 or self.mu <= 0:
             raise ValueError("lam and mu must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         size = max(1, BUDGET // (max(M, self.K) * max(self.block_sizes)))
         I = len(self.S_blocks)
         self.groups = AgentGroups(
@@ -187,21 +190,21 @@ def objective_global(D, X_groups, problem: ProblemData) -> float:
     return float(total)
 
 
+def _stacks(*arrays):
+    """The arrays as float stacks ``(c, rows, cols)`` of one length ``c``;
+    any other shape raises ValueError."""
+    arrays = [np.asarray(A, dtype=float) for A in arrays]
+    if any(A.ndim != 3 or len(A) != len(arrays[0]) for A in arrays):
+        raise ValueError(f"incompatible shapes {[A.shape for A in arrays]}:"
+                         " the kernels take (c, rows, cols) stacks of one"
+                         " length c")
+    return arrays
+
+
 def _check_triplet(D, X, S):
-    D = np.asarray(D, dtype=float)
-    X = np.asarray(X, dtype=float)
-    S = np.asarray(S, dtype=float)
-    if D.ndim not in (2, 3) or X.ndim not in (2, 3) or S.ndim not in (2, 3):
-        raise ValueError("D, X and S must be 2-d arrays or stacks of them")
-    # each stack part is () or (c,), and D's and X's must broadcast; S may
-    # not carry a stack that D @ X lacks: the residual is formed in the
-    # array of D @ X
-    sD, sX, sS = D.shape[:-2], X.shape[:-2], S.shape[:-2]
-    stack = sX if sD in ((), (1,)) and sX else sD
-    fits = (sD == sX or sD in ((), (1,)) or sX in ((), (1,))) \
-        and (sS in ((), stack) or sS == (1,) and stack != ())
-    if not fits or D.shape[-1] != X.shape[-2] \
-            or D.shape[-2] != S.shape[-2] or X.shape[-1] != S.shape[-1]:
+    D, X, S = _stacks(D, X, S)
+    if D.shape[2] != X.shape[1] or D.shape[1] != S.shape[1] \
+            or X.shape[2] != S.shape[2]:
         raise ValueError(f"incompatible shapes D{D.shape} X{X.shape} "
                          f"S{S.shape}")
     return D, X, S
@@ -215,15 +218,15 @@ def residual(D, X, S) -> np.ndarray:
 
 
 def grad_dict(D, X, S) -> np.ndarray:
-    """Gradient of the local fit term 1/2 ||S - D X||_F^2 with respect to D;
-    one per agent for stacked input, and a 2-d D is shared by the stack."""
+    """Gradient of the local fit term 1/2 ||S - D X||_F^2 with respect to D,
+    one per agent of the stacks."""
     D, X, S = _check_triplet(D, X, S)
     return residual(D, X, S) @ X.swapaxes(-1, -2)
 
 
 def grad_codes(D, X, S) -> np.ndarray:
-    """Gradient of the local fit term 1/2 ||S - D X||_F^2 with respect to X;
-    one per agent for stacked input, and a 2-d D is shared by the stack."""
+    """Gradient of the local fit term 1/2 ||S - D X||_F^2 with respect to X,
+    one per agent of the stacks."""
     D, X, S = _check_triplet(D, X, S)
     return D.swapaxes(-1, -2) @ residual(D, X, S)
 
@@ -236,14 +239,12 @@ def project_dictionary(D, alpha: float) -> np.ndarray:
     columns already inside are untouched. The norms are those of
     ``np.linalg.norm`` (the square root of the summed squares), and the
     factor is ``alpha / max(norm, alpha)``, exactly 1 for a column inside
-    the ball, zero columns included. ``alpha = inf`` returns a copy of D,
-    with no warning.
+    the ball, zero columns included. ``alpha`` must be positive and
+    finite.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     D = np.asarray(D, dtype=float)
-    if alpha == np.inf:
-        return D.copy()
     norms = np.sqrt(np.add.reduce(D * D, axis=-2, keepdims=True))
     return D * (alpha / np.maximum(norms, alpha))
 
@@ -255,25 +256,28 @@ def max_column_norm(D) -> float:
     return float(np.linalg.norm(D, axis=-2).max())
 
 
-def soft_threshold(x, thresh):
-    """Entrywise shrinkage max(|x| - thresh, 0) * sign(x) for a threshold
-    ``thresh >= 0``, computed as x - min(max(x, -thresh), thresh) in one
-    new array.
+def soft_threshold(x, thresh) -> np.ndarray:
+    """Entrywise shrinkage max(|x| - thresh, 0) * sign(x) of an array x for
+    a threshold ``thresh >= 0``, computed as x - min(max(x, -thresh),
+    thresh) in one new array; a scalar x raises ValueError.
 
     The result equals the sign formula bit for bit, except that it is
     +0.0 everywhere inside the band |x| <= thresh.
     """
     x = np.asarray(x, dtype=float)
-    band = np.asarray(np.maximum(x, -thresh))  # a 0-d array for a scalar
+    if not x.ndim:
+        raise ValueError("soft_threshold takes an array, not a scalar")
+    band = np.maximum(x, -thresh)
     np.minimum(band, thresh, out=band)
     np.subtract(x, band, out=band)
-    return band if band.ndim else band[()]
+    return band
 
 
 def sigma_max(A):
-    """Largest singular value of A, the square root of the top eigenvalue
-    lam_1 of the smaller Gram matrix B (n x n, n = min of A's two sizes),
-    taken by repeated squaring with a proven bracket on lam_1.
+    """Largest singular value of each matrix A of a ``(c, m, n)`` stack, the
+    square root of the top eigenvalue lam_1 of its smaller Gram matrix B
+    (n x n, n = min of A's two sizes), taken by repeated squaring with a
+    proven bracket on lam_1.
 
     With t = tr B and C = B / t, each block squares C ``_SQUARINGS`` times
     and rescales it to trace 1, so after b blocks C = B^p / tr(B^p) with
@@ -285,24 +289,24 @@ def sigma_max(A):
     ||C||_F^2 >= 1/n bounds the width by ln(n) / p, and ``_BLOCKS = 12``
     reach p = 16^12 = 2.8e14, so even an exact n-fold tie closes for any
     n below 1e12: there is no cap and no other path. A matrix whose
-    bracket closes leaves the stack, so each entry of a stacked call equals
-    the lone call on its matrix bit for bit. A zero A gives +0.0. The
-    squarings run in two buffers, the Gram stack and one more of its size;
-    after a block in which some matrix closed, the others are copied out
-    and the old stack's buffer takes the next products.
+    bracket closes leaves the stack, so each entry equals the call on its
+    stack of one bit for bit. A zero A gives +0.0. The squarings run in two
+    buffers, the Gram stack and one more of its size; after a block in
+    which some matrix closed, the others are copied out and the old stack's
+    buffer takes the next products.
 
-    For a stack ``(c, m, n)`` the ``c`` values come as an array. Returns
-    ``(value, converged)``; ``converged`` is always True and stays because
-    ``bench/tracer.py`` reads it as ``out[1]``. NaN or inf in A, and a
-    finite A whose Gram matrix overflows, raise ``ValueError``.
+    Returns ``(values, converged)``, the ``c`` values as an array;
+    ``converged`` is always True and stays because ``bench/tracer.py``
+    reads it as ``out[1]``. NaN or inf in A, and a finite A whose Gram
+    matrix overflows, raise ``ValueError``, as does any input but a
+    nonempty 3-d stack.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim not in (2, 3) or A.size == 0:
-        raise ValueError("a nonempty 2-d array or stack of them is required")
+    if A.ndim != 3 or A.size == 0:
+        raise ValueError("a nonempty (c, m, n) stack is required")
     At = A.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         C = At @ A if A.shape[-1] <= A.shape[-2] else A @ At
-    C = C.reshape(-1, *C.shape[-2:])
     t = C.trace(axis1=1, axis2=2)
     if not np.isfinite(t).all():
         raise ValueError("sigma_max needs a finite A with a finite Gram "
@@ -330,14 +334,7 @@ def sigma_max(A):
         if n < len(C):
             live = live[wide]
             C, W = C[wide], C[:n]
-    value = np.sqrt(t * np.exp(ell))
-    return (float(value[0]) if A.ndim == 2 else value), True
-
-
-def _lift(*arrays):
-    """The arrays as float stacks: 2-d ones get a leading axis of one."""
-    arrays = [np.asarray(A, dtype=float) for A in arrays]
-    return [A if A.ndim == 3 else A[None] for A in arrays]
+    return np.sqrt(t * np.exp(ell)), True
 
 
 def x_update_linearized(X, U, S, tau, lam: float, mu: float):
@@ -347,8 +344,7 @@ def x_update_linearized(X, U, S, tau, lam: float, mu: float):
         <grad, X - X0> + tau/2 ||X - X0||_F^2 + lam ||X||_1 + mu ||X||_F^2
     with grad evaluated at (U, X0), which gives
         tau / (2 mu + tau) * shrink(X0 - grad / tau, lam / tau).
-    For stacked input ``tau`` may hold one weight per agent, shape
-    ``(c, 1, 1)``.
+    ``tau`` is a scalar or one weight per agent, shape ``(c, 1, 1)``.
     """
     if (np.asarray(tau) <= 0).any():
         raise ValueError("tau must be positive")
@@ -405,9 +401,8 @@ def _prox_gradient(X0, H, C, prox, beta, inner_tol, inner_max_iter,
     return out, done
 
 
-def x_update_plain(X, U, S, tau, lam: float, mu: float,
-                   inner_tol: float = 1e-8, inner_max_iter: int = 2000,
-                   sigma=None):
+def x_update_plain(X, U, S, tau, lam: float, mu: float, inner_tol: float,
+                   inner_max_iter: int, sigma):
     """Solve the proximal elastic-net coding subproblem
 
         min_X 1/2 ||S - U X||_F^2 + tau/2 ||X - X0||_F^2
@@ -420,8 +415,7 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
     strongly convex problems (Nesterov 2004, section 2.2). Every agent
     needs m > 0, which every subproblem of the round engine has, since
     ``eps_tau`` and ``mu`` are positive. ``sigma`` is sigma_max(U), one
-    value per agent for stacked input, for a caller that already holds it;
-    it is computed here when omitted.
+    value per agent, which the caller already holds.
 
     The solve stops once the proximal gradient step from the extrapolated
     point, max |X_{k+1} - Y_k|, falls to ``inner_tol``; that step vanishes
@@ -429,15 +423,14 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
     round engine passes ``StepSchedule.inner_tol_at(gamma)``, which is
     loose while the step size gamma is large; on the standard instance a
     call takes about 8 iterations.
-    Returns ``(X_new, converged)``; non-convergence within
-    ``inner_max_iter`` is reported through the flag, not raised. A
-    subproblem that is not strongly convex (tau = mu = 0 for some agent),
-    and X0, U or S holding NaN or inf, raise ``ValueError``.
-
-    For stacked input (``tau`` of shape ``(c, 1, 1)`` or a scalar) the
-    agents iterate in lockstep, each with its own momentum and its own
-    stop, so each keeps the iterate a lone solve would return, and
-    ``converged`` is one flag per agent.
+    X0, U and S are stacks (see the module docstring) and ``tau`` is a
+    scalar or of shape ``(c, 1, 1)``. The agents iterate in lockstep, each
+    with its own momentum and its own stop, so each keeps the iterate its
+    stack of one would return. Returns ``(X_new, converged)``, one flag per
+    agent; non-convergence within ``inner_max_iter`` is reported through
+    the flag, not raised. A subproblem that is not strongly convex
+    (tau = mu = 0 for some agent), and X0, U or S holding NaN or inf, raise
+    ``ValueError``.
     """
     if (np.asarray(tau) < 0).any():
         raise ValueError("tau must be nonnegative")
@@ -447,8 +440,7 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
     if (np.asarray(m) <= 0).any():
         raise ValueError("the coding subproblem must be strongly convex: "
                          "tau + 2 mu > 0 for every agent")
-    flat = np.ndim(X) == 2
-    X0, U, S = _lift(X, U, S)
+    U, X0, S = _check_triplet(U, X, S)
     Ut = U.swapaxes(-1, -2)
     # the forward step Y - step * grad as one affine map H Y + C, scaled
     # below; the diagonal of U^T U covers every entry of U, and C every
@@ -457,8 +449,6 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
     C = Ut @ S + tau * X0
     if not (np.isfinite(H).all() and np.isfinite(C).all()):
         raise ValueError("X0, U and S must be finite")
-    if sigma is None:
-        sigma, _ = sigma_max(U)
     step = 1.0 / (np.reshape(np.square(sigma), (-1, 1, 1)) + m)
     r = np.sqrt(m * step)
     beta = (1.0 - r) / (1.0 + r)
@@ -470,7 +460,7 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float,
     # counts the iterations
     out, done = _prox_gradient(X0, H, C, lambda F: soft_threshold(F, thr),
                                beta, inner_tol, inner_max_iter)
-    return (out[0], bool(done[0])) if flat else (out, done)
+    return out, done
 
 
 def d_update_linearized(D, direction, tau: float, alpha: float):
@@ -489,7 +479,7 @@ def d_update_linearized(D, direction, tau: float, alpha: float):
 
 
 def d_update_plain(D, X, direction, tau: float, alpha: float,
-                   inner_tol: float = 1e-8, inner_max_iter: int = 2000):
+                   inner_tol: float, inner_max_iter: int):
     """Solve the full local dictionary subproblem
 
         min_{D in the column-norm ball}
@@ -497,19 +487,18 @@ def d_update_plain(D, X, direction, tau: float, alpha: float,
 
     by projected gradient with step 1/(sigma_max(X)^2 + tau), in the loop
     of ``x_update_plain`` with the column projection as the prox: the same
-    ``(D_new, converged)`` return, per-agent stop and ``ValueError`` for
-    NaN or inf in its input. With ``direction = I y``, this is the surrogate
-    1/2 ||S - D X||^2 + tau/2 ||D - D0||^2 + <I y - grad, D - D0> up to a
-    constant, grad = (D0 X - S) X^T: the data cancels. It stays
-    unaccelerated: with the projection active and sigma_max(X)^2 small next
-    to tau, the coding solver's constant momentum raised the mean
-    iterations per call from 12.9 to 14.7 over 100 rounds of the standard
-    instance with both steps plain.
+    stacks, ``(D_new, converged)`` return, per-agent stop and
+    ``ValueError`` for NaN or inf in its input. With ``direction = I y``,
+    this is the surrogate 1/2 ||S - D X||^2 + tau/2 ||D - D0||^2
+    + <I y - grad, D - D0> up to a constant, grad = (D0 X - S) X^T: the
+    data cancels. It stays unaccelerated: with the projection active and
+    sigma_max(X)^2 small next to tau, the coding solver's constant momentum
+    raised the mean iterations per call from 12.9 to 14.7 over 100 rounds
+    of the standard instance with both steps plain.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    flat = np.ndim(D) == 2
-    D0, X, direction = _lift(D, X, direction)
+    D0, X, direction = _stacks(D, X, direction)
     # the forward step Y - step * grad as one affine map Y H + C, scaled
     # below; the diagonal of X X^T covers every entry of X, and C every
     # entry of D0 and direction
@@ -526,4 +515,4 @@ def d_update_plain(D, X, direction, tau: float, alpha: float,
     out, done = _prox_gradient(D0, H, C,
                                lambda F: project_dictionary(F, alpha), 0.0,
                                inner_tol, inner_max_iter, right=True)
-    return (out[0], bool(done[0])) if flat else (out, done)
+    return out, done

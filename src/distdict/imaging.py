@@ -85,10 +85,14 @@ def read_pgm(path) -> np.ndarray:
 
 def write_pgm(path, image, binary: bool = True) -> None:
     """Write an image as PGM with maxval 255. Values are rounded and
-    clipped to [0, 255]; ``binary`` picks P5 over P2."""
+    clipped to [0, 255]; ``binary`` picks P5 over P2. NaN or inf pixels
+    raise ValueError before the file is opened."""
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise ValueError("a 2-d image is required")
+    bad = arr.size - np.count_nonzero(np.isfinite(arr))
+    if bad:
+        raise ValueError(f"the image has {bad} non-finite pixel(s)")
     arr = np.clip(np.rint(arr.astype(float)), 0, 255).astype(np.uint8)
     h, w = arr.shape
     with open(path, "wb") as fh:

@@ -200,7 +200,8 @@ def build_schedule(kind: str, num_agents: int, window: int = 1,
         Generator seed (used by the random geometric kind).
     period : int, optional
         For ``tv_ring_partition``, the number of phases the ring edges are
-        split into (defaults to ``window``; must not exceed it).
+        split into (defaults to ``window``; must not exceed it). Any other
+        kind raises ValueError when it is given.
 
     Raises
     ------
@@ -213,6 +214,9 @@ def build_schedule(kind: str, num_agents: int, window: int = 1,
         raise ValueError("num_agents must be at least 1")
     if window < 1:
         raise ValueError("window must be at least 1")
+    if period is not None and kind != "tv_ring_partition":
+        raise ValueError(f"period applies to tv_ring_partition only, not "
+                         f"to {kind!r}")
 
     if kind == "static_path":
         adj = _adj_from_edges(I, [(k, k + 1) for k in range(I - 1)])

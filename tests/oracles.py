@@ -70,21 +70,16 @@ def x_update_linearized_formula(X, U, S, tau, lam, mu):
                                                           lam / tau)
 
 
-def x_update_plain_loop(X, U, S, tau, lam, mu, inner_tol=1e-8,
-                        inner_max_iter=2000, sigma=None):
+def x_update_plain_loop(X0, U, S, tau, lam, mu, inner_tol, inner_max_iter,
+                        sigma):
     """The plain coding solver's earlier loop, eight new arrays per
     iteration and the per-agent factors broadcast from ``(c, 1, 1)``;
     ``distdict.core.x_update_plain`` must return its codes and flags bit
-    for bit. The package's shrinkage and spectral norm are used, so that
-    only the loop is compared."""
-    from distdict.core import sigma_max, soft_threshold
+    for bit. The package's shrinkage is used, so that only the loop is
+    compared."""
+    from distdict.core import soft_threshold
 
-    flat = np.ndim(X) == 2
-    X0, U, S = [A if A.ndim == 3 else A[None]
-                for A in (np.asarray(A, dtype=float) for A in (X, U, S))]
     Ut = U.swapaxes(-1, -2)
-    if sigma is None:
-        sigma, _ = sigma_max(U)
     m = np.broadcast_to(tau + 2.0 * mu, (len(X0), 1, 1))
     L = np.reshape(np.square(sigma), (-1, 1, 1)) + m
     step = 1.0 / L
@@ -110,11 +105,11 @@ def x_update_plain_loop(X, U, S, tau, lam, mu, inner_tol=1e-8,
             break
     else:
         out[~done] = Xk[~done]
-    return (out[0], bool(done[0])) if flat else (out, done)
+    return out, done
 
 
-def d_update_plain_loop(D, X, S, direction, tau, alpha, inner_tol=1e-8,
-                        inner_max_iter=2000):
+def d_update_plain_loop(D0, X, S, direction, tau, alpha, inner_tol,
+                        inner_max_iter):
     """The plain dictionary solver's earlier loop, which forms the gradient
     and the projected step in new arrays every iteration, on the surrogate
     1/2 ||S - D X||^2 + tau/2 ||D - D0||^2 + <grad_rest, D - D0> with the
@@ -126,10 +121,6 @@ def d_update_plain_loop(D, X, S, direction, tau, alpha, inner_tol=1e-8,
 
     if tau <= 0:
         raise ValueError("tau must be positive")
-    flat = np.ndim(D) == 2
-    D0, X, S, direction = [A if A.ndim == 3 else A[None]
-                           for A in (np.asarray(A, dtype=float)
-                                     for A in (D, X, S, direction))]
     Xt = X.swapaxes(-1, -2)
     XXt = X @ Xt
     SXt = S @ Xt
@@ -154,7 +145,7 @@ def d_update_plain_loop(D, X, S, direction, tau, alpha, inner_tol=1e-8,
             break
     else:
         out[~done] = Dk[~done]
-    return (out[0], bool(done[0])) if flat else (out, done)
+    return out, done
 
 
 def project_dictionary_formula(D, alpha):
@@ -182,16 +173,6 @@ def consensus_tensordot(W, mats):
     """The mix out[i] = sum_j W[i, j] mats[j] as one ``np.tensordot``."""
     return np.tensordot(np.asarray(W, dtype=float),
                         np.asarray(mats, dtype=float), axes=1)
-
-
-def stacks_fit_broadcast(d_shape, x_shape, s_shape):
-    """The gradients' earlier stack rule: the stacks of D and X broadcast,
-    and S's stack broadcasts into theirs without widening it."""
-    try:
-        stack = np.broadcast_shapes(d_shape[:-2], x_shape[:-2])
-        return np.broadcast_shapes(stack, s_shape[:-2]) == stack
-    except ValueError:
-        return False
 
 
 def consensus_error_formula(D_list):
@@ -463,9 +444,9 @@ def per_agent_start(problem, seed):
 
 
 def ragged_run(problem, config, schedule, observer):
-    """The tracked round loop run one agent at a time on the 2-d kernels,
-    each agent with its own unpadded block: the reference for the stacked
-    round engine of ``distdict.protocol.run``.
+    """The tracked round loop run one agent at a time, each agent a stack of
+    one with its own unpadded block: the reference for the stacked round
+    engine of ``distdict.protocol.run``.
 
     Calls ``observer(nu, agents, flags)`` after every round with the list of
     per-agent states and the number of agents whose inner solvers hit their
@@ -480,24 +461,27 @@ def ragged_run(problem, config, schedule, observer):
     I = problem.num_agents
     gammas = gamma_sequence(config.max_rounds + 1, sched.gamma0,
                             sched.eps_gamma)
-    grads_prev = [grad_dict(a.D, a.X, S)
+    grads_prev = [grad_dict(a.D[None], a.X[None], S[None])[0]
                   for a, S in zip(agents, problem.S_blocks)]
     for nu in range(config.max_rounds):
         W = schedule.weights_at(nu)
         flags = 0
         halves = []
         for a, S in zip(agents, problem.S_blocks):
-            D_half, ok_d = dictionary_step(a.D, a.X, I * a.tracker,
-                                           gammas[nu], sched, problem.alpha)
-            tau_x, _ = coding_prox_weight(D_half, sched.eps_tau)
-            a.X, ok_x = coding_step(a.X, D_half, S, tau_x, problem.lam,
-                                    problem.mu, gammas[nu], sched)
+            D_half, ok_d = dictionary_step(a.D[None], a.X[None],
+                                           I * a.tracker[None], gammas[nu],
+                                           sched, problem.alpha)
+            tau_x, sig = coding_prox_weight(D_half, sched.eps_tau)
+            X, ok_x = coding_step(a.X[None], D_half, S[None], tau_x,
+                                  problem.lam, problem.mu, gammas[nu], sched,
+                                  sig)
+            a.X = X[0]
             flags += (not ok_d) + (not ok_x)
-            halves.append(D_half)
+            halves.append(D_half[0])
         mixed = np.tensordot(W, np.stack(halves), axes=1)
         for a, D_new in zip(agents, mixed):
             a.D = D_new
-        grads_new = [grad_dict(a.D, a.X, S)
+        grads_new = [grad_dict(a.D[None], a.X[None], S[None])[0]
                      for a, S in zip(agents, problem.S_blocks)]
         trackers = (np.tensordot(W, np.stack([a.tracker for a in agents]),
                                  axes=1)
@@ -509,8 +493,8 @@ def ragged_run(problem, config, schedule, observer):
 
 
 def ragged_diffusion(problem, config, schedule, observer):
-    """Adapt-then-combine diffusion run one agent at a time on the 2-d
-    kernels, each agent with its own unpadded block: the reference for
+    """Adapt-then-combine diffusion run one agent at a time, each agent a
+    stack of one with its own unpadded block: the reference for
     ``distdict.diffusion_baseline``. Each round every agent takes a
     projected step along its own gradient, the copies are mixed, and the
     codes are refreshed against the mixed copy.
@@ -529,7 +513,8 @@ def ragged_diffusion(problem, config, schedule, observer):
                             sched.eps_gamma)
     for nu in range(config.max_rounds):
         adapted = [project_dictionary(
-                       a.D - gammas[nu] * grad_dict(a.D, a.X, S),
+                       a.D - gammas[nu] * grad_dict(a.D[None], a.X[None],
+                                                    S[None])[0],
                        problem.alpha)
                    for a, S in zip(agents, problem.S_blocks)]
         mixed = np.tensordot(schedule.weights_at(nu), np.stack(adapted),
@@ -537,8 +522,10 @@ def ragged_diffusion(problem, config, schedule, observer):
         flags = 0
         for a, S, D in zip(agents, problem.S_blocks, mixed):
             a.D = D
-            tau_x, _ = coding_prox_weight(D, sched.eps_tau)
-            a.X, ok = coding_step(a.X, D, S, tau_x, problem.lam, problem.mu,
-                                  gammas[nu], sched)
+            tau_x, sig = coding_prox_weight(D[None], sched.eps_tau)
+            X, ok = coding_step(a.X[None], D[None], S[None], tau_x,
+                                problem.lam, problem.mu, gammas[nu], sched,
+                                sig)
+            a.X = X[0]
             flags += not ok
         observer(nu + 1, agents, flags)

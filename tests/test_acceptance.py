@@ -154,9 +154,11 @@ def test_criterion_05_gradients_match_finite_differences_50_times():
 
         fd_D = finite_difference_gradient(lambda A: fit(D_=A), D)
         fd_X = finite_difference_gradient(lambda A: fit(X_=A), X)
-        rel_D = (np.max(np.abs(grad_dict(D, X, S) - fd_D))
+        rel_D = (np.max(np.abs(grad_dict(D[None], X[None], S[None])[0]
+                               - fd_D))
                  / max(np.max(np.abs(fd_D)), 1e-12))
-        rel_X = (np.max(np.abs(grad_codes(D, X, S) - fd_X))
+        rel_X = (np.max(np.abs(grad_codes(D[None], X[None], S[None])[0]
+                               - fd_X))
                  / max(np.max(np.abs(fd_X)), 1e-12))
         worst = max(worst, rel_D, rel_X)
     assert worst <= 1e-5, f"worst relative gradient error {worst:.3e}"
@@ -175,8 +177,9 @@ def test_criterion_06_prox_and_projection_match_bruteforce_oracles():
         mu = float(rng.uniform(0.01, 0.5))
         # with U = 1 and S = x0 - g the fit gradient at x0 equals g, so the
         # closed form solves exactly the scalar model the grid searches
-        got = x_update_linearized(np.array([[x0]]), np.array([[1.0]]),
-                                  np.array([[x0 - g]]), tau, lam, mu)[0, 0]
+        got = x_update_linearized(np.array([[[x0]]]), np.array([[[1.0]]]),
+                                  np.array([[[x0 - g]]]), tau, lam,
+                                  mu)[0, 0, 0]
         want = prox_scalar_grid(x0, g, tau, lam, mu)
         worst_prox = max(worst_prox, abs(got - want))
     assert worst_prox <= 1e-6, f"worst prox deviation {worst_prox:.3e}"

@@ -11,7 +11,7 @@ import distdict.protocol as protocol_mod
 from distdict import (ProblemData, StepSchedule,
                       build_run_config, coding_prox_weight, coding_step,
                       dictionary_step, gamma_sequence, grad_dict, init_agents,
-                      run)
+                      run, sigma_max)
 from distdict.agents import INNER_TOL_SCALE, VARIANTS
 from distdict.core import max_column_norm
 
@@ -22,9 +22,9 @@ def toy_problem(rng, M=4, K=3, sizes=(3, 2), lam=0.125, mu=0.0625):
 
 
 def first_agent(problem, seed):
-    """Agent 0's initial ``D``, ``X`` and tracker as 2-d arrays."""
+    """Agent 0's initial ``D``, ``X`` and tracker as stacks of one."""
     D, X, tracker = init_agents(problem, seed=seed)
-    return D[0], problem.groups.unstack(X)[0], tracker[0]
+    return D[:1], problem.groups.unstack(X)[0][None], tracker[:1]
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +98,22 @@ def test_inner_tolerance_follows_the_squared_step_down_to_its_floor():
 
 def test_coding_prox_weight_floor_and_known_values():
     eps = 1e-6
-    assert coding_prox_weight(np.zeros((3, 2)), eps) == (eps, 0.0)
-    assert coding_prox_weight(np.eye(3), eps) == pytest.approx((1.0, 1.0),
-                                                               abs=1e-12)
+
+    def lone(U):
+        tau, sig = coding_prox_weight(U[None], eps)
+        assert tau.shape == (1, 1, 1) and sig.shape == (1,)
+        return tau[0, 0, 0], sig[0]
+
+    assert lone(np.zeros((3, 2))) == (eps, 0.0)
+    assert lone(np.eye(3)) == pytest.approx((1.0, 1.0), abs=1e-12)
     U = np.zeros((4, 3))
     U[0, 0], U[1, 1] = 2.0, 1.0
-    assert coding_prox_weight(U, eps) == pytest.approx((4.0, 2.0),
-                                                       rel=1e-10)
+    assert lone(U) == pytest.approx((4.0, 2.0), rel=1e-10)
+
+
+def test_coding_prox_weight_takes_a_stack_only():
+    with pytest.raises(ValueError, match="stack is required"):
+        coding_prox_weight(np.eye(3), 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +130,7 @@ def test_initial_states_have_zero_codes_and_feasible_dictionaries():
     for d, x, t, S, n in zip(D, problem.groups.unstack(X), tracker,
                              problem.S_blocks, problem.block_sizes):
         assert np.array_equal(x, np.zeros((problem.K, n)))
-        assert np.array_equal(t, grad_dict(d, x, S))
+        assert np.array_equal(t, grad_dict(d[None], x[None], S[None])[0])
 
 
 def test_initialization_is_deterministic_in_the_seed():
@@ -166,7 +175,7 @@ def test_dictionary_step_gamma_zero_freezes_the_blend():
     rng = np.random.default_rng(32)
     problem = toy_problem(rng)
     D, X, _ = first_agent(problem, seed=0)
-    direction = grad_dict(D, X, problem.S_blocks[0])
+    direction = grad_dict(D, X, problem.S_blocks[0][None])
     D_half, ok = dictionary_step(D, X, direction, 0.0, StepSchedule(),
                                  problem.alpha)
     assert ok
@@ -178,7 +187,7 @@ def test_dictionary_step_gamma_one_jumps_to_the_surrogate_solution():
     problem = toy_problem(rng)
     sched = StepSchedule()
     D, X, _ = first_agent(problem, seed=0)
-    direction = grad_dict(D, X, problem.S_blocks[0])
+    direction = grad_dict(D, X, problem.S_blocks[0][None])
     full, _ = dictionary_step(D, X, direction, 1.0, sched, problem.alpha)
     half, _ = dictionary_step(D, X, direction, 0.5, sched, problem.alpha)
     # the half step lands exactly between the start and the full step
@@ -205,12 +214,13 @@ def test_dictionary_step_output_stays_feasible():
     problem = toy_problem(rng)
     D, X0, _ = init_agents(problem, seed=1)
     X = [rng.normal(size=x.shape) for x in problem.groups.unstack(X0)]
-    direction = problem.num_agents * np.stack(
-        [grad_dict(d, x, S) for d, x, S in zip(D, X, problem.S_blocks)])
+    direction = problem.num_agents * np.concatenate(
+        [grad_dict(d[None], x[None], S[None])
+         for d, x, S in zip(D, X, problem.S_blocks)])
     for gamma in (0.25, 0.9):
         for (d, x, dirn), d_mode in itertools.product(
                 zip(D, X, direction), VARIANTS):
-            D_half, _ = dictionary_step(d, x, dirn, gamma,
+            D_half, _ = dictionary_step(d[None], x[None], dirn[None], gamma,
                                         StepSchedule(d_mode=d_mode),
                                         problem.alpha)
             assert max_column_norm(D_half) <= problem.alpha + 1e-12
@@ -230,10 +240,11 @@ def test_coding_step_zero_data_keeps_zero_codes_in_both_variants():
                               mu=0.0625, alpha=1.0)
         D, X, _ = first_agent(problem, seed=0)
         sched = StepSchedule(variant=variant)
-        X_new, ok = coding_step(X, D.copy(), problem.S_blocks[0], 1.0,
-                                problem.lam, problem.mu, 0.5, sched)
+        X_new, ok = coding_step(X, D.copy(), problem.S_blocks[0][None], 1.0,
+                                problem.lam, problem.mu, 0.5, sched,
+                                sigma_max(D)[0])
         assert ok
-        assert np.array_equal(X_new, np.zeros((2, 2)))
+        assert np.array_equal(X_new, np.zeros((1, 2, 2)))
 
 
 def test_coding_step_huge_l1_weight_zeroes_the_codes():
@@ -241,13 +252,13 @@ def test_coding_step_huge_l1_weight_zeroes_the_codes():
     problem = toy_problem(rng)
     D, X, _ = first_agent(problem, seed=2)
     D_half = D.copy()
-    S = problem.S_blocks[0]
-    tau, _ = coding_prox_weight(D_half, 1e-6)
+    S = problem.S_blocks[0][None]
+    tau, sig = coding_prox_weight(D_half, 1e-6)
     lam_huge = 10.0 * np.max(np.abs(grad_dict(D_half, X, S)))
     lam_huge = max(lam_huge,
-                   10.0 * np.max(np.abs(D_half.T @ S)) + tau)
+                   10.0 * np.max(np.abs(D_half[0].T @ S[0])) + tau.item())
     X_new, _ = coding_step(X, D_half, S, tau, lam_huge, problem.mu, 0.5,
-                           StepSchedule(variant="linearized"))
+                           StepSchedule(variant="linearized"), sig)
     assert np.array_equal(X_new, np.zeros_like(X))
 
 

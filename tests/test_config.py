@@ -134,3 +134,30 @@ def test_period_none_means_the_window_default(tmp_path):
     graph = build_run_config(load_config(path)).graph
     assert (graph.kind, graph.window, graph.period) == \
         ("tv_ring_partition", 3, None)
+
+
+@pytest.mark.parametrize("field, value", [("max_rounds", 2.5),
+                                          ("metric_stride", 1.5),
+                                          ("seed", 3.0)])
+def test_run_config_integer_fields_reject_a_float(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        RunConfig(**{field: value})
+
+
+def test_step_schedule_inner_max_iter_rejects_a_float():
+    with pytest.raises(ValueError, match="^inner_max_iter must be an integer"):
+        StepSchedule(inner_max_iter=2.5)
+
+
+@pytest.mark.parametrize("field, value", [("num_agents", 5.0),
+                                          ("window", 2.0), ("period", 2.0),
+                                          ("seed", 0.5)])
+def test_graph_spec_integer_fields_reject_a_float(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        GraphSpec(**{field: value})
+
+
+@pytest.mark.parametrize("period", [0, -2])
+def test_graph_spec_rejects_a_period_below_one(period):
+    with pytest.raises(ValueError, match="period must be at least 1"):
+        GraphSpec(kind="tv_ring_partition", window=3, period=period)

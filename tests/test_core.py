@@ -1,7 +1,6 @@
 """Objective, gradients, projections and subproblem solvers against
 independent oracles."""
 
-import itertools
 import tracemalloc
 import warnings
 from unittest import mock
@@ -23,7 +22,6 @@ from oracles import (accelerated_coding_steps, d_update_plain_loop,
                      project_column_line_search, project_dictionary_formula,
                      projected_gradient_quadratic, prox_scalar_grid,
                      sigma_max_eigvalsh, soft_threshold_sign,
-                     stacks_fit_broadcast,
                      x_update_linearized_formula, x_update_plain_loop)
 
 
@@ -31,6 +29,24 @@ def random_problem(rng, M=4, K=3, sizes=(3, 3), lam=0.125, mu=0.0625,
                    alpha=1.0):
     blocks = [rng.uniform(-1, 1, size=(M, n)) for n in sizes]
     return ProblemData(S_blocks=blocks, K=K, lam=lam, mu=mu, alpha=alpha)
+
+
+def lone_plain_codes(X0, U, S, tau, lam, mu, inner_tol, inner_max_iter):
+    """``x_update_plain`` on one agent's matrices as a stack of one, with
+    the spectral norm of U it takes; the agent's codes and flag."""
+    out, done = x_update_plain(X0[None], U[None], S[None], tau, lam, mu,
+                               inner_tol, inner_max_iter,
+                               sigma_max(U[None])[0])
+    return out[0], done[0]
+
+
+def lone_plain_dictionary(D0, X, direction, tau, alpha, inner_tol,
+                          inner_max_iter):
+    """``d_update_plain`` on one agent's matrices as a stack of one; the
+    agent's dictionary and flag."""
+    out, done = d_update_plain(D0[None], X[None], direction[None], tau,
+                               alpha, inner_tol, inner_max_iter)
+    return out[0], done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +90,15 @@ def test_problem_data_rejects_non_finite_data_naming_the_block(bad):
         ProblemData(S_blocks=blocks, K=2, lam=0.125, mu=0.0625, alpha=1.0)
 
 
+@pytest.mark.parametrize("alpha", [np.inf, np.nan])
+def test_problem_data_and_projection_reject_a_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        ProblemData(S_blocks=[np.ones((3, 2))], K=2, lam=0.125, mu=0.0625,
+                    alpha=alpha)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        project_dictionary(np.ones((3, 2)), alpha)
+
+
 def test_objective_rejects_mismatched_dimensions():
     problem = random_problem(np.random.default_rng(2))
     D = np.zeros((problem.M + 1, problem.K))
@@ -88,14 +113,14 @@ def test_objective_rejects_mismatched_dimensions():
 
 def test_gradients_vanish_in_the_trivial_cases():
     rng = np.random.default_rng(3)
-    D = rng.normal(size=(4, 3))
-    S = rng.normal(size=(4, 5))
-    X0 = np.zeros((3, 5))
-    assert np.array_equal(grad_dict(D, X0, D @ X0), np.zeros((4, 3)))
-    X = rng.normal(size=(3, 5))
+    D = rng.normal(size=(1, 4, 3))
+    S = rng.normal(size=(1, 4, 5))
+    X0 = np.zeros((1, 3, 5))
+    assert np.array_equal(grad_dict(D, X0, D @ X0), np.zeros((1, 4, 3)))
+    X = rng.normal(size=(1, 3, 5))
     assert np.allclose(grad_dict(D, X, D @ X), 0.0, atol=1e-12)
-    assert np.array_equal(grad_codes(np.zeros((4, 3)), X, S),
-                          np.zeros((3, 5)))
+    assert np.array_equal(grad_codes(np.zeros((1, 4, 3)), X, S),
+                          np.zeros((1, 3, 5)))
     assert np.allclose(grad_codes(D, X, D @ X), 0.0, atol=1e-12)
 
 
@@ -103,6 +128,13 @@ def test_gradients_vanish_in_the_trivial_cases():
     ((4, 3), (3, 5), (2, 4, 5)),        # a stack only in S
     ((1, 4, 3), (1, 3, 5), (2, 4, 5)),  # S's stack longer than D @ X's
     ((2, 4, 3), (3, 3, 5), (3, 4, 5)),  # D and X stacks disagree
+    ((2, 4, 3), (2, 5, 5), (2, 4, 5)),  # D and X differ in K
+    ((2, 4, 3), (2, 3, 5), (2, 6, 5)),  # D and S differ in M
+    ((2, 4, 3), (2, 3, 4), (2, 4, 5)),  # X and S differ in width
+    ((4, 3), (3, 5), (4, 5)),           # one agent's matrices
+    ((4, 3), (2, 3, 5), (2, 4, 5)),     # a 2-d D shared by a stack
+    ((1, 4, 3), (2, 3, 5), (2, 4, 5)),  # a stack of one that broadcasts
+    ((2, 4, 3), (2, 3, 5), (4, 5)),     # a 2-d S beside stacks
 ])
 def test_gradients_reject_a_stack_that_d_times_x_lacks(d_shape, x_shape,
                                                        s_shape):
@@ -112,25 +144,21 @@ def test_gradients_reject_a_stack_that_d_times_x_lacks(d_shape, x_shape,
             grad(D, X, S)
 
 
-def test_gradients_accept_the_shapes_of_the_earlier_stack_rule():
-    rng = np.random.default_rng(3)
-    stacks = [(), (0,), (1,), (2,), (3,)]
-    # matching core shapes, then a mismatched K, M and n
-    cores = [((2, 3), (3, 4), (2, 4)), ((2, 3), (5, 4), (2, 4)),
-             ((2, 3), (3, 4), (5, 4)), ((2, 3), (3, 4), (2, 5))]
-    for (sd, sx, ss), (dc, xc, sc) in itertools.product(
-            itertools.product(stacks, repeat=3), cores):
-        D, X, S = (rng.normal(size=shape)
-                   for shape in (sd + dc, sx + xc, ss + sc))
-        fits = (stacks_fit_broadcast(D.shape, X.shape, S.shape)
-                and (dc, xc, sc) == cores[0])
-        for grad, formula in ((grad_dict, grad_dict_formula),
-                              (grad_codes, grad_codes_formula)):
-            if fits:
-                assert np.array_equal(grad(D, X, S), formula(D, X, S))
-            else:
-                with pytest.raises(ValueError, match="incompatible shapes"):
-                    grad(D, X, S)
+def test_the_plain_solvers_take_stacks_only():
+    with pytest.raises(ValueError, match="incompatible shapes"):
+        x_update_plain(np.ones((3, 5)), np.ones((4, 3)), np.ones((4, 5)),
+                       1.0, 0.1, 0.1, 1e-8, 10, np.ones(1))
+    # one agent's matrices, a 2-d X beside stacks, stacks of two lengths
+    for shapes in (((4, 3), (3, 5), (4, 3)), ((2, 4, 3), (3, 5), (2, 4, 3)),
+                   ((2, 4, 3), (1, 3, 5), (2, 4, 3))):
+        D, X, direction = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            d_update_plain(D, X, direction, 1.0, 1.0, 1e-8, 10)
+
+
+def test_sigma_max_takes_a_stack_only():
+    with pytest.raises(ValueError, match="stack is required"):
+        sigma_max(np.ones((4, 3)))
 
 
 def test_gradients_match_finite_differences():
@@ -146,8 +174,8 @@ def test_gradients_match_finite_differences():
 
     fd_D = finite_difference_gradient(lambda A: fit(D_=A), D)
     fd_X = finite_difference_gradient(lambda A: fit(X_=A), X)
-    gD = grad_dict(D, X, S)
-    gX = grad_codes(D, X, S)
+    gD = grad_dict(D[None], X[None], S[None])[0]
+    gX = grad_codes(D[None], X[None], S[None])[0]
     assert np.max(np.abs(gD - fd_D)) / np.max(np.abs(fd_D)) <= 1e-5
     assert np.max(np.abs(gX - fd_X)) / np.max(np.abs(fd_X)) <= 1e-5
 
@@ -200,11 +228,12 @@ def test_projection_is_nonexpansive():
 @given(data=st.data())
 def test_projection_equals_its_earlier_formula(data):
     # c = 0 is a 2-d dictionary; alpha = 5 q with q a power of two, so that
-    # the columns alpha e_j and (3 q, -4 q) have norm exactly alpha
+    # the columns alpha e_j and (3 q, -4 q) have norm exactly alpha; 1280
+    # lies above every column norm drawn
     c = data.draw(st.integers(0, 3), label="agents")
     M, K = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)),
                      label="M, K")
-    alpha = data.draw(st.sampled_from([0.3125, 1.25, 5.0, np.inf]),
+    alpha = data.draw(st.sampled_from([0.3125, 1.25, 5.0, 1280.0]),
                       label="alpha")
     scale = data.draw(st.sampled_from([0.1, 1.0, 10.0]), label="scale")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -213,7 +242,7 @@ def test_projection_equals_its_earlier_formula(data):
         if kind == 0:
             continue
         D[..., k] = 0.0
-        if kind == 1 or np.isinf(alpha):
+        if kind == 1:
             continue
         if kind == 2 or M == 1:
             D[..., rng.integers(M), k] = alpha * rng.choice([-1.0, 1.0])
@@ -236,10 +265,18 @@ def test_soft_threshold_zero_level_is_identity():
 
 
 def test_soft_threshold_known_values():
-    assert soft_threshold(-0.5, 1.0) == 0.0
-    assert soft_threshold(1.2, 0.5) == pytest.approx(0.7, abs=1e-15)
-    assert soft_threshold(0.0, 0.5) == 0.0
-    assert soft_threshold(-1.2, 0.5) == pytest.approx(-0.7, abs=1e-15)
+    assert soft_threshold(np.array([-0.5]), 1.0)[0] == 0.0
+    assert soft_threshold(np.array([1.2]), 0.5)[0] == pytest.approx(
+        0.7, abs=1e-15)
+    assert soft_threshold(np.array([0.0]), 0.5)[0] == 0.0
+    assert soft_threshold(np.array([-1.2]), 0.5)[0] == pytest.approx(
+        -0.7, abs=1e-15)
+
+
+@pytest.mark.parametrize("x", [1.2, np.float64(1.2), np.array(1.2)])
+def test_soft_threshold_takes_an_array_only(x):
+    with pytest.raises(ValueError, match="takes an array"):
+        soft_threshold(x, 0.5)
 
 
 def test_soft_threshold_gives_positive_zero_inside_the_band():
@@ -256,26 +293,24 @@ def test_soft_threshold_gives_positive_zero_inside_the_band():
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_kernels_equal_their_earlier_formulas(data):
-    # c = 0 is the 2-d single-agent call; entries on a grid of quarters
-    # land exactly on the shrinkage band's edges
-    c = data.draw(st.integers(0, 3), label="agents")
+    # entries on a grid of quarters land exactly on the shrinkage band's
+    # edges
+    c = data.draw(st.integers(1, 3), label="agents")
     M, K, n = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6),
                                   st.integers(1, 7)), label="M, K, n")
-    shared = data.draw(st.booleans(), label="shared 2-d D")
     per_agent = data.draw(st.booleans(), label="per-agent tau")
     on_grid = data.draw(st.booleans(), label="entries on a grid")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    lead = (c,) if c else ()
 
     def draw(*shape):
         if on_grid:
             return rng.integers(-8, 9, size=shape) / 4.0
         return rng.normal(size=shape)
 
-    D = draw(M, K) if shared or not c else draw(c, M, K)
-    X = draw(*lead, K, n)
-    S = draw(*lead, M, n)
-    if c and per_agent:
+    D = draw(c, M, K)
+    X = draw(c, K, n)
+    S = draw(c, M, n)
+    if per_agent:
         tau = rng.choice([0.5, 1.0, 2.5], size=(c, 1, 1))
     else:
         tau = float(rng.choice([0.5, 1.0, 2.5]))
@@ -321,9 +356,11 @@ def test_kernels_stay_within_their_allocation_budgets():
     U = rng.normal(size=(5, 16, 24))
     S = rng.normal(size=(5, 16, 40))
     tau = rng.uniform(0.5, 2.0, size=(5, 1, 1))
+    sig = sigma_max(U)[0]
     peaks = [peak_over(lambda: x_update_plain(X, U, S, tau, 0.1, 0.05,
                                               inner_tol=1e-300,
-                                              inner_max_iter=iters), X)
+                                              inner_max_iter=iters,
+                                              sigma=sig), X)
              for iters in (20, 200)]
     assert peaks[1] <= 9.0
     assert abs(peaks[1] - peaks[0]) <= 0.1
@@ -345,9 +382,9 @@ def test_kernels_stay_within_their_allocation_budgets():
 def test_x_linearized_pure_shrink_when_gradient_and_l1_vanish():
     rng = np.random.default_rng(8)
     K, n = 3, 4
-    X = rng.normal(size=(K, n))
-    U = np.zeros((2, K))
-    S = np.zeros((2, n))
+    X = rng.normal(size=(1, K, n))
+    U = np.zeros((1, 2, K))
+    S = np.zeros((1, 2, n))
     tau, mu = 2.0, 0.25
     out = x_update_linearized(X, U, S, tau, 0.0, mu)
     assert np.allclose(out, tau / (2 * mu + tau) * X, atol=1e-15)
@@ -360,10 +397,10 @@ def test_x_linearized_matches_scalar_grid_oracle():
         x0 = rng.uniform(-2, 2)
         u = rng.uniform(0.2, 2)
         s = rng.uniform(-2, 2)
-        U = np.array([[u]])
-        S = np.array([[s]])
-        X0 = np.array([[x0]])
-        got = x_update_linearized(X0, U, S, tau, lam, mu)[0, 0]
+        U = np.array([[[u]]])
+        S = np.array([[[s]]])
+        X0 = np.array([[[x0]]])
+        got = x_update_linearized(X0, U, S, tau, lam, mu)[0, 0, 0]
         g = u * (u * x0 - s)
         want = prox_scalar_grid(x0, g, tau, lam, mu)
         assert abs(got - want) <= 1e-6
@@ -371,9 +408,9 @@ def test_x_linearized_matches_scalar_grid_oracle():
 
 def test_x_linearized_kills_entries_inside_the_threshold_band():
     tau, lam, mu = 2.0, 0.5, 0.1
-    U = np.eye(2)
-    X0 = np.array([[0.2, -0.1], [0.05, 0.0]])
-    S = np.zeros((2, 2))
+    U = np.eye(2)[None]
+    X0 = np.array([[[0.2, -0.1], [0.05, 0.0]]])
+    S = np.zeros((1, 2, 2))
     out = x_update_linearized(X0, U, S, tau, lam, mu)
     step = X0 - grad_codes(U, X0, S) / tau
     assert np.all(out[np.abs(step) <= lam / tau] == 0.0)
@@ -382,9 +419,9 @@ def test_x_linearized_kills_entries_inside_the_threshold_band():
 def test_x_linearized_satisfies_entrywise_optimality():
     rng = np.random.default_rng(10)
     tau, lam, mu = 1.3, 0.125, 0.0625
-    U = rng.normal(size=(4, 3))
-    S = rng.normal(size=(4, 5))
-    X0 = rng.normal(size=(3, 5))
+    U = rng.normal(size=(1, 4, 3))
+    S = rng.normal(size=(1, 4, 5))
+    X0 = rng.normal(size=(1, 3, 5))
     out = x_update_linearized(X0, U, S, tau, lam, mu)
     G = grad_codes(U, X0, S)
     for idx in np.ndindex(out.shape):
@@ -408,8 +445,7 @@ def test_x_plain_reduces_to_a_linear_system_without_regularizers():
     S = rng.normal(size=(5, 4))
     X0 = rng.normal(size=(3, 4))
     tau = 0.8
-    out, converged = x_update_plain(X0, U, S, tau, 0.0, 0.0,
-                                    inner_tol=1e-10)
+    out, converged = lone_plain_codes(X0, U, S, tau, 0.0, 0.0, 1e-10, 2000)
     assert converged
     resid = (U.T @ U + tau * np.eye(3)) @ out - (U.T @ S + tau * X0)
     assert np.max(np.abs(resid)) <= 1e-6
@@ -417,8 +453,8 @@ def test_x_plain_reduces_to_a_linear_system_without_regularizers():
 
 def test_x_plain_zero_data_stays_zero():
     U = np.eye(3)
-    out, converged = x_update_plain(np.zeros((3, 2)), U, np.zeros((3, 2)),
-                                    1.0, 0.125, 0.0625)
+    out, converged = lone_plain_codes(np.zeros((3, 2)), U, np.zeros((3, 2)),
+                                      1.0, 0.125, 0.0625, 1e-8, 2000)
     assert converged
     assert np.array_equal(out, np.zeros((3, 2)))
 
@@ -429,7 +465,7 @@ def test_x_plain_satisfies_kkt_conditions_on_a_small_instance():
     S = rng.normal(size=(2, 2))
     X0 = rng.normal(size=(2, 2))
     tau, lam, mu = 1.0, 0.125, 0.0625
-    out, converged = x_update_plain(X0, U, S, tau, lam, mu, inner_tol=1e-12)
+    out, converged = lone_plain_codes(X0, U, S, tau, lam, mu, 1e-12, 2000)
     assert converged
     assert elastic_net_kkt_residual(out, U, S, tau, X0, lam, mu) <= 1e-6
 
@@ -437,11 +473,11 @@ def test_x_plain_satisfies_kkt_conditions_on_a_small_instance():
 def test_x_plain_rejects_a_nonconvex_subproblem():
     U = np.eye(2)
     with pytest.raises(ValueError, match="mu"):
-        x_update_plain(np.ones((2, 2)), U, np.ones((2, 2)), 1.0, 0.125,
-                       -0.0625)
+        lone_plain_codes(np.ones((2, 2)), U, np.ones((2, 2)), 1.0, 0.125,
+                         -0.0625, 1e-8, 2000)
     with pytest.raises(ValueError, match="tau"):
-        x_update_plain(np.ones((2, 2)), U, np.ones((2, 2)), -1.0, 0.125,
-                       0.0625)
+        lone_plain_codes(np.ones((2, 2)), U, np.ones((2, 2)), -1.0, 0.125,
+                         0.0625, 1e-8, 2000)
 
 
 def test_x_plain_rejects_a_subproblem_without_curvature():
@@ -449,12 +485,13 @@ def test_x_plain_rejects_a_subproblem_without_curvature():
     # without, and for one agent of a stack as for a lone solve
     for U in (np.zeros((4, 2)), np.eye(4, 2)):
         with pytest.raises(ValueError, match="must be strongly convex"):
-            x_update_plain(np.ones((2, 3)), U, np.ones((4, 3)), 0.0, 0.125,
-                           0.0)
+            lone_plain_codes(np.ones((2, 3)), U, np.ones((4, 3)), 0.0,
+                             0.125, 0.0, 1e-8, 2000)
     U = np.stack([np.eye(2), np.zeros((2, 2))])
     with pytest.raises(ValueError, match="must be strongly convex"):
         x_update_plain(np.ones((2, 2, 3)), U, np.ones((2, 2, 3)),
-                       np.array([0.5, 0.0])[:, None, None], 0.125, 0.0)
+                       np.array([0.5, 0.0])[:, None, None], 0.125, 0.0,
+                       1e-8, 2000, sigma_max(U)[0])
 
 
 def test_x_plain_momentum_is_chosen_per_agent():
@@ -466,7 +503,7 @@ def test_x_plain_momentum_is_chosen_per_agent():
     taus = (0.25, 0.7)
     out, converged = x_update_plain(X0, U, S, np.array(taus)[:, None, None],
                                     0.125, 0.0, inner_tol=1e-15,
-                                    inner_max_iter=6)
+                                    inner_max_iter=6, sigma=sigma_max(U)[0])
     assert not converged.any()
     for j, tau in enumerate(taus):
         want = accelerated_coding_steps(X0[j], U[j], S[j], tau, 0.125, 0.0,
@@ -482,7 +519,8 @@ def test_x_plain_does_not_stop_on_two_equal_iterates():
     U = rng.normal(size=(M, K))
     S = rng.normal(size=(M, n))
     X0 = rng.normal(size=(K, n))
-    out, converged = x_update_plain(X0, U, S, 0.0, 0.125, 0.0625)
+    out, converged = lone_plain_codes(X0, U, S, 0.0, 0.125, 0.0625, 1e-8,
+                                      2000)
     assert converged
     assert np.any(out != 0.0)
     assert elastic_net_kkt_residual(out, U, S, 0.0, X0, 0.125, 0.0625) \
@@ -518,11 +556,12 @@ def test_x_plain_stack_meets_kkt_and_matches_lone_solves(data):
         X0[j, :, :w] = rng.normal(size=(K, w))
     tau = np.array(taus)[:, None, None]
     kw = dict(inner_tol=1e-12, inner_max_iter=5000)
-    out, converged = x_update_plain(X0, U, S, tau, lam, mu, **kw)
+    out, converged = x_update_plain(X0, U, S, tau, lam, mu,
+                                    sigma=sigma_max(U)[0], **kw)
     assert not np.any(out[:, :, n:]), "a padded code moved"
     for j, w in enumerate(widths):
         args = (X0[j, :, :w], U[j], S[j, :, :w], taus[j], lam, mu)
-        lone, lone_converged = x_update_plain(*args, **kw)
+        lone, lone_converged = lone_plain_codes(*args, **kw)
         assert converged[j] == lone_converged
         assert np.max(np.abs(out[j, :, :w] - lone)) <= 1e-12
         assert elastic_net_kkt_residual(out[j, :, :w], U[j], S[j, :, :w],
@@ -533,27 +572,25 @@ def test_x_plain_stack_meets_kkt_and_matches_lone_solves(data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_x_plain_gives_the_bits_of_the_earlier_loop(data):
-    # 2-d calls and stacks of 1-4 agents, every subproblem strongly convex
-    # (tau = 0 only where mu > 0); the small caps end solves at the cap
-    # while others stop one by one
-    c = data.draw(st.integers(0, 4), label="agents (0: a 2-d call)")
+    # stacks of 1-4 agents, every subproblem strongly convex (tau = 0 only
+    # where mu > 0); the small caps end solves at the cap while others stop
+    # one by one
+    c = data.draw(st.integers(1, 4), label="agents")
     K = data.draw(st.integers(1, 6), label="K")
     M = data.draw(st.integers(1, 6), label="M")
     n = data.draw(st.integers(1, 7), label="n")
     mu = data.draw(st.sampled_from((0.0, 0.0625)), label="mu")
     tau_values = (0.25, 1.0, 4.0) if mu == 0 else (0.0, 0.25, 1.0, 4.0)
     taus = data.draw(st.lists(st.sampled_from(tau_values),
-                              min_size=max(c, 1), max_size=max(c, 1)),
-                     label="taus")
+                              min_size=c, max_size=c), label="taus")
     cap = data.draw(st.sampled_from((1, 2, 3, 2000)), label="cap")
     tol = data.draw(st.sampled_from((1e-12, 1e-6, 1e-2)), label="tol")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    lead = (c,) if c else ()
-    U = rng.normal(size=lead + (M, K))
-    S = rng.normal(size=lead + (M, n))
-    X0 = rng.normal(size=lead + (K, n))
-    tau = np.array(taus)[:, None, None] if c else taus[0]
-    kw = dict(inner_tol=tol, inner_max_iter=cap)
+    U = rng.normal(size=(c, M, K))
+    S = rng.normal(size=(c, M, n))
+    X0 = rng.normal(size=(c, K, n))
+    tau = np.array(taus)[:, None, None]
+    kw = dict(inner_tol=tol, inner_max_iter=cap, sigma=sigma_max(U)[0])
     out, converged = x_update_plain(X0, U, S, tau, 0.125, mu, **kw)
     want, want_converged = x_update_plain_loop(X0, U, S, tau, 0.125, mu,
                                                **kw)
@@ -573,38 +610,41 @@ def test_x_plain_makes_one_shrink_per_iteration():
                                wraps=soft_threshold) as shrink:
             _, converged = x_update_plain(X0, U, S, np.ones((2, 1, 1)),
                                           0.125, 0.0625, inner_tol=1e-300,
-                                          inner_max_iter=iters)
+                                          inner_max_iter=iters,
+                                          sigma=sigma_max(U)[0])
         assert shrink.call_count == iters
         assert not converged.any()
 
 
 def test_plain_solvers_reject_non_finite_input():
     rng = np.random.default_rng(23)
-    U = rng.normal(size=(16, 24))
-    S = rng.normal(size=(16, 40))
-    X0 = rng.normal(size=(24, 40))
+    U = rng.normal(size=(1, 16, 24))
+    S = rng.normal(size=(1, 16, 40))
+    X0 = rng.normal(size=(1, 24, 40))
+    sig = sigma_max(U)[0]
     for bad in (np.nan, np.inf, -np.inf):
         for name in ("X0", "U", "S"):
             args = {"X0": X0.copy(), "U": U.copy(), "S": S.copy()}
-            args[name][3, 5] = bad
+            args[name][0, 3, 5] = bad
             with pytest.raises(ValueError, match="finite"):
                 x_update_plain(args["X0"], args["U"], args["S"], 0.5,
-                               0.125, 0.0625)
+                               0.125, 0.0625, 1e-8, 2000, sig)
     D0 = project_dictionary(U, 1.0)
     G = rng.normal(size=D0.shape)
     for bad in (np.nan, np.inf):
         for name in ("D0", "X", "direction"):
             args = {"D0": D0.copy(), "X": X0.copy(), "direction": G.copy()}
-            args[name][3, 5] = bad
+            args[name][0, 3, 5] = bad
             with pytest.raises(ValueError, match="finite"):
                 d_update_plain(args["D0"], args["X"], args["direction"],
-                               1.0, np.inf)
+                               1.0, 1e3, 1e-8, 2000)
     # a stack with one bad agent fails too
-    Ust = np.stack([U, U])
+    Ust = np.concatenate([U, U])
     Ust[1, 0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        x_update_plain(np.stack([X0, X0]), Ust, np.stack([S, S]),
-                       np.ones((2, 1, 1)), 0.125, 0.0625)
+        x_update_plain(np.concatenate([X0, X0]), Ust, np.concatenate([S, S]),
+                       np.ones((2, 1, 1)), 0.125, 0.0625, 1e-8, 2000,
+                       np.concatenate([sig, sig]))
 
 
 def test_x_variants_agree_when_the_prox_weights_are_matched():
@@ -618,10 +658,12 @@ def test_x_variants_agree_when_the_prox_weights_are_matched():
     S = rng.normal(size=(6, 5))
     X0 = rng.normal(size=(4, 5))
     tau_plain, lam, mu = 0.7, 0.125, 0.0625
-    exact, converged = x_update_plain(X0, U, S, tau_plain, lam, mu,
-                                      inner_tol=1e-13, inner_max_iter=20000)
+    exact, converged = lone_plain_codes(X0, U, S, tau_plain, lam, mu,
+                                        inner_tol=1e-13,
+                                        inner_max_iter=20000)
     assert converged
-    linearized = x_update_linearized(X0, U, S, tau_plain + s ** 2, lam, mu)
+    linearized = x_update_linearized(X0[None], U[None], S[None],
+                                     tau_plain + s ** 2, lam, mu)[0]
     assert np.max(np.abs(exact - linearized)) <= 1e-9
 
 
@@ -659,24 +701,24 @@ def test_d_linearized_matches_projected_gradient_oracle():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_d_plain_matches_the_earlier_loop(data):
-    # 2-d calls and stacks of 1-3 agents, with and without the projection;
-    # the small caps end solves at the cap while others stop one by one.
-    # The loop reads S and the solver does not: the data cancels out of the
-    # surrogate once its linear term is the direction
-    c = data.draw(st.integers(0, 3), label="agents (0: a 2-d call)")
+    # stacks of 1-3 agents, with and without an active projection (alpha =
+    # 1e3 lies above every column norm drawn); the small caps end solves at
+    # the cap while others stop one by one. The loop reads S and the solver
+    # does not: the data cancels out of the surrogate once its linear term
+    # is the direction
+    c = data.draw(st.integers(1, 3), label="agents")
     K = data.draw(st.integers(1, 5), label="K")
     M = data.draw(st.integers(1, 5), label="M")
     n = data.draw(st.integers(1, 6), label="n")
     tau = data.draw(st.sampled_from((0.5, 1.0, 4.0)), label="tau")
-    alpha = data.draw(st.sampled_from((1.0, np.inf)), label="alpha")
+    alpha = data.draw(st.sampled_from((1.0, 1e3)), label="alpha")
     cap = data.draw(st.sampled_from((1, 3, 2000)), label="cap")
     tol = data.draw(st.sampled_from((1e-12, 1e-6)), label="tol")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    lead = (c,) if c else ()
-    D0 = rng.normal(size=lead + (M, K))
-    X = rng.normal(size=lead + (K, n))
-    S = rng.normal(size=lead + (M, n))
-    G = 0.1 * rng.normal(size=lead + (M, K))
+    D0 = rng.normal(size=(c, M, K))
+    X = rng.normal(size=(c, K, n))
+    S = rng.normal(size=(c, M, n))
+    G = 0.1 * rng.normal(size=(c, M, K))
     kw = dict(inner_tol=tol, inner_max_iter=cap)
     out, converged = d_update_plain(D0, X, G, tau, alpha, **kw)
     want, want_converged = d_update_plain_loop(D0, X, S, G, tau, alpha, **kw)
@@ -689,7 +731,8 @@ def test_d_plain_is_stationary_on_a_pure_proximal_objective():
     rng = np.random.default_rng(17)
     D = project_dictionary(rng.normal(size=(4, 3)), 1.0)
     X = np.zeros((3, 5))
-    out, converged = d_update_plain(D, X, np.zeros_like(D), 1.5, 1.0)
+    out, converged = lone_plain_dictionary(D, X, np.zeros_like(D), 1.5, 1.0,
+                                           1e-8, 2000)
     assert converged
     assert np.allclose(out, D, atol=1e-12)
 
@@ -700,11 +743,12 @@ def test_d_plain_solves_the_normal_equations_when_unconstrained():
     X = rng.normal(size=(2, 6))
     S = rng.normal(size=(3, 6))
     grad_rest = rng.normal(size=(3, 2)) * 0.1
-    direction = grad_dict(D0, X, S) + grad_rest
+    direction = grad_dict(D0[None], X[None], S[None])[0] + grad_rest
     tau = 1.0
-    out, converged = d_update_plain(D0, X, direction, tau, np.inf,
-                                    inner_tol=1e-12,
-                                    inner_max_iter=20000)
+    # alpha = 1e3 lies above every column norm of the iterates
+    out, converged = lone_plain_dictionary(D0, X, direction, tau, 1e3,
+                                           inner_tol=1e-12,
+                                           inner_max_iter=20000)
     assert converged
     resid = (out @ X - S) @ X.T + tau * (out - D0) + grad_rest
     assert np.max(np.abs(resid)) <= 1e-6
@@ -715,11 +759,11 @@ def test_d_plain_first_inner_iterate_matches_the_linearized_form():
     D0 = project_dictionary(rng.normal(size=(4, 3)), 1.0)
     X = rng.normal(size=(3, 6))
     S = rng.normal(size=(4, 6))
-    direction = grad_dict(D0, X, S) + rng.normal(size=(4, 3)) * 0.1
+    direction = (grad_dict(D0[None], X[None], S[None])[0]
+                 + rng.normal(size=(4, 3)) * 0.1)
     tau = 0.9
-    sigma_sq = sigma_max(X)[0] ** 2
-    one_step, _ = d_update_plain(D0, X, direction, tau, 1.0,
-                                 inner_max_iter=1)
+    sigma_sq = sigma_max(X[None])[0][0] ** 2
+    one_step, _ = lone_plain_dictionary(D0, X, direction, tau, 1.0, 1e-8, 1)
     linearized = d_update_linearized(D0, direction, sigma_sq + tau, 1.0)
     assert np.max(np.abs(one_step - linearized)) <= 1e-12
 
@@ -729,19 +773,19 @@ def test_d_plain_first_inner_iterate_matches_the_linearized_form():
 
 
 def test_sigma_max_known_matrices():
-    value, converged = sigma_max(np.eye(4))
-    assert converged and value == pytest.approx(1.0, abs=1e-12)
-    value, converged = sigma_max(np.diag([3.0, 1.0]))
-    assert converged and value == pytest.approx(3.0, rel=1e-10)
+    value, converged = sigma_max(np.eye(4)[None])
+    assert converged and value[0] == pytest.approx(1.0, abs=1e-12)
+    value, converged = sigma_max(np.diag([3.0, 1.0])[None])
+    assert converged and value[0] == pytest.approx(3.0, rel=1e-10)
 
 
 def test_sigma_max_matches_dense_svd():
     rng = np.random.default_rng(20)
     A = rng.normal(size=(8, 5))
     want = np.linalg.svd(A, compute_uv=False)[0]
-    value, converged = sigma_max(A)
+    value, converged = sigma_max(A[None])
     assert converged
-    assert abs(value - want) / want <= 1e-8
+    assert abs(value[0] - want) / want <= 1e-8
 
 
 @st.composite
@@ -762,7 +806,8 @@ def low_rank_matrices(draw):
 @example(np.zeros((3, 7)))
 @example(np.zeros((7, 3)))
 def test_sigma_max_equals_the_top_singular_value(A):
-    value, converged = sigma_max(A)
+    value, converged = sigma_max(A[None])
+    value = value[0]
     want = np.linalg.svd(A, compute_uv=False)[0]
     assert converged
     if not A.any():
@@ -778,11 +823,12 @@ def test_sigma_max_resolves_a_near_tied_top_pair():
     left, _ = np.linalg.qr(rng.normal(size=(5, 5)))
     right, _ = np.linalg.qr(rng.normal(size=(2, 2)))
     A = (left[:, :2] * np.array([1.0, 1.0 - 1e-7])) @ right.T
-    value, converged = sigma_max(A)
+    value, converged = sigma_max(A[None])
+    value = value[0]
     assert converged
     assert abs(value - 1.0) <= 1e-12
     assert abs(value - np.linalg.svd(A, compute_uv=False)[0]) <= 1e-12
-    assert abs(sigma_max(A.T)[0] - value) <= 1e-12
+    assert abs(sigma_max(A.T[None])[0][0] - value) <= 1e-12
 
 
 def rotated(rng, m, n, values):
@@ -864,7 +910,7 @@ def test_sigma_max_matches_the_eigvalsh_formula(stack):
 @example(near_tie_beside_separated())
 def test_a_stacked_sigma_max_equals_its_lone_calls(stack):
     value, _ = sigma_max(stack)
-    lone = np.array([sigma_max(A)[0] for A in stack])
+    lone = np.array([sigma_max(A[None])[0][0] for A in stack])
     assert value.tobytes() == lone.tobytes()
 
 
@@ -899,7 +945,7 @@ def test_sigma_max_squares_each_matrix_until_its_bracket_closes():
     near = rotated(np.random.default_rng(24), 2, 2, [1.0, 1.0 - 1e-7])
     with mock.patch.object(np, "matmul", counted):
         # an exact 64-fold tie closes after the last of the 12 blocks
-        sigma_max(np.eye(64))
+        sigma_max(np.eye(64)[None])
         assert sizes == [1] * 48
         sizes.clear()
         # the separated matrix leaves the stack after one block of 4
@@ -913,14 +959,14 @@ def test_sigma_max_rejects_nan_and_inf(bad, stacked):
     A = np.ones((4, 3))
     A[2, 1] = bad
     with pytest.raises(ValueError, match="finite"):
-        sigma_max(np.stack([np.ones((4, 3)), A]) if stacked else A)
+        sigma_max(np.stack([np.ones((4, 3)), A]) if stacked else A[None])
 
 
 @pytest.mark.parametrize("stacked", [False, True])
 def test_sigma_max_rejects_a_finite_input_whose_gram_overflows(stacked):
     A = np.full((3, 2), 1e200)
     with pytest.raises(ValueError, match="finite"):
-        sigma_max(np.stack([np.ones((3, 2)), A]) if stacked else A)
+        sigma_max(np.stack([np.ones((3, 2)), A]) if stacked else A[None])
 
 
 # ---------------------------------------------------------------------------
@@ -937,13 +983,14 @@ def test_exact_block_minimization_never_increases_the_objective():
 
     S_all = np.hstack(problem.S_blocks)
     X_all = np.hstack(X)
-    D_new, _ = d_update_plain(D, X_all, grad_dict(D, X_all, S_all), 1.0,
-                              problem.alpha, inner_tol=1e-11)
+    direction = grad_dict(D[None], X_all[None], S_all[None])[0]
+    D_new, _ = lone_plain_dictionary(D, X_all, direction, 1.0, problem.alpha,
+                                     1e-11, 2000)
     after_d = objective_global(D_new, problem.groups.stack(X), problem)
     assert after_d <= before + 1e-10
 
     X_new = list(X)
-    X_new[0], _ = x_update_plain(X[0], D, problem.S_blocks[0], 1.0,
-                                 problem.lam, problem.mu, inner_tol=1e-11)
+    X_new[0], _ = lone_plain_codes(X[0], D, problem.S_blocks[0], 1.0,
+                                   problem.lam, problem.mu, 1e-11, 2000)
     after_x = objective_global(D, problem.groups.stack(X_new), problem)
     assert after_x <= before + 1e-10

@@ -45,6 +45,17 @@ def test_ascii_pgm_round_trip_is_identity(tmp_path):
     assert np.array_equal(read_pgm(path), img)
 
 
+@pytest.mark.parametrize("binary", [True, False])
+def test_pgm_writer_rejects_non_finite_pixels_before_opening(tmp_path,
+                                                             binary):
+    img = np.full((2, 3), 100.0)
+    img[0, 1], img[1, 2] = np.nan, np.inf
+    path = tmp_path / "diverged.pgm"
+    with pytest.raises(ValueError, match="2 non-finite pixel"):
+        write_pgm(path, img, binary=binary)
+    assert not path.exists()
+
+
 def test_pgm_rejects_wrong_maxval(tmp_path):
     path = tmp_path / "deep.pgm"
     path.write_text("P2 2 2 511 0 1 2 3")

@@ -46,8 +46,8 @@ def test_gap_matches_numeric_minimization_oracles():
     D_bar = project_dictionary(rng.normal(size=(4, 3)), 1.0)
     X = [rng.normal(size=(3, n)) * 0.4 for n in problem.block_sizes]
 
-    grad_mean = sum(grad_dict(D_bar, Xi, S) for Xi, S in
-                    zip(X, problem.S_blocks)) / problem.num_agents
+    grad_mean = sum(grad_dict(D_bar[None], Xi[None], S[None])[0] for Xi, S
+                    in zip(X, problem.S_blocks)) / problem.num_agents
     D_hat = projected_gradient_quadratic(D_bar, grad_mean, 1.0,
                                          problem.alpha, iters=300)
     gap_oracle = np.max(np.abs(D_bar - D_hat))
@@ -297,8 +297,8 @@ def test_baseline_single_agent_is_projected_alternating_descent():
     from distdict import init_agents
     from distdict.agents import gamma_sequence
     D, X, _ = init_agents(problem, seed=config.seed)
-    D, X = D[0].copy(), X[0][0].copy()
-    S = problem.S_blocks[0]
+    D, X = D[:1].copy(), X[0][:1].copy()
+    S = problem.S_blocks[0][None]
     gammas = gamma_sequence(config.max_rounds + 1,
                             config.steps.gamma0, config.steps.eps_gamma)
     for nu in range(config.max_rounds):
@@ -306,8 +306,8 @@ def test_baseline_single_agent_is_projected_alternating_descent():
                                problem.alpha)
         tau_x, _ = coding_prox_weight(D, config.steps.eps_tau)
         X = x_update_linearized(X, D, S, tau_x, problem.lam, problem.mu)
-        assert np.max(np.abs(seen[nu][0] - D)) <= 1e-14
-        assert np.max(np.abs(seen[nu][1] - X)) <= 1e-14
+        assert np.max(np.abs(seen[nu][0] - D[0])) <= 1e-14
+        assert np.max(np.abs(seen[nu][1] - X[0])) <= 1e-14
 
 
 def test_baseline_breaks_the_tracking_mean_identity():

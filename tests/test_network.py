@@ -84,6 +84,14 @@ def test_unknown_kind_and_bad_parameters_are_rejected():
         build_schedule("tv_ring_partition", 6, window=2, period=3)
 
 
+@pytest.mark.parametrize("kind", [k for k in SCHEDULE_KINDS
+                                  if k != "tv_ring_partition"])
+def test_a_period_for_a_kind_without_phases_is_rejected(kind):
+    with pytest.raises(ValueError, match="period applies to "
+                       "tv_ring_partition only"):
+        build_schedule(kind, 5, period=3)
+
+
 # ---------------------------------------------------------------------------
 # connectivity checking
 
