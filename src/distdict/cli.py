@@ -9,6 +9,7 @@ flags override file keys, which override built-in defaults. Outputs land in
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -65,16 +66,23 @@ def _mapping(args, defaults=None) -> dict:
 def _config(args, mapping, own):
     """The RunConfig of the mapping and flags, and the values of the
     subcommand's instance keys ``own`` (key -> (type, default)), taken out
-    of the mapping first."""
+    of the mapping first; a flag of the key's name wins over the file. A
+    float instance key, a noise level, must be finite and nonnegative."""
     check_keys(mapping, own)
-    own = {key: convert(key, mapping.pop(key), kind) if key in mapping
-           else default for key, (kind, default) in own.items()}
     flags = vars(args)  # a subcommand lacks the flags it would ignore
+    values = {key: convert(key, mapping.pop(key), kind) if key in mapping
+              else default for key, (kind, default) in own.items()}
+    values.update((key, flags[key]) for key in own
+                  if flags.get(key) is not None)
+    for key, (kind, _) in own.items():
+        if kind is float and not 0.0 <= values[key] < math.inf:
+            raise ValueError(f"{key} must be finite and nonnegative, got "
+                             f"{values[key]!r}")
     return build_run_config(mapping, seed=args.seed,
                             max_rounds=flags.get("rounds"),
                             variant=flags.get("variant"),
                             agents=flags.get("agents"),
-                            graph=flags.get("graph")), own
+                            graph=flags.get("graph")), values
 
 
 def _out_dir(args) -> Path:
@@ -107,16 +115,14 @@ def cmd_run(args) -> int:
 
 def cmd_denoise(args) -> int:
     config, own = _config(args, _mapping(args, DENOISE_DEFAULTS), IMAGE_KEYS)
-    noise_sigma = (own["noise_sigma"] if args.noise_sigma is None
-                   else args.noise_sigma)
     if args.image:
         image = read_pgm(args.image).astype(float)
     else:
         image = make_test_image(own["image_side"]).astype(float)
 
     rng = np.random.default_rng(config.seed)
-    noisy = np.clip(image + noise_sigma * rng.standard_normal(image.shape),
-                    0.0, 255.0)
+    noise = own["noise_sigma"] * rng.standard_normal(image.shape)
+    noisy = np.clip(image + noise, 0.0, 255.0)
     in_psnr, in_mse = psnr_mse(image, noisy)
 
     result = denoise_image(noisy, config, patch_side=own["patch"],
@@ -144,7 +150,7 @@ def cmd_compare(args) -> int:
     config, own = _config(args, mapping,
                           {**SYNTHETIC_KEYS, "budgets": (str, "200,1000")})
     budgets = [convert("budgets", b, int)
-               for b in (args.budgets or own["budgets"]).split(",")]
+               for b in own["budgets"].split(",")]
     if min(budgets) < 1:
         raise ValueError(f"budgets must be at least 1, got {min(budgets)}")
     top = max(budgets)

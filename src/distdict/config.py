@@ -5,13 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from .agents import StepSchedule, check_finite, check_integer
-from .network import SCHEDULE_KINDS
+from .network import schedule_period
 
 
 @dataclass
 class GraphSpec:
-    """Parameters handed to the schedule builder; ``period``, when set, is
-    an integer of at least 1, as are ``num_agents`` and ``window``."""
+    """Parameters handed to the schedule builder: integers, ``period``
+    when set, that ``network.schedule_period`` accepts."""
 
     kind: str = "static_ring"
     num_agents: int = 5
@@ -20,17 +20,10 @@ class GraphSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"graph kind must be one of {SCHEDULE_KINDS}")
         check_integer(self, "num_agents", "window", "seed")
-        if self.num_agents < 1:
-            raise ValueError("num_agents must be at least 1")
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
         if self.period is not None:
             check_integer(self, "period")
-            if self.period < 1:
-                raise ValueError("period must be at least 1")
+        schedule_period(self.kind, self.num_agents, self.window, self.period)
 
 
 @dataclass

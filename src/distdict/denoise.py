@@ -40,9 +40,9 @@ def denoise_image(noisy, config: RunConfig, *, patch_side: int = 8,
     so the sparse model only represents the contrast around the patch's
     average intensity; decoding adds the stored means back. Overlapping
     decoded patches are averaged and the result clipped to [0, 255]. A
-    pixel that no patch covers, in the last rows or columns when ``stride``
-    does not divide the image size less ``patch_side``, keeps its noisy
-    value, clipped the same way.
+    pixel that no patch covers, in the last rows or columns or between
+    patches when ``stride`` exceeds ``patch_side``, keeps its noisy value,
+    clipped the same way.
 
     One patch matrix serves the whole pipeline: the patches are centered
     and scaled in place, the agents' blocks are views of it, and once the
@@ -66,9 +66,12 @@ def denoise_image(noisy, config: RunConfig, *, patch_side: int = 8,
     patches *= PIXEL_SCALE
     patches += offsets
     image = assemble_patches(patches, noisy.shape, patch_side, stride)
-    rows, cols = ((n - patch_side) // stride * stride + patch_side
-                  for n in noisy.shape)
-    image[rows:] = np.clip(noisy[rows:], 0.0, 255.0)
-    image[:, cols:] = np.clip(noisy[:, cols:], 0.0, 255.0)
+    covered = [np.zeros(n, dtype=bool) for n in noisy.shape]
+    for spans in covered:  # per axis, the positions some patch spans
+        for start in range(0, spans.size - patch_side + 1, stride):
+            spans[start:start + patch_side] = True
+    rows, cols = (np.flatnonzero(~spans) for spans in covered)
+    image[rows] = np.clip(noisy[rows], 0.0, 255.0)
+    image[:, cols] = np.clip(noisy[:, cols], 0.0, 255.0)
     return DenoiseResult(image=image, trace=trace, dictionary=dictionary,
                          codes=codes)

@@ -83,10 +83,10 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape(height, width).copy()
 
 
-def write_pgm(path, image, binary: bool = True) -> None:
-    """Write an image as PGM with maxval 255. Values are rounded and
-    clipped to [0, 255]; ``binary`` picks P5 over P2. NaN or inf pixels
-    raise ValueError before the file is opened."""
+def write_pgm(path, image) -> None:
+    """Write an image as binary PGM (P5) with maxval 255. Values are
+    rounded and clipped to [0, 255]. NaN or inf pixels raise ValueError
+    before the file is opened."""
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise ValueError("a 2-d image is required")
@@ -96,13 +96,8 @@ def write_pgm(path, image, binary: bool = True) -> None:
     arr = np.clip(np.rint(arr.astype(float)), 0, 255).astype(np.uint8)
     h, w = arr.shape
     with open(path, "wb") as fh:
-        if binary:
-            fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(arr.tobytes())
-        else:
-            fh.write(f"P2\n{w} {h}\n255\n".encode("ascii"))
-            lines = [" ".join(str(v) for v in row) for row in arr]
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(arr.tobytes())
 
 
 def patch_count(height: int, width: int, patch_side: int, stride: int) -> int:
@@ -137,8 +132,8 @@ def extract_patches(image, patch_side: int, stride: int = 1) -> np.ndarray:
 def assemble_patches(patches, image_shape, patch_side: int,
                      stride: int) -> np.ndarray:
     """Place patch columns at their row-major grid origins and average the
-    overlaps; clips to [0, 255]. A pixel no patch covers (the last rows or
-    columns when ``stride`` does not divide the side less ``patch_side``)
+    overlaps; clips to [0, 255]. A pixel no patch covers (in the last rows
+    or columns, or between patches when ``stride`` exceeds ``patch_side``)
     comes out 0; ``denoise_image`` fills it with the clipped noisy value.
 
     The sum runs over the p^2 in-patch offsets, each one strided slice-add

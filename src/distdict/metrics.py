@@ -119,19 +119,16 @@ def stationarity_gap(D_bar, X_groups, problem: ProblemData) -> float:
     return max(gap, float(np.abs(dev, out=dev).max()))
 
 
-def consensus_error(D_list, D_bar=None) -> float:
+def consensus_error(D_list, D_bar) -> float:
     """Worst entrywise deviation of the local dictionary copies, given as an
-    ``(I, M, K)`` stack or a list, from their mean."""
-    stack = np.asarray(D_list, dtype=float)
-    if D_bar is None:
-        D_bar = stack.mean(axis=0)
-    dev = stack - D_bar
+    ``(I, M, K)`` stack or a list, from their mean ``D_bar``."""
+    dev = np.asarray(D_list, dtype=float) - D_bar
     return float(np.abs(dev, out=dev).max())
 
 
-def psnr_mse(reference, estimate, peak: float = 255.0):
-    """Peak signal-to-noise ratio (dB) and mean squared error between two
-    images of identical shape; an exact match gives psnr = inf."""
+def psnr_mse(reference, estimate):
+    """Peak signal-to-noise ratio (dB, peak 255) and mean squared error of
+    two images of identical shape; an exact match gives psnr = inf."""
     ref = np.asarray(reference, dtype=float)
     est = np.asarray(estimate, dtype=float)
     if ref.shape != est.shape:
@@ -139,7 +136,7 @@ def psnr_mse(reference, estimate, peak: float = 255.0):
     mse = float(np.mean((ref - est) ** 2))
     if mse == 0.0:
         return float("inf"), 0.0
-    return float(10.0 * np.log10(peak * peak / mse)), mse
+    return float(10.0 * np.log10(255.0 * 255.0 / mse)), mse
 
 
 def centralized_oracle(problem: ProblemData, config: RunConfig,

@@ -86,12 +86,10 @@ def _strongly_connected(adj) -> bool:
     return _reaches_everyone(adj) and _reaches_everyone(adj.T)
 
 
-def is_b_strongly_connected(schedule: GraphSchedule, window: int = None) -> bool:
-    """Check that the union of every aligned window of ``window`` consecutive
+def is_b_strongly_connected(schedule: GraphSchedule) -> bool:
+    """Check that the union of every aligned run of ``schedule.window``
     phases is strongly connected (enumerated over one period by cyclicity)."""
-    B = schedule.window if window is None else window
-    if B < 1:
-        raise ValueError("window must be at least 1")
+    B = schedule.window
     P = schedule.period
     starts = sorted({(k * B) % P for k in range(P)})
     for s in starts:
@@ -136,9 +134,9 @@ def metropolis_weights(adj) -> np.ndarray:
     return W
 
 
-def validate_weights(W, adj, theta_min: float = DEFAULT_THETA_MIN) -> bool:
+def validate_weights(W, adj) -> bool:
     """True iff W is finite, doubly stochastic within 1e-12, matches the
-    adjacency pattern exactly, and has all nonzero entries >= theta_min."""
+    adjacency pattern, and has no nonzero entry below DEFAULT_THETA_MIN."""
     W = np.asarray(W, dtype=float)
     A = np.asarray(adj, dtype=bool)
     if W.shape != A.shape or not np.isfinite(W).all():
@@ -146,7 +144,7 @@ def validate_weights(W, adj, theta_min: float = DEFAULT_THETA_MIN) -> bool:
     pattern = W != 0.0
     if not np.array_equal(pattern, A):
         return False
-    if np.any(W[pattern] < theta_min):
+    if np.any(W[pattern] < DEFAULT_THETA_MIN):
         return False
     if np.max(np.abs(W.sum(axis=1) - 1.0)) > STOCHASTICITY_TOL:
         return False
@@ -183,6 +181,37 @@ def _geometric_adjacency(n, rng):
         radius *= 1.25
 
 
+def schedule_period(kind: str, num_agents: int, window: int,
+                    period: int = None) -> int:
+    """Check a ``build_schedule`` request and return its number of phases,
+    raising ValueError for one no schedule meets. Every kind but
+    ``tv_ring_partition`` has one phase and takes no ``period``; there the
+    period (default: the window) may exceed neither the window nor the
+    agent count, the number of ring edges, and a lone agent gets one."""
+    if kind not in SCHEDULE_KINDS:
+        raise ValueError(f"unknown schedule kind {kind!r}; choose from "
+                         f"{SCHEDULE_KINDS}")
+    if num_agents < 1:
+        raise ValueError("num_agents must be at least 1")
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    if kind != "tv_ring_partition":
+        if period is not None:
+            raise ValueError(f"period applies to tv_ring_partition only, "
+                             f"not to {kind!r}")
+        return 1
+    P = window if period is None else period
+    if P < 1:
+        raise ValueError("period must be at least 1")
+    if P > window:
+        raise ValueError(f"period {P} exceeds the window {window}; the "
+                         "union of a window would miss ring edges")
+    if 1 < num_agents < P:
+        raise ValueError(f"cannot split {num_agents} ring edges into {P} "
+                         "phases")
+    return min(P, num_agents)
+
+
 def build_schedule(kind: str, num_agents: int, window: int = 1,
                    seed: int = 0, period: int = None) -> GraphSchedule:
     """Construct one of the shipped graph schedules.
@@ -200,24 +229,16 @@ def build_schedule(kind: str, num_agents: int, window: int = 1,
         Generator seed (used by the random geometric kind).
     period : int, optional
         For ``tv_ring_partition``, the number of phases the ring edges are
-        split into (defaults to ``window``; must not exceed it). Any other
-        kind raises ValueError when it is given.
+        split into (defaults to ``window``).
 
     Raises
     ------
     ValueError
-        If the requested parameters cannot satisfy the connectivity window
-        or produce invalid weights.
+        For a request ``schedule_period`` rejects or a schedule that fails
+        ``check_schedule``.
     """
+    P = schedule_period(kind, num_agents, window, period)
     I = num_agents
-    if I < 1:
-        raise ValueError("num_agents must be at least 1")
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if period is not None and kind != "tv_ring_partition":
-        raise ValueError(f"period applies to tv_ring_partition only, not "
-                         f"to {kind!r}")
-
     if kind == "static_path":
         adj = _adj_from_edges(I, [(k, k + 1) for k in range(I - 1)])
         phases = [(adj, metropolis_weights(adj))]
@@ -226,17 +247,7 @@ def build_schedule(kind: str, num_agents: int, window: int = 1,
     elif kind == "static_random_geometric":
         adj = _geometric_adjacency(I, np.random.default_rng(seed))
         phases = [(adj, metropolis_weights(adj))]
-    elif kind == "tv_ring_partition":
-        P = window if period is None else period
-        if P < 1:
-            raise ValueError("period must be at least 1")
-        if P > window:
-            raise ValueError(f"period {P} exceeds the window {window}; the "
-                             "union of a window would miss ring edges")
-        if I == 1:
-            P = 1
-        if P > I:
-            raise ValueError(f"cannot split {I} ring edges into {P} phases")
+    else:  # tv_ring_partition
         ring_edges = [(k, (k + 1) % I) for k in range(I)] if I > 2 \
             else [(0, 1)] if I == 2 else []
         phases = []
@@ -244,9 +255,6 @@ def build_schedule(kind: str, num_agents: int, window: int = 1,
             group = [e for k, e in enumerate(ring_edges) if k % P == g]
             adj = _adj_from_edges(I, group)
             phases.append((adj, metropolis_weights(adj)))
-    else:
-        raise ValueError(f"unknown schedule kind {kind!r}; choose from "
-                         f"{SCHEDULE_KINDS}")
 
     schedule = GraphSchedule(adjacency=[a for a, _ in phases],
                              weights=[w for _, w in phases],

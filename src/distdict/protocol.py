@@ -25,7 +25,6 @@ the groups then takes each group's codes and at once its local gradient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +78,7 @@ def consensus_step(W, mats) -> np.ndarray:
     I = len(mats)
     if W.shape != (I, I):
         raise ValueError("weight matrix size must match the agent count")
-    # the row length is spelled out: -1 is undefined for zero agents
-    flat = mats.reshape(I, math.prod(mats.shape[1:]))
-    return (W @ flat).reshape(mats.shape)
+    return (W @ mats.reshape(I, -1)).reshape(mats.shape)
 
 
 def tracking_step(W, trackers, grads_new, grads_old) -> np.ndarray:

@@ -209,7 +209,7 @@ def test_criterion_07_every_shipped_schedule_has_valid_weights():
             else:
                 schedule = build_schedule(kind, n, seed=n)
             for A, W in zip(schedule.adjacency, schedule.weights):
-                assert validate_weights(W, A, theta_min=0.01), (
+                assert validate_weights(W, A), (
                     f"{kind} with {n} agents fails weight validation")
                 checked += 1
     assert checked >= 12

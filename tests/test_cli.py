@@ -238,3 +238,47 @@ def test_flags_a_subcommand_would_ignore_are_rejected(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [
+    "period = 2\n",
+    "graph = tv_ring_partition\nwindow = 5\nagents = 3\n",
+], ids=["ring-period", "partition-window"])
+def test_a_graph_no_schedule_meets_fails_before_any_data_is_drawn(
+        setting, tmp_path, monkeypatch, capsys):
+    import distdict.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    drawn = []
+    monkeypatch.setattr(cli, "make_synthetic",
+                        lambda *args, **kwargs: drawn.append(kwargs))
+    (tmp_path / "graph.cfg").write_text(setting)
+    assert main(["run", "--config", "graph.cfg"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert drawn == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.cfg"]
+
+
+def test_a_bad_noise_level_fails_naming_its_key(tmp_path, monkeypatch,
+                                                capsys):
+    import distdict.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    drawn = []
+    monkeypatch.setattr(cli, "make_synthetic",
+                        lambda *args, **kwargs: drawn.append(kwargs))
+    monkeypatch.setattr(cli, "make_test_image",
+                        lambda *args: drawn.append(args))
+    runs = [([sub, "--config", "noise.cfg"], key, f"{key} = {value}\n")
+            for sub, key in (("run", "sigma_n"), ("compare", "sigma_n"),
+                             ("denoise", "noise_sigma"))
+            for value in ("inf", "-inf", "nan", "-1")]
+    runs += [(["denoise", f"--noise-sigma={value}"], "noise_sigma", "")
+             for value in ("inf", "nan", "-1")]
+    for argv, key, text in runs:
+        (tmp_path / "noise.cfg").write_text(text)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {key} must be finite and nonnegative, got ")
+    assert drawn == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["noise.cfg"]

@@ -5,7 +5,8 @@ from dataclasses import fields
 import pytest
 
 from distdict import (GraphSpec, RunConfig, StepSchedule, build_run_config,
-                      load_config)
+                      build_schedule, load_config)
+from distdict.network import SCHEDULE_KINDS
 
 FLOAT_KEYS = [f.name for cls in (RunConfig, StepSchedule, GraphSpec)
               for f in fields(cls) if f.type == "float"]
@@ -127,7 +128,8 @@ def test_zero_round_budget_is_allowed():
 def test_period_none_means_the_window_default(tmp_path):
     for text in ("none", "None", "NONE"):
         assert build_run_config({"period": text}).graph.period is None
-    assert build_run_config({"period": "2"}).graph.period == 2
+    assert build_run_config({"graph": "tv_ring_partition", "window": "2",
+                             "period": "2"}).graph.period == 2
     path = tmp_path / "run.cfg"
     path.write_text("graph = tv_ring_partition\nwindow = 3\n"
                     "period = none   # the window\n")
@@ -161,3 +163,31 @@ def test_graph_spec_integer_fields_reject_a_float(field, value):
 def test_graph_spec_rejects_a_period_below_one(period):
     with pytest.raises(ValueError, match="period must be at least 1"):
         GraphSpec(kind="tv_ring_partition", window=3, period=period)
+
+
+def accepts(build, **kwargs):
+    try:
+        build(**kwargs)
+    except ValueError:
+        return False
+    return True
+
+
+def test_graph_spec_accepts_exactly_what_build_schedule_builds():
+    for kind in SCHEDULE_KINDS:
+        for agents in range(1, 7):
+            for window in range(1, 7):
+                for period in (None, *range(1, 8)):
+                    request = dict(kind=kind, num_agents=agents,
+                                   window=window, period=period)
+                    assert accepts(GraphSpec, **request) == \
+                        accepts(build_schedule, **request), request
+
+
+@pytest.mark.parametrize("mapping", [
+    {"period": "2"},  # the default static_ring has one phase
+    {"graph": "tv_ring_partition", "window": "5", "agents": "3"},
+], ids=["ring-period", "partition-window"])
+def test_a_graph_no_schedule_meets_fails_when_the_config_is_built(mapping):
+    with pytest.raises(ValueError):
+        build_run_config(mapping)

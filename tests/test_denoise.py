@@ -92,6 +92,17 @@ def test_pixels_no_patch_covers_keep_their_noisy_values():
     assert psnr_mse(clean, result.image)[0] > psnr_mse(clean, noisy)[0]
 
 
+def test_pixels_between_patches_keep_their_noisy_values():
+    # 4x4 patches at stride 6 cover rows and columns 0-3, 6-9, ..., 24-27
+    clean, noisy = noisy_pair(seed=10, side=32)
+    result = denoise_image(noisy, small_config(agents=2, max_rounds=3),
+                           patch_side=4, stride=6, num_atoms=8)
+    bare = coverage_counts(32, 32, 4, 6) == 0
+    assert np.count_nonzero(bare) == 32 * 32 - 20 * 20
+    assert np.array_equal(result.image[bare], noisy[bare])
+    assert psnr_mse(clean, result.image)[0] > psnr_mse(clean, noisy)[0]
+
+
 def test_uncovered_pixels_are_clipped_like_the_rest():
     _, noisy = noisy_pair(seed=7, side=34)
     noisy[-1] = 300.0
@@ -107,6 +118,7 @@ def test_uncovered_pixels_are_clipped_like_the_rest():
     ((35, 33), 8, 3, 3),
     ((29, 31), 6, 2, 7),
     ((40, 40), 8, 2, 40),  # 289 columns: padded multi-agent groups
+    ((32, 32), 4, 6, 2),   # bare pixels between the patches
 ])
 def test_one_buffer_pipeline_matches_the_pipeline_of_copies(shape, patch,
                                                             stride, agents):

@@ -29,30 +29,30 @@ def test_ascii_pgm_accepts_comments_and_newlines(tmp_path):
     assert np.array_equal(read_pgm(path), [[7, 9]])
 
 
+def test_ascii_pgm_reads_a_random_image_row_major(tmp_path):
+    rng = np.random.default_rng(81)
+    img = rng.integers(0, 256, size=(4, 3), dtype=np.uint8)
+    rows = "\n".join(" ".join(str(v) for v in row) for row in img)
+    path = tmp_path / "random_ascii.pgm"
+    path.write_text(f"P2\n3 4\n255\n{rows}\n")
+    assert np.array_equal(read_pgm(path), img)
+
+
 def test_binary_pgm_round_trip_is_identity(tmp_path):
     rng = np.random.default_rng(80)
     img = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
     path = tmp_path / "round.pgm"
-    write_pgm(path, img, binary=True)
+    write_pgm(path, img)
+    assert path.read_bytes()[:11] == b"P5\n7 5\n255\n"
     assert np.array_equal(read_pgm(path), img)
 
 
-def test_ascii_pgm_round_trip_is_identity(tmp_path):
-    rng = np.random.default_rng(81)
-    img = rng.integers(0, 256, size=(4, 3), dtype=np.uint8)
-    path = tmp_path / "round_ascii.pgm"
-    write_pgm(path, img, binary=False)
-    assert np.array_equal(read_pgm(path), img)
-
-
-@pytest.mark.parametrize("binary", [True, False])
-def test_pgm_writer_rejects_non_finite_pixels_before_opening(tmp_path,
-                                                             binary):
+def test_pgm_writer_rejects_non_finite_pixels_before_opening(tmp_path):
     img = np.full((2, 3), 100.0)
     img[0, 1], img[1, 2] = np.nan, np.inf
     path = tmp_path / "diverged.pgm"
     with pytest.raises(ValueError, match="2 non-finite pixel"):
-        write_pgm(path, img, binary=binary)
+        write_pgm(path, img)
     assert not path.exists()
 
 

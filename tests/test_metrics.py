@@ -127,20 +127,20 @@ def test_mean_and_consensus_error_equal_their_earlier_formulas(data):
     D_bar = mean_dictionary(arg)
     assert np.array_equal(D_bar, np.mean(copies, axis=0))
     want = consensus_error_formula(arg)
-    assert consensus_error(arg) == want
     assert consensus_error(arg, D_bar) == want
 
 
 def test_consensus_error_zero_on_agreement():
     D = np.arange(6.0).reshape(3, 2)
-    assert consensus_error([D, D.copy(), D.copy()]) == 0.0
+    assert consensus_error([D, D.copy(), D.copy()], D) == 0.0
 
 
 def test_consensus_error_splits_a_single_entry_difference():
     A = np.zeros((2, 2))
     B = np.zeros((2, 2))
     B[0, 1] = 0.3
-    assert consensus_error([A, B]) == pytest.approx(0.15, abs=1e-15)
+    assert consensus_error([A, B], mean_dictionary([A, B])) == \
+        pytest.approx(0.15, abs=1e-15)
 
 
 def test_consensus_error_matches_a_scalar_loop():
@@ -151,14 +151,14 @@ def test_consensus_error_matches_a_scalar_loop():
     for D in copies:
         for idx in np.ndindex(D.shape):
             worst = max(worst, abs(D[idx] - mean[idx]))
-    assert consensus_error(copies) == pytest.approx(worst, abs=1e-15)
+    assert consensus_error(copies, mean) == pytest.approx(worst, abs=1e-15)
 
 
 def test_consensus_error_positive_for_any_disagreement():
     A = np.zeros((2, 2))
     B = A.copy()
     B[1, 1] = 1e-12
-    assert consensus_error([A, B]) > 0.0
+    assert consensus_error([A, B], mean_dictionary([A, B])) > 0.0
 
 
 # ---------------------------------------------------------------------------

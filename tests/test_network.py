@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from distdict import (GraphSchedule, build_schedule, is_b_strongly_connected,
                       metropolis_weights, validate_weights)
-from distdict.network import (SCHEDULE_KINDS, _strongly_connected,
-                              check_schedule)
+from distdict.network import (DEFAULT_THETA_MIN, SCHEDULE_KINDS,
+                              _strongly_connected, check_schedule)
 
 from oracles import metropolis_scalar, strongly_connected_bfs
 
@@ -61,7 +61,7 @@ def test_ring_partition_spreads_edges_over_phases():
         assert np.array_equal(off_diag, off_diag.T)
         assert off_diag.sum() == 2 * 2
         assert not strongly_connected_bfs(A)  # each phase alone is sparse
-    assert is_b_strongly_connected(schedule, window=3)
+    assert is_b_strongly_connected(schedule)
 
 
 def test_schedules_are_deterministic_given_the_seed():
@@ -97,9 +97,9 @@ def test_a_period_for_a_kind_without_phases_is_rejected(kind):
 
 
 def test_static_connected_graph_passes_any_window():
-    schedule = build_schedule("static_path", 5)
     for window in (1, 2, 5):
-        assert is_b_strongly_connected(schedule, window=window)
+        schedule = build_schedule("static_path", 5, window=window)
+        assert is_b_strongly_connected(schedule)
 
 
 def test_disconnected_components_never_connect():
@@ -107,18 +107,20 @@ def test_disconnected_components_never_connect():
     A = np.eye(4, dtype=bool)
     A[0, 1] = A[1, 0] = True
     A[2, 3] = A[3, 2] = True
-    schedule = GraphSchedule(adjacency=[A], weights=[np.eye(4)], window=1)
     for window in (1, 3, 10):
-        assert not is_b_strongly_connected(schedule, window=window)
+        schedule = GraphSchedule(adjacency=[A], weights=[np.eye(4)],
+                                 window=window)
+        assert not is_b_strongly_connected(schedule)
 
 
 def test_alternating_halves_connect_only_with_a_two_round_window():
     # phase 0 carries 0<->1, phase 1 carries 1<->2; the union is the path
     # 0-1-2 but neither phase alone is strongly connected.
     edge_sets = [[(0, 1), (1, 0)], [(1, 2), (2, 1)]]
-    schedule = schedule_from_edge_sets(3, edge_sets, window=2)
-    assert is_b_strongly_connected(schedule, window=2)
-    assert not is_b_strongly_connected(schedule, window=1)
+    assert is_b_strongly_connected(
+        schedule_from_edge_sets(3, edge_sets, window=2))
+    assert not is_b_strongly_connected(
+        schedule_from_edge_sets(3, edge_sets, window=1))
 
 
 def test_check_schedule_rejects_a_broken_window_and_bad_weights():
@@ -272,8 +274,8 @@ def test_validate_rejects_pattern_mismatch_and_small_entries():
     assert not validate_weights(bad_pattern, B)
     # nonzero below the floor
     tiny = np.array([[1 - 1e-3, 1e-3], [1e-3, 1 - 1e-3]])
-    assert not validate_weights(tiny, A, theta_min=0.01)
-    assert validate_weights(tiny, A, theta_min=1e-4)
+    assert DEFAULT_THETA_MIN > 1e-3
+    assert not validate_weights(tiny, A)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

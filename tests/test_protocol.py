@@ -77,11 +77,6 @@ def test_consensus_equals_the_tensordot_mix(data):
     assert np.array_equal(got, consensus_tensordot(W, arg))
 
 
-def test_consensus_of_no_agents_is_an_empty_stack():
-    out = consensus_step(np.zeros((0, 0)), np.zeros((0, 3, 2)))
-    assert out.shape == (0, 3, 2)
-
-
 def test_consensus_rejects_a_mismatched_weight_matrix():
     with pytest.raises(ValueError):
         consensus_step(np.eye(3), [np.zeros((2, 2))] * 2)
