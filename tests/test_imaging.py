@@ -47,13 +47,21 @@ def test_binary_pgm_round_trip_is_identity(tmp_path):
     assert np.array_equal(read_pgm(path), img)
 
 
-def test_pgm_writer_rejects_non_finite_pixels_before_opening(tmp_path):
+@pytest.mark.parametrize("file_exists", [False, True])
+def test_pgm_writer_rejects_non_finite_pixels_before_opening(tmp_path,
+                                                             file_exists):
     img = np.full((2, 3), 100.0)
     img[0, 1], img[1, 2] = np.nan, np.inf
     path = tmp_path / "diverged.pgm"
+    old = b"P5\n1 1\n255\n\x07"
+    if file_exists:
+        path.write_bytes(old)
     with pytest.raises(ValueError, match="2 non-finite pixel"):
         write_pgm(path, img)
-    assert not path.exists()
+    if file_exists:
+        assert path.read_bytes() == old  # not truncated
+    else:
+        assert not path.exists()
 
 
 def test_pgm_rejects_wrong_maxval(tmp_path):
