@@ -27,9 +27,11 @@ from .core import (ProblemData, d_update_linearized, d_update_plain,
 from .core import grad_dict  # noqa: F401
 
 VARIANTS = ("plain", "linearized")
-# the plain solvers of round nu stop at max(inner_tol, INNER_TOL_SCALE
-# gamma_nu^2); see StepSchedule.inner_tol_at
+# plain solvers stop at max(INNER_TOL, INNER_TOL_SCALE gamma^2); the coding
+# weight is at least EPS_TAU: numerical safety floors, not method parameters
 INNER_TOL_SCALE = 1e-2
+INNER_TOL = 1e-8
+EPS_TAU = 1e-6
 
 
 @dataclass
@@ -45,22 +47,19 @@ class StepSchedule:
     ``inner_tol_at(gamma)``: the framework converges with inexact local
     solves as long as the errors eps_nu satisfy sum gamma_nu eps_nu < inf,
     and a tolerance of order gamma_nu^2 is summable against gamma_nu, which
-    decays like 1 / (eps_gamma nu). ``inner_tol`` is its floor. Every float
-    field must be finite, and ``inner_max_iter`` an integer.
+    decays like 1 / (eps_gamma nu). Its floor is the constant ``INNER_TOL``.
+    Every float field must be finite, and ``inner_max_iter`` an integer.
     """
 
     gamma0: float = 0.5
     eps_gamma: float = 0.1
     tau_d: float = 1.0
-    eps_tau: float = 1e-6
     variant: str = "linearized"
     d_mode: str = "linearized"
-    inner_tol: float = 1e-8
     inner_max_iter: int = 2000
 
     def __post_init__(self):
-        check_finite(self, "gamma0", "eps_gamma", "tau_d", "eps_tau",
-                     "inner_tol")
+        check_finite(self, "gamma0", "eps_gamma", "tau_d")
         check_integer(self, "inner_max_iter")
         if not 0.0 <= self.gamma0 <= 1.0:
             raise ValueError("gamma0 must lie in [0, 1]")
@@ -69,21 +68,19 @@ class StepSchedule:
                              "eps_gamma * gamma0 < 1")
         if self.tau_d <= 0:
             raise ValueError("tau_d must be positive")
-        if self.eps_tau <= 0:
-            raise ValueError("eps_tau must be positive")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.d_mode not in VARIANTS:
             raise ValueError(f"d_mode must be one of {VARIANTS}")
-        if self.inner_tol <= 0 or self.inner_max_iter < 1:
-            raise ValueError("inner_tol must be positive and inner_max_iter "
-                             "at least 1")
+        if self.inner_max_iter < 1:
+            raise ValueError("inner_max_iter must be at least 1")
 
-    def inner_tol_at(self, gamma: float) -> float:
+    @staticmethod
+    def inner_tol_at(gamma: float) -> float:
         """Stopping tolerance of the plain solvers in a round with step
-        ``gamma``: max(inner_tol, INNER_TOL_SCALE gamma^2). The floor binds
-        once gamma < sqrt(inner_tol / INNER_TOL_SCALE), 1e-3 by default."""
-        return max(self.inner_tol, INNER_TOL_SCALE * gamma * gamma)
+        ``gamma``: max(INNER_TOL, INNER_TOL_SCALE gamma^2). ``INNER_TOL``
+        binds once gamma < 1e-3, about 10 000 rounds in at the defaults."""
+        return max(INNER_TOL, INNER_TOL_SCALE * gamma * gamma)
 
 
 def check_finite(obj, *names) -> None:
@@ -129,17 +126,18 @@ def gamma_sequence(count: int, gamma0: float, eps: float) -> np.ndarray:
     return g
 
 
-def coding_prox_weight(D_half, eps_tau: float) -> tuple:
-    """Proximal weight of the coding step, max(eps_tau, sigma_max(D_half)^2),
+def coding_prox_weight(D_half) -> tuple:
+    """Proximal weight of the coding step, max(EPS_TAU, sigma_max(D_half)^2),
     and the norm sigma_max(D_half) it came from, which ``coding_step`` hands
-    to the plain solver so that it need not take the norm again.
+    to the plain solver so that it need not take the norm again. ``EPS_TAU``
+    binds only where a copy collapses to sigma^2 < 1e-6.
 
     For a ``(c, M, K)`` stack of dictionaries, one weight per agent with
     shape ``(c, 1, 1)``, which broadcasts over the agents' codes, and ``c``
     norms.
     """
     sig, _ = sigma_max(D_half)
-    return np.maximum(eps_tau, sig * sig)[:, None, None], sig
+    return np.maximum(EPS_TAU, sig * sig)[:, None, None], sig
 
 
 def init_agents(problem: ProblemData, seed: int = 0) -> tuple:

@@ -414,7 +414,7 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float, inner_tol: float,
     constant (1 - sqrt(m/L)) / (1 + sqrt(m/L)) of the accelerated method for
     strongly convex problems (Nesterov 2004, section 2.2). Every agent
     needs m > 0, which every subproblem of the round engine has, since
-    ``eps_tau`` and ``mu`` are positive. ``sigma`` is sigma_max(U), one
+    ``agents.EPS_TAU`` and ``mu`` are positive. ``sigma`` is sigma_max(U), one
     value per agent, which the caller already holds.
 
     The solve stops once the proximal gradient step from the extrapolated

@@ -144,7 +144,7 @@ def _local_steps(problem, state, U, gamma, sched):
     ``(I, M, K)`` stack and the number of capped inner solves. The proximal
     weights come from one ``coding_prox_weight`` call over all agents."""
     flags = 0
-    tau_x, sig = coding_prox_weight(U, sched.eps_tau)
+    tau_x, sig = coding_prox_weight(U)
     grads = np.empty_like(state.D)
     # a new list, so one an observer kept stays as it was; each old code
     # stack is released as soon as its group has the new one

@@ -471,7 +471,7 @@ def ragged_run(problem, config, schedule, observer):
             D_half, ok_d = dictionary_step(a.D[None], a.X[None],
                                            I * a.tracker[None], gammas[nu],
                                            sched, problem.alpha)
-            tau_x, sig = coding_prox_weight(D_half, sched.eps_tau)
+            tau_x, sig = coding_prox_weight(D_half)
             X, ok_x = coding_step(a.X[None], D_half, S[None], tau_x,
                                   problem.lam, problem.mu, gammas[nu], sched,
                                   sig)
@@ -522,7 +522,7 @@ def ragged_diffusion(problem, config, schedule, observer):
         flags = 0
         for a, S, D in zip(agents, problem.S_blocks, mixed):
             a.D = D
-            tau_x, sig = coding_prox_weight(D[None], sched.eps_tau)
+            tau_x, sig = coding_prox_weight(D[None])
             X, ok = coding_step(a.X[None], D[None], S[None], tau_x,
                                 problem.lam, problem.mu, gammas[nu], sched,
                                 sig)

@@ -1,6 +1,7 @@
 """Per-agent schedules, initialization and local update steps."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from distdict import (ProblemData, StepSchedule,
                       build_run_config, coding_prox_weight, coding_step,
                       dictionary_step, gamma_sequence, grad_dict, init_agents,
                       run, sigma_max)
-from distdict.agents import INNER_TOL_SCALE, VARIANTS
+from distdict.agents import EPS_TAU, INNER_TOL, INNER_TOL_SCALE, VARIANTS
 from distdict.core import max_column_norm
 
 
@@ -66,8 +67,8 @@ def test_step_schedule_rejects_invalid_parameters():
         StepSchedule(gamma0=0.5, eps_gamma=3.0)  # eps * gamma0 >= 1
     with pytest.raises(ValueError):
         StepSchedule(tau_d=0.0)
-    with pytest.raises(ValueError):
-        StepSchedule(eps_tau=0.0)
+    with pytest.raises(ValueError, match="inner_max_iter must be at least 1"):
+        StepSchedule(inner_max_iter=0)
     with pytest.raises(ValueError):
         StepSchedule(variant="other")
 
@@ -75,17 +76,20 @@ def test_step_schedule_rejects_invalid_parameters():
 def test_inner_tolerance_follows_the_squared_step_down_to_its_floor():
     sched = StepSchedule()
     assert sched.inner_tol_at(sched.gamma0) == INNER_TOL_SCALE * 0.25
-    # the floor binds once gamma < sqrt(inner_tol / INNER_TOL_SCALE) = 1e-3
+    # the floor binds once gamma < sqrt(INNER_TOL / INNER_TOL_SCALE) = 1e-3
+    assert INNER_TOL == 1e-8
+    assert math.sqrt(INNER_TOL / INNER_TOL_SCALE) == pytest.approx(1e-3)
     assert sched.inner_tol_at(2e-3) == pytest.approx(INNER_TOL_SCALE * 4e-6,
                                                     rel=1e-12)
     for gamma in (9.99e-4, 1e-5, 0.0):
-        assert sched.inner_tol_at(gamma) == sched.inner_tol
-    assert StepSchedule(inner_tol=1e-3).inner_tol_at(0.2) == 1e-3
+        assert sched.inner_tol_at(gamma) == INNER_TOL
     g = gamma_sequence(200001, sched.gamma0, sched.eps_gamma)
     tols = np.array([sched.inner_tol_at(x) for x in g])
-    assert np.all(tols >= sched.inner_tol)
+    assert np.all(tols >= INNER_TOL)
     assert np.all(np.diff(tols) <= 0)
-    assert np.all(tols[g < 1e-3] == sched.inner_tol)
+    assert np.all(tols[g < 1e-3] == INNER_TOL)
+    # at the default step rule the floor binds from about round 10 000
+    assert 9000 < np.argmax(g < 1e-3) < 11000
     # sum gamma_nu tol_nu converges: the terms beyond round 20 000 add
     # less than a thousandth to it
     weighted = g * tols
@@ -97,14 +101,16 @@ def test_inner_tolerance_follows_the_squared_step_down_to_its_floor():
 
 
 def test_coding_prox_weight_floor_and_known_values():
-    eps = 1e-6
-
     def lone(U):
-        tau, sig = coding_prox_weight(U[None], eps)
+        tau, sig = coding_prox_weight(U[None])
         assert tau.shape == (1, 1, 1) and sig.shape == (1,)
         return tau[0, 0, 0], sig[0]
 
-    assert lone(np.zeros((3, 2))) == (eps, 0.0)
+    assert EPS_TAU == 1e-6
+    assert lone(np.zeros((3, 2))) == (EPS_TAU, 0.0)
+    # the floor binds below sigma^2 = EPS_TAU and not above it
+    assert lone(1e-4 * np.eye(3))[0] == EPS_TAU
+    assert lone(1e-2 * np.eye(3))[0] == pytest.approx(1e-4, rel=1e-10)
     assert lone(np.eye(3)) == pytest.approx((1.0, 1.0), abs=1e-12)
     U = np.zeros((4, 3))
     U[0, 0], U[1, 1] = 2.0, 1.0
@@ -113,7 +119,7 @@ def test_coding_prox_weight_floor_and_known_values():
 
 def test_coding_prox_weight_takes_a_stack_only():
     with pytest.raises(ValueError, match="stack is required"):
-        coding_prox_weight(np.eye(3), 1e-6)
+        coding_prox_weight(np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +259,7 @@ def test_coding_step_huge_l1_weight_zeroes_the_codes():
     D, X, _ = first_agent(problem, seed=2)
     D_half = D.copy()
     S = problem.S_blocks[0][None]
-    tau, sig = coding_prox_weight(D_half, 1e-6)
+    tau, sig = coding_prox_weight(D_half)
     lam_huge = 10.0 * np.max(np.abs(grad_dict(D_half, X, S)))
     lam_huge = max(lam_huge,
                    10.0 * np.max(np.abs(D_half[0].T @ S[0])) + tau.item())

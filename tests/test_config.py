@@ -83,10 +83,22 @@ def test_rounds_is_an_alias_for_max_rounds():
                              "max_rounds": "30"}).max_rounds == 30
 
 
-def test_unknown_keys_are_rejected_with_the_valid_keys_listed():
+def test_unknown_keys_are_rejected_with_the_valid_keys_listed(tmp_path):
     with pytest.raises(ValueError, match="unknown config key.* 'lamda', "
                        "'patch'; valid keys: agents, alpha, .*lam, .*window"):
         build_run_config({"patch": "8", "lamda": "0.3", "lam": "0.2"})
+    # the inner solvers' floors are constants, not config keys
+    path = tmp_path / "floors.cfg"
+    for key, value in (("eps_tau", "1e-6"), ("inner_tol", "1e-8")):
+        path.write_text(f"lam = 0.2\n{key} = {value}\n")
+        for mapping in ({key: value}, load_config(path)):
+            with pytest.raises(ValueError) as info:
+                build_run_config(mapping)
+            message = str(info.value)
+            assert message.startswith(f"unknown config key(s) '{key}'; ")
+            assert "valid keys: agents, alpha, " in message
+            assert "eps_tau" not in message.split(";")[1]
+            assert "inner_tol" not in message.split(";")[1]
 
 
 def test_invalid_values_are_rejected():
@@ -101,9 +113,8 @@ def test_invalid_values_are_rejected():
 
 
 def test_every_float_key_is_checked_for_finiteness():
-    assert sorted(FLOAT_KEYS) == ["alpha", "eps_gamma", "eps_tau", "gamma0",
-                                  "inner_tol", "lam", "mu", "stop_tol",
-                                  "tau_d"]
+    assert sorted(FLOAT_KEYS) == ["alpha", "eps_gamma", "gamma0", "lam",
+                                  "mu", "stop_tol", "tau_d"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

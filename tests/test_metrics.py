@@ -304,7 +304,7 @@ def test_baseline_single_agent_is_projected_alternating_descent():
     for nu in range(config.max_rounds):
         D = project_dictionary(D - gammas[nu] * grad_dict(D, X, S),
                                problem.alpha)
-        tau_x, _ = coding_prox_weight(D, config.steps.eps_tau)
+        tau_x, _ = coding_prox_weight(D)
         X = x_update_linearized(X, D, S, tau_x, problem.lam, problem.mu)
         assert np.max(np.abs(seen[nu][0] - D[0])) <= 1e-14
         assert np.max(np.abs(seen[nu][1] - X[0])) <= 1e-14

@@ -1,13 +1,18 @@
-"""The python code blocks of README.md run as written."""
+"""The code blocks of README.md run as written, and its config example
+names every config key."""
 
 import re
 from pathlib import Path
 
 import pytest
 
+from distdict import build_run_config, load_config
+from distdict.config import _KEYS
+
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text("utf-8"),
-                    flags=re.M | re.S)
+TEXT = README.read_text("utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", TEXT, flags=re.M | re.S)
+INI = re.findall(r"^```ini\n(.*?)^```$", TEXT, flags=re.M | re.S)
 
 
 def test_the_readme_has_python_blocks():
@@ -19,3 +24,23 @@ def test_the_readme_has_python_blocks():
 def test_a_readme_python_block_runs(code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(code, str(README), "exec"), {"__name__": "__readme__"})
+
+
+def test_the_readme_config_example_builds_and_names_every_key(tmp_path):
+    # the example, the keys the paragraph after it says the example leaves
+    # out and its aliases are together the valid run keys, so a key added
+    # or removed later cannot leave the README stale
+    assert len(INI) == 1
+    path = tmp_path / "example.cfg"
+    path.write_text(INI[0], "utf-8")
+    mapping = load_config(path)
+    build_run_config(mapping)
+    paragraph = TEXT[TEXT.index(INI[0]) + len(INI[0]):].split("\n\n")[1]
+    left_out = re.search(r"The keys the\s+example leaves out \(([^)]*)\)",
+                         paragraph)
+    aliases = re.findall(r"`(\w+)` is an alias of", paragraph)
+    named = re.findall(r"`(\w+)`", left_out.group(1))
+    assert aliases == ["rounds"]
+    assert len(set(named)) == len(named)
+    assert not set(named) & set(mapping)
+    assert {*mapping, *named, *aliases} == {*_KEYS, "rounds"}
