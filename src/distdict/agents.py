@@ -27,10 +27,12 @@ from .core import (ProblemData, d_update_linearized, d_update_plain,
 from .core import grad_dict  # noqa: F401
 
 VARIANTS = ("plain", "linearized")
-# plain solvers stop at max(INNER_TOL, INNER_TOL_SCALE gamma^2); the coding
-# weight is at least EPS_TAU: numerical safety floors, not method parameters
+# plain solvers stop at max(INNER_TOL, INNER_TOL_SCALE gamma^2) or after
+# INNER_MAX_ITER iterations; the coding weight is at least EPS_TAU: numerical
+# safety bounds, not method parameters
 INNER_TOL_SCALE = 1e-2
 INNER_TOL = 1e-8
+INNER_MAX_ITER = 2000
 EPS_TAU = 1e-6
 
 
@@ -47,8 +49,9 @@ class StepSchedule:
     ``inner_tol_at(gamma)``: the framework converges with inexact local
     solves as long as the errors eps_nu satisfy sum gamma_nu eps_nu < inf,
     and a tolerance of order gamma_nu^2 is summable against gamma_nu, which
-    decays like 1 / (eps_gamma nu). Its floor is the constant ``INNER_TOL``.
-    Every float field must be finite, and ``inner_max_iter`` an integer.
+    decays like 1 / (eps_gamma nu). Its floor is the constant ``INNER_TOL``,
+    and ``INNER_MAX_ITER`` caps their iterations. Every float field must be
+    finite.
     """
 
     gamma0: float = 0.5
@@ -56,11 +59,9 @@ class StepSchedule:
     tau_d: float = 1.0
     variant: str = "linearized"
     d_mode: str = "linearized"
-    inner_max_iter: int = 2000
 
     def __post_init__(self):
         check_finite(self, "gamma0", "eps_gamma", "tau_d")
-        check_integer(self, "inner_max_iter")
         if not 0.0 <= self.gamma0 <= 1.0:
             raise ValueError("gamma0 must lie in [0, 1]")
         if self.eps_gamma <= 0 or self.eps_gamma * self.gamma0 >= 1.0:
@@ -72,8 +73,6 @@ class StepSchedule:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.d_mode not in VARIANTS:
             raise ValueError(f"d_mode must be one of {VARIANTS}")
-        if self.inner_max_iter < 1:
-            raise ValueError("inner_max_iter must be at least 1")
 
     @staticmethod
     def inner_tol_at(gamma: float) -> float:
@@ -94,11 +93,13 @@ def check_finite(obj, *names) -> None:
 
 def check_integer(obj, *names) -> None:
     """Raise ValueError naming the first of the fields ``names`` of ``obj``
-    that is not an integer; a float is not one, even with an integral
-    value."""
+    that is not an integer; neither a float, even with an integral value,
+    nor a bool is one."""
     for name in names:
         value = getattr(obj, name)
         try:
+            if isinstance(value, bool):
+                raise TypeError
             operator.index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") \
@@ -196,7 +197,7 @@ def dictionary_step(D, X, direction, gamma: float, sched: StepSchedule,
     if sched.d_mode == "plain":
         d_tilde, ok = d_update_plain(D, X, direction, sched.tau_d, alpha,
                                      sched.inner_tol_at(gamma),
-                                     sched.inner_max_iter)
+                                     INNER_MAX_ITER)
     else:
         d_tilde = d_update_linearized(D, direction, sched.tau_d, alpha)
         ok = True
@@ -221,6 +222,5 @@ def coding_step(X, D_half, S, tau_x, lam: float, mu: float,
     """
     if sched.variant == "plain":
         return x_update_plain(X, D_half, S, tau_x, lam, mu,
-                              sched.inner_tol_at(gamma), sched.inner_max_iter,
-                              sigma)
+                              sched.inner_tol_at(gamma), INNER_MAX_ITER, sigma)
     return x_update_linearized(X, D_half, S, tau_x, lam, mu), True

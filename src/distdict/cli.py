@@ -143,7 +143,7 @@ def cmd_denoise(args) -> int:
 
 def cmd_compare(args) -> int:
     mapping = _mapping(args)
-    for key in ("max_rounds", "rounds", "variant"):
+    for key in ("max_rounds", "variant"):
         if key in mapping:
             raise ValueError(f"compare sets {key!r} itself; remove it from "
                              f"the config file")

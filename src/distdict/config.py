@@ -37,19 +37,16 @@ class RunConfig:
     steps: StepSchedule = field(default_factory=StepSchedule)
     graph: GraphSpec = field(default_factory=GraphSpec)
     max_rounds: int = 200
-    stop_tol: float = 0.0
     metric_stride: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        check_finite(self, "lam", "mu", "alpha", "stop_tol")
+        check_finite(self, "lam", "mu", "alpha")
         check_integer(self, "max_rounds", "metric_stride", "seed")
         if self.lam <= 0 or self.mu <= 0 or self.alpha <= 0:
             raise ValueError("lam, mu and alpha must be positive")
         if self.max_rounds < 0:
             raise ValueError("max_rounds must be nonnegative")
-        if self.stop_tol < 0:
-            raise ValueError("stop_tol must be nonnegative")
         if self.metric_stride < 1:
             raise ValueError("metric_stride must be at least 1")
         if self.seed < 0:
@@ -102,7 +99,7 @@ def convert(key, value: str, kind):
 def check_keys(mapping, own=()) -> None:
     """Raise ValueError, listing the valid keys, for a key of ``mapping``
     that is neither a run key nor in ``own``, the keys a caller reads."""
-    valid = {*_KEYS, "rounds", *own}
+    valid = {*_KEYS, *own}
     unknown = sorted(set(mapping) - valid)
     if unknown:
         raise ValueError(f"unknown config key(s) {str(unknown)[1:-1]}; valid "
@@ -122,14 +119,11 @@ def build_run_config(mapping: dict = None, **overrides) -> RunConfig:
         if value is not None:
             merged[key] = value
     check_keys(merged)
-    if "rounds" in merged:
-        merged.setdefault("max_rounds", merged.pop("rounds"))
     kwargs = {"run": {}, "steps": {}, "graph": {}}
     for key, value in merged.items():
         section, name, kind = _KEYS[key]
         if isinstance(value, str):
-            none = key == "period" and value.strip().lower() == "none"
-            value = None if none else convert(key, value, kind)
+            value = convert(key, value, kind)
         kwargs[section][name] = value
     return RunConfig(steps=StepSchedule(**kwargs["steps"]),
                      graph=GraphSpec(**kwargs["graph"]), **kwargs["run"])

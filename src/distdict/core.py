@@ -100,11 +100,11 @@ class ProblemData:
     K : int
         Number of dictionary atoms.
     lam : float
-        Weight of the l1 coding penalty (> 0).
+        Weight of the l1 coding penalty (> 0, finite).
     mu : float
-        Weight of the squared-Frobenius coding penalty (> 0).
+        Weight of the squared-Frobenius coding penalty (> 0, finite).
     alpha : float
-        Column-norm bound of the dictionary constraint set (> 0).
+        Column-norm bound of the dictionary constraint set (> 0, finite).
 
     Attributes
     ----------
@@ -135,8 +135,8 @@ class ProblemData:
                 raise ValueError(f"block {i} holds NaN or inf")
         if self.K < 1:
             raise ValueError("K must be at least 1")
-        if self.lam <= 0 or self.mu <= 0:
-            raise ValueError("lam and mu must be positive")
+        if not (0 < self.lam < np.inf and 0 < self.mu < np.inf):
+            raise ValueError("lam and mu must be positive and finite")
         if not 0 < self.alpha < np.inf:
             raise ValueError("alpha must be positive and finite")
         size = max(1, BUDGET // (max(M, self.K) * max(self.block_sizes)))

@@ -102,7 +102,8 @@ def stationarity_gap(D_bar, X_groups, problem: ProblemData) -> float:
     The codes are the group stacks of ``problem.groups``. Each group forms
     one residual ``R = D_bar X - S``, which gives both gradients: ``R X^T``,
     summed over the group, for the dictionary and ``D_bar^T R`` for the
-    codes.
+    codes. A NaN in ``D_bar`` or the codes gives a NaN gap, not 0: each
+    ``max`` takes the new value first, and ``max(nan, gap)`` is NaN.
     """
     problem.check_code_stacks(X_groups)
     D_bar = np.asarray(D_bar, dtype=float)
@@ -113,10 +114,10 @@ def stationarity_gap(D_bar, X_groups, problem: ProblemData) -> float:
         grad_sum += (R @ X.swapaxes(-1, -2)).sum(axis=0)
         step = prox_codes(D_bar.T @ R, X, 1.0, problem.lam, problem.mu)
         step -= X
-        gap = max(gap, float(np.abs(step, out=step).max()))
+        gap = max(float(np.abs(step, out=step).max()), gap)
     dev = D_bar - project_dictionary(D_bar - grad_sum / problem.num_agents,
                                      problem.alpha)
-    return max(gap, float(np.abs(dev, out=dev).max()))
+    return max(float(np.abs(dev, out=dev).max()), gap)
 
 
 def consensus_error(D_list, D_bar) -> float:

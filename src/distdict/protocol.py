@@ -223,8 +223,6 @@ def _rounds(problem, config, schedule, observer, tracked) -> MetricsTrace:
         if (nu + 1) % config.metric_stride == 0 or nu + 1 == config.max_rounds:
             _record(trace, problem, state, gammas[nu + 1], flags)
             flags = 0
-            if trace.delta[-1] <= config.stop_tol:
-                break
     return trace
 
 
@@ -263,9 +261,7 @@ def run(problem: ProblemData, config: RunConfig, schedule: GraphSchedule = None,
     -------
     MetricsTrace
         Row 0 describes the initial point; afterwards one row per
-        ``metric_stride`` rounds (the final round is always recorded). The
-        run stops early once the recorded stationarity gap falls to
-        ``stop_tol``. Its ``state`` is the RoundState after the last round
-        run.
+        ``metric_stride`` rounds (the final round is always recorded). Its
+        ``state`` is the RoundState after the last round.
     """
     return _rounds(problem, config, schedule, observer, tracked=True)

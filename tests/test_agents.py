@@ -67,8 +67,6 @@ def test_step_schedule_rejects_invalid_parameters():
         StepSchedule(gamma0=0.5, eps_gamma=3.0)  # eps * gamma0 >= 1
     with pytest.raises(ValueError):
         StepSchedule(tau_d=0.0)
-    with pytest.raises(ValueError, match="inner_max_iter must be at least 1"):
-        StepSchedule(inner_max_iter=0)
     with pytest.raises(ValueError):
         StepSchedule(variant="other")
 

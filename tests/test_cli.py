@@ -75,7 +75,7 @@ def test_compare_is_byte_deterministic(tmp_path):
 
 def test_run_reads_a_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("rounds = 3\nagents = 2\nM = 6\nK = 4\nN = 8\n")
+    cfg.write_text("max_rounds = 3\nagents = 2\nM = 6\nK = 4\nN = 8\n")
     assert main(["run", "--config", str(cfg), "--out-dir",
                  str(tmp_path)]) == 0
     lines = read_text(tmp_path / "trace.csv").strip().split("\n")
@@ -84,7 +84,7 @@ def test_run_reads_a_config_file(tmp_path):
 
 def test_cli_flags_override_the_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("rounds = 9\nagents = 2\n")
+    cfg.write_text("max_rounds = 9\nagents = 2\n")
     assert main(["run", "--config", str(cfg), "--rounds", "2", "--out-dir",
                  str(tmp_path)]) == 0
     lines = read_text(tmp_path / "trace.csv").strip().split("\n")
@@ -135,10 +135,11 @@ def test_errors_exit_nonzero(tmp_path, monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
     twice = tmp_path / "twice.cfg"
-    twice.write_text("rounds = 3\nrounds = 4\n")
+    twice.write_text("max_rounds = 3\nmax_rounds = 4\n")
     assert main(["run", "--config", str(twice)]) == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "'rounds'" in err and "lines 1 and 2" in err
+    assert "error:" in err and "'max_rounds'" in err
+    assert "lines 1 and 2" in err
 
     missing = tmp_path / "missing.pgm"
     assert main(["denoise", "--image", str(missing)]) == 1
@@ -150,6 +151,7 @@ def test_config_keys_a_subcommand_does_not_read_fail_by_name(
     monkeypatch.chdir(tmp_path)
     for sub, key in (("run", "lamda"), ("compare", "max_rounds"),
                      ("compare", "rounds"), ("compare", "variant"),
+                     ("run", "rounds"), ("run", "stop_tol"),
                      ("denoise", "M"), ("run", "patch"),
                      ("validate", "budgets")):
         (tmp_path / "keys.cfg").write_text(f"{key} = 3\n")
@@ -192,7 +194,8 @@ def test_an_unknown_key_lists_the_keys_the_subcommand_reads(tmp_path,
         err = capsys.readouterr().err
         valid = err.split("valid keys: ", 1)[1].strip().split(", ")
         assert "'MM'" in err
-        assert {"lam", "window", "rounds", *own} <= set(valid)
+        assert {"lam", "window", "max_rounds", *own} <= set(valid)
+        assert "rounds" not in valid
 
 
 def test_unreadable_noise_free_image_is_still_noised(tmp_path):

@@ -76,29 +76,35 @@ def test_overrides_beat_the_mapping_and_none_is_ignored():
     assert config.seed == 9
 
 
-def test_rounds_is_an_alias_for_max_rounds():
-    assert build_run_config({"rounds": "12"}).max_rounds == 12
-    # the explicit key wins over the alias, which is consumed all the same
-    assert build_run_config({"rounds": "12",
-                             "max_rounds": "30"}).max_rounds == 30
-
-
 def test_unknown_keys_are_rejected_with_the_valid_keys_listed(tmp_path):
     with pytest.raises(ValueError, match="unknown config key.* 'lamda', "
                        "'patch'; valid keys: agents, alpha, .*lam, .*window"):
         build_run_config({"patch": "8", "lamda": "0.3", "lam": "0.2"})
-    # the inner solvers' floors are constants, not config keys
-    path = tmp_path / "floors.cfg"
-    for key, value in (("eps_tau", "1e-6"), ("inner_tol", "1e-8")):
+    # the inner solvers' safety bounds are constants, not config keys; a
+    # run always lasts max_rounds, which has no second spelling
+    path = tmp_path / "dropped.cfg"
+    for key, value in (("eps_tau", "1e-6"), ("inner_tol", "1e-8"),
+                       ("inner_max_iter", "2000"), ("stop_tol", "0"),
+                       ("rounds", "12")):
         path.write_text(f"lam = 0.2\n{key} = {value}\n")
         for mapping in ({key: value}, load_config(path)):
             with pytest.raises(ValueError) as info:
                 build_run_config(mapping)
             message = str(info.value)
             assert message.startswith(f"unknown config key(s) '{key}'; ")
-            assert "valid keys: agents, alpha, " in message
-            assert "eps_tau" not in message.split(";")[1]
-            assert "inner_tol" not in message.split(";")[1]
+            valid = message.split("valid keys: ", 1)[1].split(", ")
+            assert valid[:2] == ["agents", "alpha"]
+            assert not {"eps_tau", "inner_tol", "inner_max_iter", "stop_tol",
+                        "rounds"} & set(valid)
+
+
+def test_rounds_is_no_longer_an_alias_for_max_rounds():
+    # max_rounds has one spelling; the old alias fails even beside it
+    for mapping in ({"rounds": "12"}, {"rounds": "12", "max_rounds": "30"}):
+        with pytest.raises(ValueError,
+                           match=r"^unknown config key\(s\) 'rounds'; "):
+            build_run_config(mapping)
+    assert build_run_config({"max_rounds": "12"}).max_rounds == 12
 
 
 def test_invalid_values_are_rejected():
@@ -114,7 +120,7 @@ def test_invalid_values_are_rejected():
 
 def test_every_float_key_is_checked_for_finiteness():
     assert sorted(FLOAT_KEYS) == ["alpha", "eps_gamma", "gamma0", "lam",
-                                  "mu", "stop_tol", "tau_d"]
+                                  "mu", "tau_d"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -126,7 +132,7 @@ def test_a_non_finite_float_value_fails_naming_its_key(key, value):
 
 def test_a_value_of_the_wrong_type_fails_naming_its_key():
     for key, value in (("lam", "abc"), ("agents", "6.5"),
-                       ("inner_max_iter", "")):
+                       ("max_rounds", "")):
         with pytest.raises(ValueError,
                            match=f"config key '{key}' expects .*{value!r}"):
             build_run_config({key: value})
@@ -136,35 +142,35 @@ def test_zero_round_budget_is_allowed():
     assert build_run_config({"max_rounds": "0"}).max_rounds == 0
 
 
-def test_period_none_means_the_window_default(tmp_path):
-    for text in ("none", "None", "NONE"):
-        assert build_run_config({"period": text}).graph.period is None
-    assert build_run_config({"graph": "tv_ring_partition", "window": "2",
-                             "period": "2"}).graph.period == 2
+def test_period_none_fails_naming_period(tmp_path):
+    # leaving the key out is how a file asks for the window
     path = tmp_path / "run.cfg"
     path.write_text("graph = tv_ring_partition\nwindow = 3\n"
-                    "period = none   # the window\n")
+                    "period = none\n")
+    for mapping in ({"graph": "tv_ring_partition", "window": "3",
+                     "period": "None"}, load_config(path)):
+        with pytest.raises(ValueError,
+                           match="^config key 'period' expects int"):
+            build_run_config(mapping)
+    path.write_text("graph = tv_ring_partition\nwindow = 3\n")
     graph = build_run_config(load_config(path)).graph
     assert (graph.kind, graph.window, graph.period) == \
         ("tv_ring_partition", 3, None)
+    assert build_run_config({"graph": "tv_ring_partition", "window": "2",
+                             "period": "2"}).graph.period == 2
 
 
 @pytest.mark.parametrize("field, value", [("max_rounds", 2.5),
                                           ("metric_stride", 1.5),
-                                          ("seed", 3.0)])
+                                          ("seed", 3.0), ("max_rounds", True)])
 def test_run_config_integer_fields_reject_a_float(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         RunConfig(**{field: value})
 
 
-def test_step_schedule_inner_max_iter_rejects_a_float():
-    with pytest.raises(ValueError, match="^inner_max_iter must be an integer"):
-        StepSchedule(inner_max_iter=2.5)
-
-
 @pytest.mark.parametrize("field, value", [("num_agents", 5.0),
                                           ("window", 2.0), ("period", 2.0),
-                                          ("seed", 0.5)])
+                                          ("seed", 0.5), ("num_agents", True)])
 def test_graph_spec_integer_fields_reject_a_float(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         GraphSpec(**{field: value})

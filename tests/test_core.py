@@ -99,6 +99,15 @@ def test_problem_data_and_projection_reject_a_non_finite_alpha(alpha):
         project_dictionary(np.ones((3, 2)), alpha)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["lam", "mu"])
+def test_problem_data_rejects_a_non_finite_penalty(name, bad):
+    penalties = {"lam": 0.125, "mu": 0.0625, name: bad}
+    with pytest.raises(ValueError,
+                       match="lam and mu must be positive and finite"):
+        ProblemData(S_blocks=[np.ones((3, 2))], K=2, alpha=1.0, **penalties)
+
+
 def test_objective_rejects_mismatched_dimensions():
     problem = random_problem(np.random.default_rng(2))
     D = np.zeros((problem.M + 1, problem.K))

@@ -51,8 +51,7 @@ def assert_engine_matches_reference(problem, config, schedule,
         got[state.nu] = [(a.D, a.X, a.tracker) for a in state.agents]
 
     trace = engine(problem, config, schedule, watch)
-    # a gap of exactly zero ends the run early
-    assert sorted(got) == list(range(1, trace.nu[-1] + 1))
+    assert sorted(got) == list(range(1, config.max_rounds + 1))
     for nu, rows in got.items():
         ref_rows, ref_flags = want[nu]
         assert trace.flags[nu] == ref_flags
@@ -76,9 +75,8 @@ def test_engine_matches_the_ragged_reference(data):
                "metric_stride": 1,
                "variant": data.draw(st.sampled_from(VARIANTS)),
                "d_mode": data.draw(st.sampled_from(VARIANTS)),
-               "inner_max_iter": data.draw(st.sampled_from((3, 2000)),
-                                           label="inner cap"),
                "seed": data.draw(st.integers(0, 1000), label="seed")}
+    cap = data.draw(st.sampled_from((3, 2000)), label="inner cap")
     budget = per_group * max(M, K) * max(sizes)
     with mock.patch.object(core_mod, "BUDGET", budget):
         problem = make_problem(np.random.default_rng(mapping["seed"]), sizes,
@@ -86,9 +84,9 @@ def test_engine_matches_the_ragged_reference(data):
     assert problem.groups.slices[0] == slice(0, per_group)
     config = build_run_config(mapping)
     schedule = build_schedule(kind, I, window=2, seed=mapping["seed"])
-    assert_engine_matches_reference(
-        problem, config, schedule,
-        data.draw(st.sampled_from(sorted(POLICIES)), label="round policy"))
+    policy = data.draw(st.sampled_from(sorted(POLICIES)), label="round policy")
+    with mock.patch.object(agents_mod, "INNER_MAX_ITER", cap):
+        assert_engine_matches_reference(problem, config, schedule, policy)
 
 
 @settings(max_examples=30, deadline=None)
@@ -134,14 +132,12 @@ def test_every_plain_solve_stops_at_the_tolerance_of_its_round(data):
             mock.patch.object(agents_mod, "d_update_plain",
                               recorded("d_update_plain")), \
             mock.patch.object(agents_mod, "INNER_TOL", floor):
-        trace = POLICIES[policy][0](
-            problem, config, build_schedule("static_ring", I),
-            lambda state: nu.__setitem__(0, state.nu))
+        POLICIES[policy][0](problem, config, build_schedule("static_ring", I),
+                            lambda state: nu.__setitem__(0, state.nu))
     names = {"x_update_plain"} | ({"d_update_plain"}
                                   if policy == "tracked" else set())
     per_round = len(names) * len(problem.groups.slices)
-    # a gap of exactly zero ends the run early
-    assert len(solves) == per_round * trace.nu[-1]
+    assert len(solves) == per_round * config.max_rounds
     assert {name for name, *_ in solves} == names
     for name, round_, tol, converged in solves:
         gamma = gammas[round_]
@@ -176,7 +172,7 @@ def test_relabelling_the_features_permutes_every_round(variant, d_mode,
         relabelled = ProblemData(S_blocks=[S[pi] for S in problem.S_blocks],
                                  K=K, lam=problem.lam, mu=problem.mu,
                                  alpha=problem.alpha)
-    # one record, after the last round, so that no zero gap ends a run early
+    # one record, after the last round
     config = build_run_config({"agents": I, "graph": kind, "window": 2,
                                "max_rounds": 15, "metric_stride": 15,
                                "variant": variant, "d_mode": d_mode,

@@ -40,6 +40,23 @@ def test_gap_vanishes_on_the_zero_instance():
     assert stationarity_gap(D_bar, problem.groups.stack(X), problem) == 0.0
 
 
+@pytest.mark.parametrize("budget", [core_mod.BUDGET, 1],
+                         ids=["one-group", "group-per-agent"])
+def test_merit_functions_read_nan_on_nan_codes(budget):
+    # a NaN code in any group, the last one included, must not read as a
+    # gap of 0
+    rng = np.random.default_rng(62)
+    with mock.patch.object(core_mod, "BUDGET", budget):
+        problem = toy_problem(rng)
+    D_bar = project_dictionary(rng.normal(size=(4, 3)), 1.0)
+    for i, n in enumerate(problem.block_sizes):
+        X = [np.zeros((3, m)) for m in problem.block_sizes]
+        X[i][1, n - 1] = np.nan
+        X_groups = problem.groups.stack(X)
+        assert np.isnan(stationarity_gap(D_bar, X_groups, problem))
+        assert np.isnan(objective_global(D_bar, X_groups, problem))
+
+
 def test_gap_matches_numeric_minimization_oracles():
     rng = np.random.default_rng(61)
     problem = toy_problem(rng)

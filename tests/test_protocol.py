@@ -185,14 +185,16 @@ def test_run_records_only_strided_rows_plus_the_final_round():
     assert trace.nu == [0, 4, 8, 10]
 
 
-def test_run_stops_early_once_the_gap_reaches_the_tolerance():
-    rng = np.random.default_rng(47)
-    problem = toy_problem(rng)
-    config = config_for(problem, max_rounds=500, metric_stride=1,
-                        stop_tol=1e-3)
+def test_a_run_at_a_zero_gap_still_records_every_round():
+    # zero data keep the codes, gradients and trackers at zero: the gap is
+    # exactly 0 throughout, and the run goes on all the same
+    problem = ProblemData(S_blocks=[np.zeros((4, n)) for n in (3, 2, 3)],
+                          K=3, lam=0.125, mu=0.0625, alpha=1.0)
+    config = config_for(problem, max_rounds=5, metric_stride=1)
     trace = run(problem, config)
-    assert trace.delta[-1] <= 1e-3
-    assert trace.nu[-1] < 500
+    assert trace.nu == list(range(6))
+    assert trace.delta == [0.0] * 6
+    assert (trace.state.nu, trace.state.messages) == (5, 10)
 
 
 def test_run_returns_the_state_it_ended_in():
@@ -207,14 +209,13 @@ def test_run_returns_the_state_it_ended_in():
         for name in ("D", "X", "tracker"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
-    # an early stop hands back the arrays of the last round run
+    # the final state holds the arrays the observer saw last
     seen = []
-    config = config_for(problem, max_rounds=500, metric_stride=1,
-                        stop_tol=1e-3)
+    config = config_for(problem, max_rounds=7, metric_stride=3)
     trace = run(problem, config, observer=lambda s: seen.append(
         (s.D, s.X, s.tracker)))
     end = trace.state
-    assert end.nu == trace.nu[-1] == len(seen) < 500
+    assert end.nu == trace.nu[-1] == len(seen) == 7
     assert end.messages == 2 * end.nu
     D, X, tracker = seen[-1]
     assert end.D is D and end.tracker is tracker

@@ -27,9 +27,9 @@ def test_a_readme_python_block_runs(code, tmp_path, monkeypatch, capsys):
 
 
 def test_the_readme_config_example_builds_and_names_every_key(tmp_path):
-    # the example, the keys the paragraph after it says the example leaves
-    # out and its aliases are together the valid run keys, so a key added
-    # or removed later cannot leave the README stale
+    # the example and the keys the paragraph after it says the example
+    # leaves out are together the valid run keys, so a key added or removed
+    # later cannot leave the README stale
     assert len(INI) == 1
     path = tmp_path / "example.cfg"
     path.write_text(INI[0], "utf-8")
@@ -38,9 +38,7 @@ def test_the_readme_config_example_builds_and_names_every_key(tmp_path):
     paragraph = TEXT[TEXT.index(INI[0]) + len(INI[0]):].split("\n\n")[1]
     left_out = re.search(r"The keys the\s+example leaves out \(([^)]*)\)",
                          paragraph)
-    aliases = re.findall(r"`(\w+)` is an alias of", paragraph)
     named = re.findall(r"`(\w+)`", left_out.group(1))
-    assert aliases == ["rounds"]
     assert len(set(named)) == len(named)
     assert not set(named) & set(mapping)
-    assert {*mapping, *named, *aliases} == {*_KEYS, "rounds"}
+    assert {*mapping, *named} == set(_KEYS)
