@@ -84,10 +84,18 @@ class StepSchedule:
 
 def check_finite(obj, *names) -> None:
     """Raise ValueError naming the first of the fields ``names`` of ``obj``
-    that is NaN or infinite."""
+    that is not a real number, as a bool or a string is not, or that is NaN
+    or infinite."""
     for name in names:
         value = getattr(obj, name)
-        if not math.isfinite(value):
+        try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            finite = math.isfinite(value)
+        except TypeError:
+            raise ValueError(f"{name} must be a real number, got {value!r}") \
+                from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 

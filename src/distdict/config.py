@@ -109,11 +109,9 @@ def check_keys(mapping, own=()) -> None:
 def build_run_config(mapping: dict = None, **overrides) -> RunConfig:
     """Assemble a RunConfig from a string mapping (e.g. a parsed config
     file) plus keyword overrides; overrides that are not None win. String
-    values are converted to the type of the field they set, and ``period =
-    none`` means the window. ``rounds`` is an alias of ``max_rounds``, which
-    wins when both are given. Any other key raises ValueError listing the
-    valid keys (``check_keys``), so a caller takes out the keys it reads
-    itself first."""
+    values are converted to the type of the field they set. An unknown key
+    raises ValueError listing the valid keys (``check_keys``), so a caller
+    takes out the keys it reads itself first."""
     merged = dict(mapping or {})
     for key, value in overrides.items():
         if value is not None:

@@ -346,7 +346,7 @@ def x_update_linearized(X, U, S, tau, lam: float, mu: float):
         tau / (2 mu + tau) * shrink(X0 - grad / tau, lam / tau).
     ``tau`` is a scalar or one weight per agent, shape ``(c, 1, 1)``.
     """
-    if (np.asarray(tau) <= 0).any():
+    if not (np.asarray(tau) > 0).all():
         raise ValueError("tau must be positive")
     X = np.asarray(X, dtype=float)
     return prox_codes(grad_codes(U, X, S), X, tau, lam, mu)
@@ -415,7 +415,7 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float, inner_tol: float,
     strongly convex problems (Nesterov 2004, section 2.2). Every agent
     needs m > 0, which every subproblem of the round engine has, since
     ``agents.EPS_TAU`` and ``mu`` are positive. ``sigma`` is sigma_max(U), one
-    value per agent, which the caller already holds.
+    finite, nonnegative value per agent, which the caller already holds.
 
     The solve stops once the proximal gradient step from the extrapolated
     point, max |X_{k+1} - Y_k|, falls to ``inner_tol``; that step vanishes
@@ -432,10 +432,12 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float, inner_tol: float,
     (tau = mu = 0 for some agent), and X0, U or S holding NaN or inf, raise
     ``ValueError``.
     """
-    if (np.asarray(tau) < 0).any():
+    if not (np.asarray(tau) >= 0).all():
         raise ValueError("tau must be nonnegative")
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError("mu must be nonnegative")
+    if not (np.isfinite(sigma) & (np.asarray(sigma) >= 0)).all():
+        raise ValueError("sigma must be finite and nonnegative")
     m = tau + 2.0 * mu
     if (np.asarray(m) <= 0).any():
         raise ValueError("the coding subproblem must be strongly convex: "
@@ -472,7 +474,7 @@ def d_update_linearized(D, direction, tau: float, alpha: float):
     that is proj(D0 - direction / tau), for one agent or each agent of a
     stack. The round engine passes ``I y``, I times the agent's tracker.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     D = np.asarray(D, dtype=float)
     return project_dictionary(D - direction / tau, alpha)
@@ -496,7 +498,7 @@ def d_update_plain(D, X, direction, tau: float, alpha: float,
     raised the mean iterations per call from 12.9 to 14.7 over 100 rounds
     of the standard instance with both steps plain.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     D0, X, direction = _stacks(D, X, direction)
     # the forward step Y - step * grad as one affine map Y H + C, scaled

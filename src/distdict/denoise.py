@@ -38,17 +38,15 @@ def denoise_image(noisy, config: RunConfig, *, patch_side: int = 8,
 
     Each patch has its mean removed and is scaled to [0, 1] before coding,
     so the sparse model only represents the contrast around the patch's
-    average intensity; decoding adds the stored means back. Overlapping
-    decoded patches are averaged and the result clipped to [0, 255]. A
-    pixel that no patch covers, in the last rows or columns or between
-    patches when ``stride`` exceeds ``patch_side``, keeps its noisy value,
-    clipped the same way.
+    average intensity; decoding adds the stored means back.
+    ``assemble_patches`` averages the decoded patches into the noisy image
+    and clips every pixel to [0, 255], so a pixel that no patch covers
+    keeps its noisy value, clipped the same way.
 
     One patch matrix serves the whole pipeline: the patches are centered
     and scaled in place, the agents' blocks are views of it, and once the
     run has returned each agent's codes are decoded into its own columns.
     """
-    noisy = np.asarray(noisy, dtype=float)
     patches = extract_patches(noisy, patch_side, stride)  # ours to overwrite
     offsets = patches.mean(axis=0)
     patches -= offsets
@@ -65,13 +63,6 @@ def denoise_image(noisy, config: RunConfig, *, patch_side: int = 8,
         np.matmul(dictionary, X, out=patches[:, s])
     patches *= PIXEL_SCALE
     patches += offsets
-    image = assemble_patches(patches, noisy.shape, patch_side, stride)
-    covered = [np.zeros(n, dtype=bool) for n in noisy.shape]
-    for spans in covered:  # per axis, the positions some patch spans
-        for start in range(0, spans.size - patch_side + 1, stride):
-            spans[start:start + patch_side] = True
-    rows, cols = (np.flatnonzero(~spans) for spans in covered)
-    image[rows] = np.clip(noisy[rows], 0.0, 255.0)
-    image[:, cols] = np.clip(noisy[:, cols], 0.0, 255.0)
+    image = assemble_patches(patches, noisy, patch_side, stride)
     return DenoiseResult(image=image, trace=trace, dictionary=dictionary,
                          codes=codes)

@@ -129,18 +129,22 @@ def extract_patches(image, patch_side: int, stride: int = 1) -> np.ndarray:
     return windows.reshape(nr * nc, patch_side * patch_side).T.copy()
 
 
-def assemble_patches(patches, image_shape, patch_side: int,
+def assemble_patches(patches, image, patch_side: int,
                      stride: int) -> np.ndarray:
-    """Place patch columns at their row-major grid origins and average the
-    overlaps; clips to [0, 255]. A pixel no patch covers (in the last rows
-    or columns, or between patches when ``stride`` exceeds ``patch_side``)
-    comes out 0; ``denoise_image`` fills it with the clipped noisy value.
+    """Average the overlapping patch columns, placed at their row-major grid
+    origins, into a float copy of ``image``, the 2-d image they came from,
+    and clip to [0, 255]. A pixel no patch covers (in the last rows or
+    columns, or between patches when ``stride`` exceeds ``patch_side``)
+    keeps its ``image`` value; ``np.zeros(shape)`` makes it 0.
 
     The sum runs over the p^2 in-patch offsets, each one strided slice-add
     of a whole row of ``patches``. The offsets go in reverse order, so every
     pixel adds its patch values in the order of the patches' corners.
     """
-    h, w = image_shape
+    out = np.array(image, dtype=float)
+    if out.ndim != 2:
+        raise ValueError("a 2-d image is required")
+    h, w = out.shape
     p = patch_side
     expected = patch_count(h, w, p, stride)
     patches = np.asarray(patches, dtype=float)
@@ -150,13 +154,12 @@ def assemble_patches(patches, image_shape, patch_side: int,
     nr = (h - p) // stride + 1
     nc = (w - p) // stride + 1
     grid = patches.reshape(p, p, nr, nc)
-    acc = np.zeros((h, w))
-    cnt = np.zeros((h, w))
+    acc, cnt = np.zeros((2, h, w))
     for dr in reversed(range(p)):
         rows = slice(dr, dr + (nr - 1) * stride + 1, stride)
         for dc in reversed(range(p)):
             cols = slice(dc, dc + (nc - 1) * stride + 1, stride)
             acc[rows, cols] += grid[dr, dc]
             cnt[rows, cols] += 1.0
-    out = np.divide(acc, cnt, out=np.zeros_like(acc), where=cnt > 0)
-    return np.clip(out, 0.0, 255.0)
+    np.divide(acc, cnt, out=out, where=cnt > 0)
+    return np.clip(out, 0.0, 255.0, out=out)

@@ -130,6 +130,20 @@ def test_a_non_finite_float_value_fails_naming_its_key(key, value):
         build_run_config({key: value})
 
 
+@pytest.mark.parametrize("value", [True, None, "0.1"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_a_float_field_that_is_not_a_real_number_fails_naming_it(key,
+                                                                  value):
+    cls = next(c for c in (RunConfig, StepSchedule)
+               if key in {f.name for f in fields(c)})
+    with pytest.raises(ValueError,
+                       match=f"^{key} must be a real number, got {value!r}$"):
+        cls(**{key: value})
+    if not isinstance(value, str):  # a string from a mapping is converted
+        with pytest.raises(ValueError, match=f"^{key} must be a real number"):
+            build_run_config({key: value})
+
+
 def test_a_value_of_the_wrong_type_fails_naming_its_key():
     for key, value in (("lam", "abc"), ("agents", "6.5"),
                        ("max_rounds", "")):

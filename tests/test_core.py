@@ -503,6 +503,39 @@ def test_x_plain_rejects_a_subproblem_without_curvature():
                        1e-8, 2000, sigma_max(U)[0])
 
 
+def test_x_linearized_rejects_a_nan_weight():
+    X, U, S = np.ones((2, 2, 3)), np.ones((2, 4, 2)), np.ones((2, 4, 3))
+    for tau in (np.nan, np.array([0.5, np.nan])[:, None, None]):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            x_update_linearized(X, U, S, tau, 0.125, 0.0625)
+
+
+def test_d_linearized_rejects_a_nan_weight():
+    with pytest.raises(ValueError, match="tau must be positive"):
+        d_update_linearized(np.eye(3), np.ones((3, 3)), np.nan, 1.0)
+
+
+def test_x_plain_rejects_a_nan_weight_or_spectral_norm():
+    X, U, S = np.ones((2, 2, 3)), np.stack([np.eye(2)] * 2), np.ones((2, 2, 3))
+    sig = sigma_max(U)[0]
+    for tau in (np.nan, np.array([0.5, np.nan])[:, None, None]):
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            x_update_plain(X, U, S, tau, 0.125, 0.0625, 1e-8, 2000, sig)
+    with pytest.raises(ValueError, match="mu must be nonnegative"):
+        x_update_plain(X, U, S, 0.5, 0.125, np.nan, 1e-8, 2000, sig)
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError,
+                           match="sigma must be finite and nonnegative"):
+            x_update_plain(X, U, S, 0.5, 0.125, 0.0625, 1e-8, 2000,
+                           np.array([1.0, bad]))
+
+
+def test_d_plain_rejects_a_nan_weight():
+    with pytest.raises(ValueError, match="tau must be positive"):
+        d_update_plain(np.eye(3), np.ones((3, 4)), np.ones((3, 3)), np.nan,
+                       1.0, 1e-8, 2000)
+
+
 def test_x_plain_momentum_is_chosen_per_agent():
     # with mu = 0 each agent's momentum constant comes from its own tau
     rng = np.random.default_rng(17)

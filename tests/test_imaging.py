@@ -170,7 +170,7 @@ def test_exact_codes_reproduce_the_image():
     patches = extract_patches(img, 4, 2)
     # dictionary = identity, codes = the patches themselves
     D = np.eye(16)
-    out = assemble_patches(D @ patches, img.shape, 4, 2)
+    out = assemble_patches(D @ patches, np.zeros(img.shape), 4, 2)
     covered = coverage_counts(12, 12, 4, 2) > 0
     assert np.max(np.abs(out[covered] - img[covered])) <= 0.5
 
@@ -180,7 +180,7 @@ def test_zero_codes_give_a_black_image():
     patches = extract_patches(img, 3, 3)
     D = np.zeros((9, 4))
     X = np.zeros((4, patches.shape[1]))
-    out = assemble_patches(D @ X, img.shape, 3, 3)
+    out = assemble_patches(D @ X, np.zeros(img.shape), 3, 3)
     assert np.array_equal(out, np.zeros((9, 9)))
 
 
@@ -192,18 +192,31 @@ def test_overlap_averaging_uses_the_true_coverage_counts():
     ones = np.ones((p * p, patches.shape[1]))
     # accumulating all-ones patches and dividing by the coverage must give
     # exactly 1 on covered pixels and 0 elsewhere
-    out = assemble_patches(ones, (h, w), p, s)
+    out = assemble_patches(ones, np.zeros((h, w)), p, s)
     assert np.array_equal(out > 0, counts > 0)
     assert np.allclose(out[counts > 0], 1.0, atol=1e-15)
 
 
-def test_uncovered_pixels_stay_zero_and_values_clip():
-    patches = extract_patches(np.zeros((7, 7)), 4, 3)  # bare right, bottom
+def test_uncovered_pixels_keep_the_clipped_base_and_values_clip():
+    base = np.full((8, 8), 300.0)
+    base[::2] = -20.0
+    patches = extract_patches(base, 4, 3)
     hot = np.full((16, patches.shape[1]), 300.0)
-    out = assemble_patches(hot, (7, 7), 4, 3)
-    counts = coverage_counts(7, 7, 4, 3)
-    assert np.all(out[counts == 0] == 0.0)
+    out = assemble_patches(hot, base, 4, 3)
+    counts = coverage_counts(8, 8, 4, 3)
+    assert np.count_nonzero(counts == 0) == 15  # the last row and column
+    assert np.array_equal(out[counts == 0],
+                          np.clip(base, 0.0, 255.0)[counts == 0])
+    assert {0.0, 255.0} <= set(out[counts == 0])
     assert np.all(out[counts > 0] == 255.0)
+    assert base[0, 0] == -20.0  # the base is not written
+
+
+def test_assemble_rejects_a_base_that_is_not_a_2d_image():
+    patches = np.zeros((16, 4))
+    for base in ((7, 7), np.zeros(49), np.zeros((1, 7, 7))):
+        with pytest.raises(ValueError, match="a 2-d image is required"):
+            assemble_patches(patches, base, 4, 3)
 
 
 @st.composite
@@ -222,13 +235,18 @@ def patch_geometries(draw):
 def test_assemble_equals_the_per_patch_loop(geometry, seed):
     h, w, p, stride = geometry
     # values beyond [0, 255] exercise the clip, overlaps the summation order
-    patches = np.random.default_rng(seed).normal(
-        100.0, 120.0, size=(p * p, patch_count(h, w, p, stride)))
-    got = assemble_patches(patches, (h, w), p, stride)
+    rng = np.random.default_rng(seed)
+    patches = rng.normal(100.0, 120.0,
+                         size=(p * p, patch_count(h, w, p, stride)))
+    base = rng.normal(100.0, 120.0, size=(h, w))
+    got = assemble_patches(patches, base, p, stride)
     want = assemble_patches_loop(patches, (h, w), p, stride)
-    assert got.tobytes() == want.tobytes()
+    covered = coverage_counts(h, w, p, stride) > 0
+    assert got[covered].tobytes() == want[covered].tobytes()
+    assert (got[~covered].tobytes()
+            == np.clip(base, 0.0, 255.0)[~covered].tobytes())
 
 
 def test_assemble_rejects_a_wrong_patch_matrix_shape():
     with pytest.raises(ValueError):
-        assemble_patches(np.zeros((16, 3)), (12, 12), 4, 2)
+        assemble_patches(np.zeros((16, 3)), np.zeros((12, 12)), 4, 2)
