@@ -337,6 +337,14 @@ def sigma_max(A):
     return np.sqrt(t * np.exp(ell)), True
 
 
+def _check_weight(tau) -> None:
+    """Raise ValueError unless every entry of the proximal weight ``tau`` is
+    finite and above 0, as every local surrogate of the SCA step needs."""
+    t = np.asarray(tau)
+    if not ((t > 0) & (t < np.inf)).all():
+        raise ValueError("tau must be finite and positive")
+
+
 def x_update_linearized(X, U, S, tau, lam: float, mu: float):
     """Closed-form coding step for the linearized local surrogate.
 
@@ -346,8 +354,7 @@ def x_update_linearized(X, U, S, tau, lam: float, mu: float):
         tau / (2 mu + tau) * shrink(X0 - grad / tau, lam / tau).
     ``tau`` is a scalar or one weight per agent, shape ``(c, 1, 1)``.
     """
-    if not (np.asarray(tau) > 0).all():
-        raise ValueError("tau must be positive")
+    _check_weight(tau)
     X = np.asarray(X, dtype=float)
     return prox_codes(grad_codes(U, X, S), X, tau, lam, mu)
 
@@ -412,10 +419,9 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float, inner_tol: float,
     m-strongly convex with an L-Lipschitz gradient, where m = tau + 2 mu and
     L = sigma_max(U)^2 + m, so the step is 1/L and the momentum is the
     constant (1 - sqrt(m/L)) / (1 + sqrt(m/L)) of the accelerated method for
-    strongly convex problems (Nesterov 2004, section 2.2). Every agent
-    needs m > 0, which every subproblem of the round engine has, since
-    ``agents.EPS_TAU`` and ``mu`` are positive. ``sigma`` is sigma_max(U), one
-    finite, nonnegative value per agent, which the caller already holds.
+    strongly convex problems (Nesterov 2004, section 2.2); m > 0, as ``tau``
+    is finite and positive and ``mu`` nonnegative. ``sigma`` is
+    sigma_max(U), one finite, nonnegative value per agent, as the caller has.
 
     The solve stops once the proximal gradient step from the extrapolated
     point, max |X_{k+1} - Y_k|, falls to ``inner_tol``; that step vanishes
@@ -428,20 +434,15 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float, inner_tol: float,
     with its own momentum and its own stop, so each keeps the iterate its
     stack of one would return. Returns ``(X_new, converged)``, one flag per
     agent; non-convergence within ``inner_max_iter`` is reported through
-    the flag, not raised. A subproblem that is not strongly convex
-    (tau = mu = 0 for some agent), and X0, U or S holding NaN or inf, raise
-    ``ValueError``.
+    the flag, not raised. A weight that is not finite and positive, a
+    negative ``mu``, and X0, U or S holding NaN or inf raise ``ValueError``.
     """
-    if not (np.asarray(tau) >= 0).all():
-        raise ValueError("tau must be nonnegative")
+    _check_weight(tau)
     if not mu >= 0:
         raise ValueError("mu must be nonnegative")
     if not (np.isfinite(sigma) & (np.asarray(sigma) >= 0)).all():
         raise ValueError("sigma must be finite and nonnegative")
     m = tau + 2.0 * mu
-    if (np.asarray(m) <= 0).any():
-        raise ValueError("the coding subproblem must be strongly convex: "
-                         "tau + 2 mu > 0 for every agent")
     U, X0, S = _check_triplet(U, X, S)
     Ut = U.swapaxes(-1, -2)
     # the forward step Y - step * grad as one affine map H Y + C, scaled
@@ -465,22 +466,22 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float, inner_tol: float,
     return out, done
 
 
-def d_update_linearized(D, direction, tau: float, alpha: float):
+def d_update_linearized(D, direction, tau, alpha: float):
     """Closed-form dictionary step: one projected gradient step that solves
 
         min_{D in the column-norm ball}
             <direction, D - D0> + tau/2 ||D - D0||_F^2,
 
     that is proj(D0 - direction / tau), for one agent or each agent of a
-    stack. The round engine passes ``I y``, I times the agent's tracker.
+    stack, with one ``tau`` or one per agent, shape ``(c, 1, 1)``. The round
+    engine passes ``I y``, I times the agent's tracker.
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    _check_weight(tau)
     D = np.asarray(D, dtype=float)
     return project_dictionary(D - direction / tau, alpha)
 
 
-def d_update_plain(D, X, direction, tau: float, alpha: float,
+def d_update_plain(D, X, direction, tau, alpha: float,
                    inner_tol: float, inner_max_iter: int):
     """Solve the full local dictionary subproblem
 
@@ -498,8 +499,7 @@ def d_update_plain(D, X, direction, tau: float, alpha: float,
     raised the mean iterations per call from 12.9 to 14.7 over 100 rounds
     of the standard instance with both steps plain.
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    _check_weight(tau)
     D0, X, direction = _stacks(D, X, direction)
     # the forward step Y - step * grad as one affine map Y H + C, scaled
     # below; the diagonal of X X^T covers every entry of X, and C every

@@ -71,7 +71,11 @@ def read_pgm(path) -> np.ndarray:
     else:
         values = np.empty(count, dtype=np.uint8)
         for k in range(count):
-            token, start, pos = _next_token(data, pos)
+            try:
+                token, start, pos = _next_token(data, pos)
+            except PgmError:
+                raise PgmError(f"truncated pixel data, expected {count} "
+                               f"values, found {k}", len(data)) from None
             if not token.isdigit():
                 raise PgmError(f"expected pixel value, got {token[:16]!r}",
                                start)

@@ -490,37 +490,56 @@ def test_x_plain_rejects_a_nonconvex_subproblem():
 
 
 def test_x_plain_rejects_a_subproblem_without_curvature():
-    # tau = mu = 0 leaves m = tau + 2 mu = 0, with U = 0 (no step size) or
+    # a zero weight fails whatever mu: tau = mu = 0 (m = tau + 2 mu = 0)
+    # and tau = 0 < mu (m = 2 mu) alike, with U = 0 (no step size) or
     # without, and for one agent of a stack as for a lone solve
-    for U in (np.zeros((4, 2)), np.eye(4, 2)):
-        with pytest.raises(ValueError, match="must be strongly convex"):
-            lone_plain_codes(np.ones((2, 3)), U, np.ones((4, 3)), 0.0,
-                             0.125, 0.0, 1e-8, 2000)
-    U = np.stack([np.eye(2), np.zeros((2, 2))])
-    with pytest.raises(ValueError, match="must be strongly convex"):
-        x_update_plain(np.ones((2, 2, 3)), U, np.ones((2, 2, 3)),
-                       np.array([0.5, 0.0])[:, None, None], 0.125, 0.0,
-                       1e-8, 2000, sigma_max(U)[0])
+    for mu in (0.0, 0.0625):
+        for U in (np.zeros((4, 2)), np.eye(4, 2)):
+            with pytest.raises(ValueError,
+                               match="tau must be finite and positive"):
+                lone_plain_codes(np.ones((2, 3)), U, np.ones((4, 3)), 0.0,
+                                 0.125, mu, 1e-8, 2000)
+        U = np.stack([np.eye(2), np.zeros((2, 2))])
+        with pytest.raises(ValueError,
+                           match="tau must be finite and positive"):
+            x_update_plain(np.ones((2, 2, 3)), U, np.ones((2, 2, 3)),
+                           np.array([0.5, 0.0])[:, None, None], 0.125, mu,
+                           1e-8, 2000, sigma_max(U)[0])
 
 
-def test_x_linearized_rejects_a_nan_weight():
-    X, U, S = np.ones((2, 2, 3)), np.ones((2, 4, 2)), np.ones((2, 4, 3))
-    for tau in (np.nan, np.array([0.5, np.nan])[:, None, None]):
-        with pytest.raises(ValueError, match="tau must be positive"):
-            x_update_linearized(X, U, S, tau, 0.125, 0.0625)
+# each solver on stacks of ones: codes X (c, 2, 3), U (c, 4, 2) and data S
+# (c, 4, 3); the dictionary steps take U as the dictionary and direction
+SOLVERS = {
+    "x_update_linearized":
+        lambda X, U, S, tau: x_update_linearized(X, U, S, tau, 0.1, 0.05),
+    "x_update_plain":
+        lambda X, U, S, tau: x_update_plain(X, U, S, tau, 0.1, 0.05, 1e-8,
+                                            2000, sigma_max(U)[0]),
+    "d_update_linearized":
+        lambda X, U, S, tau: d_update_linearized(U, U, tau, 1.0),
+    "d_update_plain":
+        lambda X, U, S, tau: d_update_plain(U, X, U, tau, 1.0, 1e-8, 2000),
+}
 
 
-def test_d_linearized_rejects_a_nan_weight():
-    with pytest.raises(ValueError, match="tau must be positive"):
-        d_update_linearized(np.eye(3), np.ones((3, 3)), np.nan, 1.0)
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_a_weight_not_finite_and_positive_fails_every_solver(solver):
+    # a lone agent's scalar weight, and one agent's entry of a (c, 1, 1)
+    # weight; the lone x_update_linearized call with inf gave all-NaN codes
+    solve = SOLVERS[solver]
+    for c, good in ((1, 0.5), (2, np.array([0.5, 2.0])[:, None, None])):
+        X, U, S = np.ones((c, 2, 3)), np.ones((c, 4, 2)), np.ones((c, 4, 3))
+        solve(X, U, S, good)
+        for bad in (np.inf, -np.inf, np.nan, 0.0, -1.0):
+            tau = bad if c == 1 else np.array([0.5, bad])[:, None, None]
+            with pytest.raises(ValueError,
+                               match="^tau must be finite and positive$"):
+                solve(X, U, S, tau)
 
 
 def test_x_plain_rejects_a_nan_weight_or_spectral_norm():
     X, U, S = np.ones((2, 2, 3)), np.stack([np.eye(2)] * 2), np.ones((2, 2, 3))
     sig = sigma_max(U)[0]
-    for tau in (np.nan, np.array([0.5, np.nan])[:, None, None]):
-        with pytest.raises(ValueError, match="tau must be nonnegative"):
-            x_update_plain(X, U, S, tau, 0.125, 0.0625, 1e-8, 2000, sig)
     with pytest.raises(ValueError, match="mu must be nonnegative"):
         x_update_plain(X, U, S, 0.5, 0.125, np.nan, 1e-8, 2000, sig)
     for bad in (np.nan, np.inf, -1.0):
@@ -528,12 +547,6 @@ def test_x_plain_rejects_a_nan_weight_or_spectral_norm():
                            match="sigma must be finite and nonnegative"):
             x_update_plain(X, U, S, 0.5, 0.125, 0.0625, 1e-8, 2000,
                            np.array([1.0, bad]))
-
-
-def test_d_plain_rejects_a_nan_weight():
-    with pytest.raises(ValueError, match="tau must be positive"):
-        d_update_plain(np.eye(3), np.ones((3, 4)), np.ones((3, 3)), np.nan,
-                       1.0, 1e-8, 2000)
 
 
 def test_x_plain_momentum_is_chosen_per_agent():
@@ -554,36 +567,39 @@ def test_x_plain_momentum_is_chosen_per_agent():
 
 
 def test_x_plain_does_not_stop_on_two_equal_iterates():
-    # the first step sends both codes to zero and the momentum step from
-    # there gives zero again; the solution is not zero
+    # at the round engine's floor weight agents.EPS_TAU the 12th and 13th
+    # iterates are both zero; the solution is not zero
     rng = np.random.default_rng(90)
     M, K, n = rng.integers(1, 6, size=3)
     U = rng.normal(size=(M, K))
     S = rng.normal(size=(M, n))
     X0 = rng.normal(size=(K, n))
-    out, converged = lone_plain_codes(X0, U, S, 0.0, 0.125, 0.0625, 1e-8,
+    tau = 1e-6
+    for iters in (12, 13):
+        early, _ = lone_plain_codes(X0, U, S, tau, 0.125, 0.0625, 1e-300,
+                                    iters)
+        assert not np.any(early)
+    out, converged = lone_plain_codes(X0, U, S, tau, 0.125, 0.0625, 1e-8,
                                       2000)
     assert converged
     assert np.any(out != 0.0)
-    assert elastic_net_kkt_residual(out, U, S, 0.0, X0, 0.125, 0.0625) \
+    assert elastic_net_kkt_residual(out, U, S, tau, X0, 0.125, 0.0625) \
         <= 1e-6
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_x_plain_stack_meets_kkt_and_matches_lone_solves(data):
-    # with mu = 0 the agents of a stack differ in m = tau + 2 mu > 0 alone;
-    # U has singular values in [0.5, 2] so that the weakly convex ones
-    # converge quickly too
+    # with mu = 0 the agents of a stack differ in m = tau + 2 mu alone;
+    # U has singular values in [0.5, 2] so that those with the smallest
+    # tau converge quickly too
     c = data.draw(st.integers(1, 4), label="agents")
     K = data.draw(st.integers(1, 4), label="K")
     M = data.draw(st.integers(K, 6), label="M")
     widths = data.draw(st.lists(st.integers(1, 5), min_size=c, max_size=c),
                        label="widths")
     mu = data.draw(st.sampled_from((0.0, 0.0625)), label="mu")
-    # tau = 0 only where mu > 0 keeps every subproblem strongly convex
-    tau_values = (0.25, 1.0, 4.0) if mu == 0 else (0.0, 0.25, 1.0, 4.0)
-    taus = data.draw(st.lists(st.sampled_from(tau_values),
+    taus = data.draw(st.lists(st.sampled_from((0.25, 1.0, 4.0)),
                               min_size=c, max_size=c), label="taus")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     lam = 0.125
@@ -614,16 +630,14 @@ def test_x_plain_stack_meets_kkt_and_matches_lone_solves(data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_x_plain_gives_the_bits_of_the_earlier_loop(data):
-    # stacks of 1-4 agents, every subproblem strongly convex (tau = 0 only
-    # where mu > 0); the small caps end solves at the cap while others stop
-    # one by one
+    # stacks of 1-4 agents; the small caps end solves at the cap while
+    # others stop one by one
     c = data.draw(st.integers(1, 4), label="agents")
     K = data.draw(st.integers(1, 6), label="K")
     M = data.draw(st.integers(1, 6), label="M")
     n = data.draw(st.integers(1, 7), label="n")
     mu = data.draw(st.sampled_from((0.0, 0.0625)), label="mu")
-    tau_values = (0.25, 1.0, 4.0) if mu == 0 else (0.0, 0.25, 1.0, 4.0)
-    taus = data.draw(st.lists(st.sampled_from(tau_values),
+    taus = data.draw(st.lists(st.sampled_from((0.25, 1.0, 4.0)),
                               min_size=c, max_size=c), label="taus")
     cap = data.draw(st.sampled_from((1, 2, 3, 2000)), label="cap")
     tol = data.draw(st.sampled_from((1e-12, 1e-6, 1e-2)), label="tol")
@@ -738,6 +752,26 @@ def test_d_linearized_matches_projected_gradient_oracle():
     got = d_update_linearized(D, direction, tau, 1.0)
     want = projected_gradient_quadratic(D, direction, tau, 1.0, iters=200)
     assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_dictionary_steps_take_one_weight_per_agent():
+    # a (c, 1, 1) weight gives each agent the step of its lone call with
+    # its own weight: the closed form bit for bit, the solve to 1e-12
+    rng = np.random.default_rng(19)
+    taus = (0.5, 2.2, 7.0)
+    tau = np.array(taus)[:, None, None]
+    D0 = rng.normal(size=(3, 4, 2))
+    X = rng.normal(size=(3, 2, 5))
+    G = rng.normal(size=(3, 4, 2))
+    out = d_update_linearized(D0, G, tau, 1.0)
+    plain, converged = d_update_plain(D0, X, G, tau, 1.0, 1e-10, 2000)
+    assert converged.all()
+    for j, t in enumerate(taus):
+        assert np.array_equal(out[j], d_update_linearized(D0[j], G[j], t,
+                                                          1.0))
+        lone, _ = lone_plain_dictionary(D0[j], X[j], G[j], t, 1.0, 1e-10,
+                                        2000)
+        assert np.max(np.abs(plain[j] - lone)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)

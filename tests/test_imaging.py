@@ -80,6 +80,28 @@ def test_pgm_truncated_payload_reports_an_offset(tmp_path):
     assert info.value.offset >= len(header)
 
 
+def test_ascii_pgm_truncated_raster_reports_the_count_found(tmp_path):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(b"P2\n3 2\n255\n1 2 3\n4 5")  # 5 of 6 values
+    with pytest.raises(PgmError, match="truncated pixel data, expected 6 "
+                                       "values, found 5") as info:
+        read_pgm(path)
+    assert info.value.offset == 20
+
+
+@pytest.mark.parametrize("raster, message, offset", [
+    (b"1 2 x 4", "expected pixel value, got b'x'", 15),
+    (b"1 256 3 4", "pixel value 256 exceeds maxval", 13),
+])
+def test_ascii_pgm_rejects_a_bad_pixel_at_its_offset(tmp_path, raster,
+                                                       message, offset):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P2 2 2 255\n" + raster)
+    with pytest.raises(PgmError, match=message) as info:
+        read_pgm(path)
+    assert info.value.offset == offset
+
+
 def test_pgm_rejects_a_bad_magic_number(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_text("P3 2 2 255 0 0 0 0")

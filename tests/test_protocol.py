@@ -13,8 +13,8 @@ import distdict.protocol as protocol_mod
 from distdict import (GraphSpec, ProblemData, build_run_config,
                       build_schedule, centralized_oracle, check_round,
                       consensus_step, denoise_image, diffusion_baseline,
-                      make_standard_problem, make_test_image, run,
-                      tracking_residual, tracking_step)
+                      make_standard_problem, make_synthetic, make_test_image,
+                      run, tracking_residual, tracking_step)
 from distdict.agents import VARIANTS
 from distdict.network import SCHEDULE_KINDS
 
@@ -195,6 +195,30 @@ def test_a_run_at_a_zero_gap_still_records_every_round():
     assert trace.nu == list(range(6))
     assert trace.delta == [0.0] * 6
     assert (trace.state.nu, trace.state.messages) == (5, 10)
+
+
+def test_a_penalty_above_every_correlation_holds_the_codes_at_zero():
+    # the absorbing zero state: with lam >= alpha ||s_j|| for every data
+    # column, |u_k^T s_j| <= lam for any feasible atom u_k, so the coding
+    # step keeps every code at zero, the gradients and trackers stay zero
+    # and the dictionaries only mix; the gap reads exactly 0 and the
+    # objective 1/2 ||S||^2 in every row
+    instance, problem = make_synthetic(M=6, K=4, N=12, num_agents=3, k0=2,
+                                       noise_sigma=0.1, seed=5)
+    lam = problem.alpha * np.linalg.norm(instance.S, axis=0).max()
+    problem = ProblemData(S_blocks=problem.S_blocks, K=problem.K, lam=lam,
+                          mu=problem.mu, alpha=problem.alpha)
+    config = config_for(problem, graph="static_ring", max_rounds=20)
+    coded = []
+    trace = run(problem, config,
+                observer=lambda state: coded.append(
+                    any(np.any(X) for X in state.X)))
+    assert coded == [False] * 20
+    assert not np.any(trace.state.tracker)
+    assert trace.nu == list(range(21))
+    assert trace.delta == [0.0] * 21
+    assert trace.objective == pytest.approx(
+        [0.5 * np.sum(instance.S ** 2)] * 21, rel=1e-14, abs=0.0)
 
 
 def test_run_returns_the_state_it_ended_in():
