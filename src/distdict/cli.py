@@ -20,7 +20,7 @@ from .config import build_run_config, check_keys, convert, load_config
 from .core import (grad_codes, grad_dict, max_column_norm,
                    project_dictionary, x_update_linearized)
 from .denoise import denoise_image
-from .imaging import PgmError, read_pgm, write_pgm
+from .imaging import read_pgm, write_pgm
 from .metrics import CSV_COLUMNS, diffusion_baseline, psnr_mse
 from .network import SCHEDULE_KINDS, build_schedule
 from .protocol import check_round, run, tracking_residual
@@ -332,7 +332,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PgmError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

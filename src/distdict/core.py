@@ -345,6 +345,13 @@ def _check_weight(tau) -> None:
         raise ValueError("tau must be finite and positive")
 
 
+def _check_penalties(lam, mu) -> None:
+    """Raise ValueError unless the elastic-net penalties ``lam`` and ``mu``
+    are finite and nonnegative; zero is allowed."""
+    if not (0 <= lam < np.inf and 0 <= mu < np.inf):
+        raise ValueError("lam and mu must be nonnegative and finite")
+
+
 def x_update_linearized(X, U, S, tau, lam: float, mu: float):
     """Closed-form coding step for the linearized local surrogate.
 
@@ -352,8 +359,11 @@ def x_update_linearized(X, U, S, tau, lam: float, mu: float):
         <grad, X - X0> + tau/2 ||X - X0||_F^2 + lam ||X||_1 + mu ||X||_F^2
     with grad evaluated at (U, X0), which gives
         tau / (2 mu + tau) * shrink(X0 - grad / tau, lam / tau).
-    ``tau`` is a scalar or one weight per agent, shape ``(c, 1, 1)``.
+    ``tau`` is a scalar or one weight per agent, shape ``(c, 1, 1)``; it
+    must be finite and positive, and ``lam`` and ``mu`` finite and
+    nonnegative, or ``ValueError`` is raised.
     """
+    _check_penalties(lam, mu)
     _check_weight(tau)
     X = np.asarray(X, dtype=float)
     return prox_codes(grad_codes(U, X, S), X, tau, lam, mu)
@@ -435,11 +445,11 @@ def x_update_plain(X, U, S, tau, lam: float, mu: float, inner_tol: float,
     stack of one would return. Returns ``(X_new, converged)``, one flag per
     agent; non-convergence within ``inner_max_iter`` is reported through
     the flag, not raised. A weight that is not finite and positive, a
-    negative ``mu``, and X0, U or S holding NaN or inf raise ``ValueError``.
+    ``lam`` or ``mu`` that is not finite and nonnegative, and X0, U or S
+    holding NaN or inf raise ``ValueError``.
     """
+    _check_penalties(lam, mu)
     _check_weight(tau)
-    if not mu >= 0:
-        raise ValueError("mu must be nonnegative")
     if not (np.isfinite(sigma) & (np.asarray(sigma) >= 0)).all():
         raise ValueError("sigma must be finite and nonnegative")
     m = tau + 2.0 * mu

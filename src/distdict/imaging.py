@@ -1,5 +1,8 @@
 """Grayscale PGM input/output and the overlapping-patch image pipeline."""
 
+import itertools
+import re
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -12,31 +15,7 @@ class PgmError(ValueError):
         self.offset = offset
 
 
-def _next_token(data: bytes, pos: int):
-    """Skip whitespace and '#' comments, return (token, start, end)."""
-    n = len(data)
-    while pos < n:
-        c = data[pos:pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < n and data[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PgmError("unexpected end of header", n)
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace():
-        pos += 1
-    return data[start:pos], start, pos
-
-
-def _header_int(data: bytes, pos: int, what: str):
-    token, start, end = _next_token(data, pos)
-    if not token.isdigit():
-        raise PgmError(f"expected {what}, got {token[:16]!r}", start)
-    return int(token), end
+_TOKEN = re.compile(rb"#[^\r\n]*|(\S+)")
 
 
 def read_pgm(path) -> np.ndarray:
@@ -44,23 +23,38 @@ def read_pgm(path) -> np.ndarray:
 
     Returns a uint8 array of shape (height, width). Any malformed header,
     out-of-range sample or truncated payload raises PgmError with the byte
-    offset of the failure; other maxvals are rejected.
+    offset of the failure; other maxvals are rejected. The header and a P2
+    raster are whitespace-separated tokens, and a '#' that starts a token
+    starts a comment to the end of its line. No array is sized from the
+    header, so time and memory grow with the file, not with its dimensions.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, magic_at, pos = _next_token(data, 0)
-    if magic not in (b"P2", b"P5"):
-        raise PgmError(f"unsupported magic {magic[:16]!r}", magic_at)
-    width, pos = _header_int(data, pos, "width")
-    height, pos = _header_int(data, pos, "height")
+    tokens = (m for m in _TOKEN.finditer(data) if m[1])
+
+    def header(what):
+        m = next(tokens, None)
+        if m is None:
+            raise PgmError("unexpected end of header", len(data))
+        if what != "magic" and not m[1].isdigit():
+            raise PgmError(f"expected {what}, got {m[1][:16]!r}", m.start())
+        return m
+
+    magic = header("magic")
+    if magic[1] not in (b"P2", b"P5"):
+        raise PgmError(f"unsupported magic {magic[1][:16]!r}", magic.start())
+    width = int(header("width")[1])
+    m = header("height")
+    height, pos = int(m[1]), m.end()
     if width < 1 or height < 1:
         raise PgmError(f"bad dimensions {width}x{height}", pos)
-    maxval, pos = _header_int(data, pos, "maxval")
+    m = header("maxval")
+    maxval, pos = int(m[1]), m.end()
     if maxval != 255:
         raise PgmError(f"unsupported maxval {maxval}, only 255 is handled",
                        pos)
     count = width * height
-    if magic == b"P5":
+    if magic[1] == b"P5":
         if pos >= len(data) or not data[pos:pos + 1].isspace():
             raise PgmError("expected single whitespace after maxval", pos)
         pos += 1
@@ -69,31 +63,31 @@ def read_pgm(path) -> np.ndarray:
                            f"found {len(data) - pos}", len(data))
         pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
     else:
-        values = np.empty(count, dtype=np.uint8)
-        for k in range(count):
-            try:
-                token, start, pos = _next_token(data, pos)
-            except PgmError:
-                raise PgmError(f"truncated pixel data, expected {count} "
-                               f"values, found {k}", len(data)) from None
-            if not token.isdigit():
-                raise PgmError(f"expected pixel value, got {token[:16]!r}",
-                               start)
-            v = int(token)
+        values = bytearray()
+        for m in itertools.islice(tokens, count):
+            if not m[1].isdigit():
+                raise PgmError(f"expected pixel value, got {m[1][:16]!r}",
+                               m.start())
+            v = int(m[1])
             if v > maxval:
-                raise PgmError(f"pixel value {v} exceeds maxval", start)
-            values[k] = v
-        pixels = values
+                raise PgmError(f"pixel value {v} exceeds maxval", m.start())
+            values.append(v)
+        if len(values) < count:
+            raise PgmError(f"truncated pixel data, expected {count} values, "
+                           f"found {len(values)}", len(data))
+        pixels = np.frombuffer(values, dtype=np.uint8)
     return pixels.reshape(height, width).copy()
 
 
 def write_pgm(path, image) -> None:
     """Write an image as binary PGM (P5) with maxval 255. Values are
-    rounded and clipped to [0, 255]. NaN or inf pixels raise ValueError
-    before the file is opened."""
+    rounded and clipped to [0, 255]. An image with a zero side, or with NaN
+    or inf pixels, raises ValueError before the file is opened."""
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise ValueError("a 2-d image is required")
+    if not arr.size:
+        raise ValueError(f"the image has a zero side, shape {arr.shape}")
     bad = arr.size - np.count_nonzero(np.isfinite(arr))
     if bad:
         raise ValueError(f"the image has {bad} non-finite pixel(s)")

@@ -113,13 +113,13 @@ def check_round(problem, state) -> None:
     invariant of a tracked run: a non-finite ``D``, code or ``tracker``, a
     dictionary column above ``alpha * (1 + 1e-12)``, or a tracking residual
     above 1e-10. A driver takes it as ``observer``."""
-    codes = state.groups.unstack(state.X)
-    for i, parts in enumerate(zip(state.D, codes, state.tracker)):
-        for name, A in zip(("D", "code", "tracker"), parts):
+    for i, agent in enumerate(state.agents):
+        for name, A in (("D", agent.D), ("code", agent.X),
+                        ("tracker", agent.tracker)):
             if not np.isfinite(A).all():
                 raise ValueError(f"round {state.nu}: agent {i} has a "
                                  f"non-finite {name}")
-        norm = max_column_norm(state.D[i])
+        norm = max_column_norm(agent.D)
         if norm > problem.alpha * (1 + 1e-12):
             raise ValueError(f"round {state.nu}: agent {i} has a dictionary "
                              f"column of norm {norm!r} above alpha")

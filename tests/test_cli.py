@@ -115,6 +115,16 @@ def test_denoise_accepts_an_external_image(tmp_path):
     assert read_pgm(tmp_path / "noisy.pgm").shape == (32, 32)
 
 
+def test_denoise_reports_a_pgm_header_larger_than_its_file(tmp_path,
+                                                           capsys):
+    # the header claims 10^12 pixels; the read fails on the three it holds
+    src = tmp_path / "huge.pgm"
+    src.write_bytes(b"P2\n1000000 1000000\n255\n1 2 3\n")
+    assert main(["denoise", "--image", str(src),
+                 "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: truncated pixel data")
+
+
 def test_compare_merges_all_algorithms(tmp_path, capsys):
     code = main(["compare", "--budgets", "4,8", "--agents", "3",
                  "--out-dir", str(tmp_path)])

@@ -537,6 +537,25 @@ def test_a_weight_not_finite_and_positive_fails_every_solver(solver):
                 solve(X, U, S, tau)
 
 
+@pytest.mark.parametrize("lam, mu", [(-0.1, 0.05), (0.1, -0.5),
+                                     (0.1, np.inf), (np.nan, 0.05)])
+@pytest.mark.parametrize("kernel", ["x_update_linearized", "x_update_plain"])
+def test_a_penalty_not_finite_and_nonnegative_fails_both_coding_kernels(
+        kernel, lam, mu):
+    # linearized: lam = -0.1 gave negative codes, mu = -0.5 at tau = 1 a
+    # bare ZeroDivisionError; plain: mu = inf gave all-NaN codes
+    X, U, S = np.ones((1, 2, 3)), np.ones((1, 4, 2)), np.ones((1, 4, 3))
+    solve = {
+        "x_update_linearized": lambda: x_update_linearized(X, U, S, 1.0,
+                                                           lam, mu),
+        "x_update_plain": lambda: x_update_plain(X, U, S, 0.5, lam, mu, 1e-8,
+                                                 2000, sigma_max(U)[0]),
+    }[kernel]
+    with pytest.raises(ValueError,
+                       match="^lam and mu must be nonnegative and finite$"):
+        solve()
+
+
 def test_x_plain_rejects_a_nan_weight_or_spectral_norm():
     X, U, S = np.ones((2, 2, 3)), np.stack([np.eye(2)] * 2), np.ones((2, 2, 3))
     sig = sigma_max(U)[0]

@@ -64,6 +64,23 @@ def test_pgm_writer_rejects_non_finite_pixels_before_opening(tmp_path,
         assert not path.exists()
 
 
+@pytest.mark.parametrize("file_exists", [False, True])
+@pytest.mark.parametrize("shape", [(0, 5), (3, 0)])
+def test_pgm_writer_rejects_an_image_with_a_zero_side_before_opening(
+        tmp_path, shape, file_exists):
+    # read_pgm rejects the header such an image would get
+    path = tmp_path / "empty.pgm"
+    old = b"P5\n1 1\n255\n\x07"
+    if file_exists:
+        path.write_bytes(old)
+    with pytest.raises(ValueError, match="zero side"):
+        write_pgm(path, np.zeros(shape))
+    if file_exists:
+        assert path.read_bytes() == old
+    else:
+        assert not path.exists()
+
+
 def test_pgm_rejects_wrong_maxval(tmp_path):
     path = tmp_path / "deep.pgm"
     path.write_text("P2 2 2 511 0 1 2 3")
@@ -92,6 +109,7 @@ def test_ascii_pgm_truncated_raster_reports_the_count_found(tmp_path):
 @pytest.mark.parametrize("raster, message, offset", [
     (b"1 2 x 4", "expected pixel value, got b'x'", 15),
     (b"1 256 3 4", "pixel value 256 exceeds maxval", 13),
+    (b"1#2 3 4", "expected pixel value, got b'1#2'", 11),  # '#' mid-token
 ])
 def test_ascii_pgm_rejects_a_bad_pixel_at_its_offset(tmp_path, raster,
                                                        message, offset):
@@ -100,6 +118,23 @@ def test_ascii_pgm_rejects_a_bad_pixel_at_its_offset(tmp_path, raster,
     with pytest.raises(PgmError, match=message) as info:
         read_pgm(path)
     assert info.value.offset == offset
+
+
+@pytest.mark.parametrize("data, expected, found", [
+    # a header that claims 10^12 pixels: no array is sized from it
+    (b"P2\n1000000 1000000\n255\n1 2 3\n", 10 ** 12, 3),
+    # a trailing comment is skipped whole, not read as a pixel
+    (b"P2 3 2 255 1 2 3 4 5 # end\n", 6, 5),
+], ids=["huge-header", "trailing-comment"])
+def test_ascii_pgm_truncation_counts_the_values_the_file_holds(
+        tmp_path, data, expected, found):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(data)
+    with pytest.raises(PgmError, match=f"truncated pixel data, expected "
+                                       f"{expected} values, found {found}"
+                       ) as info:
+        read_pgm(path)
+    assert info.value.offset == len(data)
 
 
 def test_pgm_rejects_a_bad_magic_number(tmp_path):

@@ -264,6 +264,7 @@ def test_run_checks_each_schedule_once(monkeypatch):
 @pytest.mark.parametrize("field, agent, value, fault", [
     ("D", 2, np.nan, "non-finite D"),
     ("tracker", 1, np.inf, "non-finite tracker"),
+    ("X", 1, np.nan, "non-finite code"),
     ("D", 0, 2.0, "dictionary column of norm"),
 ])
 def test_check_round_names_the_round_and_the_agent_at_fault(
@@ -272,7 +273,7 @@ def test_check_round_names_the_round_and_the_agent_at_fault(
     problem = toy_problem(rng)
     state = run(problem, config_for(problem, max_rounds=6)).state
     check_round(problem, state)
-    np.put(getattr(state, field)[agent], 0, value)
+    np.put(getattr(state.agents[agent], field), 0, value)
     with pytest.raises(ValueError,
                        match=f"^round 6: agent {agent} has a {fault}"):
         check_round(problem, state)
