@@ -32,24 +32,29 @@ def read_pgm(path) -> np.ndarray:
         data = fh.read()
     tokens = (m for m in _TOKEN.finditer(data) if m[1])
 
+    def number(m, what):
+        if not m[1].isdigit():
+            raise PgmError(f"expected {what}, got {m[1][:16]!r}", m.start())
+        try:
+            return int(m[1])
+        except ValueError:  # more digits than int() converts
+            raise PgmError(f"{what} of {len(m[1])} digits is too long",
+                           m.start()) from None
+
     def header(what):
         m = next(tokens, None)
         if m is None:
             raise PgmError("unexpected end of header", len(data))
-        if what != "magic" and not m[1].isdigit():
-            raise PgmError(f"expected {what}, got {m[1][:16]!r}", m.start())
-        return m
+        return m if what == "magic" else (number(m, what), m.end())
 
     magic = header("magic")
     if magic[1] not in (b"P2", b"P5"):
         raise PgmError(f"unsupported magic {magic[1][:16]!r}", magic.start())
-    width = int(header("width")[1])
-    m = header("height")
-    height, pos = int(m[1]), m.end()
+    width, _ = header("width")
+    height, pos = header("height")
     if width < 1 or height < 1:
         raise PgmError(f"bad dimensions {width}x{height}", pos)
-    m = header("maxval")
-    maxval, pos = int(m[1]), m.end()
+    maxval, pos = header("maxval")
     if maxval != 255:
         raise PgmError(f"unsupported maxval {maxval}, only 255 is handled",
                        pos)
@@ -65,10 +70,7 @@ def read_pgm(path) -> np.ndarray:
     else:
         values = bytearray()
         for m in itertools.islice(tokens, count):
-            if not m[1].isdigit():
-                raise PgmError(f"expected pixel value, got {m[1][:16]!r}",
-                               m.start())
-            v = int(m[1])
+            v = number(m, "pixel value")
             if v > maxval:
                 raise PgmError(f"pixel value {v} exceeds maxval", m.start())
             values.append(v)

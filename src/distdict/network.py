@@ -1,8 +1,9 @@
 """Time-varying communication graphs and doubly stochastic mixing weights.
 
-A schedule is a cyclic sequence of directed graphs over the agents; round
-``nu`` uses phase ``nu % period``. ``adjacency[t][i, j]`` is True when agent
-i receives from agent j in phase t, and every node always has a self-loop.
+A schedule is a cyclic sequence of mixing matrices over the agents; round
+``nu`` uses phase ``nu % period``. The graph of a phase is the support of
+its matrix: agent i receives from agent j in phase t when
+``weights[t][i, j]`` is nonzero, and every node keeps a self-loop.
 Undirected snapshots get Metropolis weights; the directed ring is weighted
 as a convex combination of the identity and the cycle permutation, which
 keeps every snapshot doubly stochastic.
@@ -10,7 +11,7 @@ keeps every snapshot doubly stochastic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,47 +24,47 @@ SCHEDULE_KINDS = ("static_path", "static_ring", "static_random_geometric",
 
 @dataclass
 class GraphSchedule:
-    """Cyclic sequence of communication graphs with per-phase mixing weights.
+    """Cyclic sequence of per-phase mixing matrices.
 
     Attributes
     ----------
-    adjacency : list of ndarray
-        Boolean in-neighborhood matrices, one per phase, self-loops included.
     weights : list of ndarray
-        Doubly stochastic mixing matrix for each phase, sparsity pattern
-        identical to the adjacency.
+        Mixing matrix of each phase, ``(I, I)``; its nonzero entries are
+        the phase's links, self-loops included. ``check_schedule`` holds
+        every phase to ``validate_weights``.
     window : int
         Declared connectivity window: the union of any aligned run of
         ``window`` consecutive phases is strongly connected.
     """
 
-    adjacency: list = field(default_factory=list)
-    weights: list = field(default_factory=list)
+    weights: list
     window: int = 1
 
     def __post_init__(self):
-        if not self.adjacency:
+        self.weights = [np.asarray(W, dtype=float) for W in self.weights]
+        if not self.weights:
             raise ValueError("a schedule needs at least one phase")
-        if len(self.adjacency) != len(self.weights):
-            raise ValueError("one weight matrix per phase is required")
         if self.window < 1:
             raise ValueError("window must be at least 1")
-        self.adjacency = [np.asarray(A, dtype=bool) for A in self.adjacency]
-        self.weights = [np.asarray(W, dtype=float) for W in self.weights]
-        I = self.adjacency[0].shape[0]
-        for A, W in zip(self.adjacency, self.weights):
-            if A.shape != (I, I) or W.shape != (I, I):
-                raise ValueError("all phases must be square and same size")
-            if not A.diagonal().all():
-                raise ValueError("every node needs a self-loop")
+        shape = self.weights[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or \
+                any(W.shape != shape for W in self.weights):
+            raise ValueError("all phases must be square and same size")
+
+    @property
+    def adjacency(self) -> list:
+        """Boolean in-neighborhood of each phase, the support of its
+        weights: ``adjacency[t][i, j]`` is True when agent i receives from
+        agent j."""
+        return [W != 0.0 for W in self.weights]
 
     @property
     def num_agents(self) -> int:
-        return self.adjacency[0].shape[0]
+        return self.weights[0].shape[0]
 
     @property
     def period(self) -> int:
-        return len(self.adjacency)
+        return len(self.weights)
 
     def weights_at(self, nu: int) -> np.ndarray:
         return self.weights[nu % self.period]
@@ -91,11 +92,12 @@ def is_b_strongly_connected(schedule: GraphSchedule) -> bool:
     phases is strongly connected (enumerated over one period by cyclicity)."""
     B = schedule.window
     P = schedule.period
+    adjacency = schedule.adjacency
     starts = sorted({(k * B) % P for k in range(P)})
     for s in starts:
-        union = np.zeros_like(schedule.adjacency[0])
+        union = np.zeros_like(adjacency[0])
         for t in range(B):
-            union |= schedule.adjacency[(s + t) % P]
+            union |= adjacency[(s + t) % P]
         if not _strongly_connected(union):
             return False
     return True
@@ -109,8 +111,8 @@ def check_schedule(schedule: GraphSchedule) -> None:
         raise ValueError(f"schedule with {schedule.num_agents} agents is not "
                          f"strongly connected over windows of "
                          f"{schedule.window}")
-    for t, (A, W) in enumerate(zip(schedule.adjacency, schedule.weights)):
-        if not validate_weights(W, A):
+    for t, W in enumerate(schedule.weights):
+        if not validate_weights(W):
             raise ValueError(f"phase {t} weights fail validation")
 
 
@@ -134,23 +136,18 @@ def metropolis_weights(adj) -> np.ndarray:
     return W
 
 
-def validate_weights(W, adj) -> bool:
-    """True iff W is finite, doubly stochastic within 1e-12, matches the
-    adjacency pattern, and has no nonzero entry below DEFAULT_THETA_MIN."""
+def validate_weights(W) -> bool:
+    """True iff W is a square, finite matrix with a nonzero diagonal (every
+    node keeps its self-loop), no nonzero entry below DEFAULT_THETA_MIN,
+    and every row and column sum within STOCHASTICITY_TOL of 1."""
     W = np.asarray(W, dtype=float)
-    A = np.asarray(adj, dtype=bool)
-    if W.shape != A.shape or not np.isfinite(W).all():
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
         return False
-    pattern = W != 0.0
-    if not np.array_equal(pattern, A):
+    if not W.diagonal().all() or np.any(W[W != 0.0] < DEFAULT_THETA_MIN):
         return False
-    if np.any(W[pattern] < DEFAULT_THETA_MIN):
-        return False
-    if np.max(np.abs(W.sum(axis=1) - 1.0)) > STOCHASTICITY_TOL:
-        return False
-    if np.max(np.abs(W.sum(axis=0) - 1.0)) > STOCHASTICITY_TOL:
-        return False
-    return True
+    # a NaN or inf entry makes its row's sum NaN or inf, which fails here
+    sums = np.concatenate([W.sum(axis=1), W.sum(axis=0)])
+    return bool(np.all(np.abs(sums - 1.0) <= STOCHASTICITY_TOL))
 
 
 def _adj_from_edges(n, edges) -> np.ndarray:
@@ -166,7 +163,7 @@ def _directed_ring(n):
     mass and passes half on (a lone node keeps all), so the weights are
     doubly stochastic by construction."""
     A = np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=0)
-    return A, A / A.sum(axis=1, keepdims=True)
+    return A / A.sum(axis=1, keepdims=True)
 
 
 def _geometric_adjacency(n, rng):
@@ -240,24 +237,20 @@ def build_schedule(kind: str, num_agents: int, window: int = 1,
     P = schedule_period(kind, num_agents, window, period)
     I = num_agents
     if kind == "static_path":
-        adj = _adj_from_edges(I, [(k, k + 1) for k in range(I - 1)])
-        phases = [(adj, metropolis_weights(adj))]
+        path = _adj_from_edges(I, [(k, k + 1) for k in range(I - 1)])
+        weights = [metropolis_weights(path)]
     elif kind == "static_ring":
-        phases = [_directed_ring(I)]
+        weights = [_directed_ring(I)]
     elif kind == "static_random_geometric":
-        adj = _geometric_adjacency(I, np.random.default_rng(seed))
-        phases = [(adj, metropolis_weights(adj))]
+        rng = np.random.default_rng(seed)
+        weights = [metropolis_weights(_geometric_adjacency(I, rng))]
     else:  # tv_ring_partition
         ring_edges = [(k, (k + 1) % I) for k in range(I)] if I > 2 \
             else [(0, 1)] if I == 2 else []
-        phases = []
-        for g in range(P):
-            group = [e for k, e in enumerate(ring_edges) if k % P == g]
-            adj = _adj_from_edges(I, group)
-            phases.append((adj, metropolis_weights(adj)))
+        weights = [metropolis_weights(_adj_from_edges(
+            I, [e for k, e in enumerate(ring_edges) if k % P == g]))
+            for g in range(P)]
 
-    schedule = GraphSchedule(adjacency=[a for a, _ in phases],
-                             weights=[w for _, w in phases],
-                             window=window)
+    schedule = GraphSchedule(weights, window)
     check_schedule(schedule)
     return schedule

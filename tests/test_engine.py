@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 import distdict.agents as agents_mod
 import distdict.core as core_mod
-from distdict import (ProblemData, build_run_config, build_schedule,
-                      check_round, consensus_error, diffusion_baseline,
-                      gamma_sequence, mean_dictionary, objective_global, run,
-                      stationarity_gap)
+from distdict import (GraphSchedule, ProblemData, build_run_config,
+                      build_schedule, check_round, consensus_error,
+                      diffusion_baseline, gamma_sequence,
+                      is_b_strongly_connected, mean_dictionary,
+                      objective_global, run, stationarity_gap)
 from distdict.agents import INNER_TOL_SCALE, VARIANTS
-from distdict.network import SCHEDULE_KINDS
+from distdict.network import DEFAULT_THETA_MIN, SCHEDULE_KINDS
 from distdict.protocol import RoundState, _tracked_round
 
 from oracles import ragged_diffusion, ragged_run
@@ -61,6 +62,38 @@ def assert_engine_matches_reference(problem, config, schedule,
                 assert np.max(np.abs(a - b)) <= 1e-12
 
 
+@st.composite
+def convex_permutation_schedules(draw, I):
+    """1-3 phases, each a convex combination of the identity and up to
+    three permutation matrices (doubly stochastic by Birkhoff-von Neumann,
+    and not symmetric in general), every coefficient at least
+    DEFAULT_THETA_MIN. One phase holds a cycle through all the agents, so
+    the union of the period, the schedule's window, is strongly
+    connected."""
+    period = draw(st.integers(1, 3), label="phases")
+    cyclic = draw(st.integers(0, period - 1), label="phase with the cycle")
+    weights = []
+    for t in range(period):
+        orders = draw(st.lists(st.permutations(range(I)),
+                               min_size=int(t == cyclic), max_size=3),
+                      label=f"phase {t} permutations")
+        perms = [np.eye(I)[order] for order in orders]
+        if t == cyclic:
+            order = orders[0]
+            perms[0] = np.zeros((I, I))
+            perms[0][np.roll(order, -1), order] = 1.0
+        raw = draw(st.lists(st.integers(1, 10), min_size=len(perms) + 1,
+                            max_size=len(perms) + 1),
+                   label=f"phase {t} coefficients")
+        coef = np.array(raw) / sum(raw)
+        assert coef.min() >= DEFAULT_THETA_MIN
+        weights.append(coef[0] * np.eye(I)
+                       + sum(c * P for c, P in zip(coef[1:], perms)))
+    schedule = GraphSchedule(weights, window=period)
+    assert is_b_strongly_connected(schedule)
+    return schedule
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_engine_matches_the_ragged_reference(data):
@@ -70,9 +103,11 @@ def test_engine_matches_the_ragged_reference(data):
     M, K = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)),
                      label="M, K")
     per_group = data.draw(st.integers(1, I), label="agents per group")
-    kind = data.draw(st.sampled_from(SCHEDULE_KINDS), label="schedule")
-    mapping = {"agents": I, "graph": kind, "window": 2, "max_rounds": 4,
-               "metric_stride": 1,
+    # besides the shipped kinds, random convex combinations of permutations
+    kind = data.draw(st.sampled_from(SCHEDULE_KINDS + ("permutations",)),
+                     label="schedule")
+    mapping = {"agents": I, "graph": "static_ring", "window": 2,
+               "max_rounds": 4, "metric_stride": 1,
                "variant": data.draw(st.sampled_from(VARIANTS)),
                "d_mode": data.draw(st.sampled_from(VARIANTS)),
                "seed": data.draw(st.integers(0, 1000), label="seed")}
@@ -83,7 +118,10 @@ def test_engine_matches_the_ragged_reference(data):
                                M, K)
     assert problem.groups.slices[0] == slice(0, per_group)
     config = build_run_config(mapping)
-    schedule = build_schedule(kind, I, window=2, seed=mapping["seed"])
+    if kind in SCHEDULE_KINDS:
+        schedule = build_schedule(kind, I, window=2, seed=mapping["seed"])
+    else:
+        schedule = data.draw(convex_permutation_schedules(I))
     policy = data.draw(st.sampled_from(sorted(POLICIES)), label="round policy")
     with mock.patch.object(agents_mod, "INNER_MAX_ITER", cap):
         assert_engine_matches_reference(problem, config, schedule, policy)

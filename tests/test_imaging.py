@@ -120,6 +120,21 @@ def test_ascii_pgm_rejects_a_bad_pixel_at_its_offset(tmp_path, raster,
     assert info.value.offset == offset
 
 
+@pytest.mark.parametrize("data, what, offset", [
+    (b"P2 1 1 255 " + b"1" * 5000, "pixel value", 11),
+    (b"P2 " + b"1" * 5000 + b" 1 255 0", "width", 3),
+], ids=["pixel", "width"])
+def test_pgm_rejects_a_token_beyond_the_int_conversion_limit(
+        tmp_path, data, what, offset):
+    # 5000 digits exceed the 4300 that int() converts from a string
+    path = tmp_path / "long.pgm"
+    path.write_bytes(data)
+    with pytest.raises(PgmError, match=f"{what} of 5000 digits is too long"
+                       ) as info:
+        read_pgm(path)
+    assert info.value.offset == offset
+
+
 @pytest.mark.parametrize("data, expected, found", [
     # a header that claims 10^12 pixels: no array is sized from it
     (b"P2\n1000000 1000000\n255\n1 2 3\n", 10 ** 12, 3),

@@ -344,7 +344,7 @@ def test_baseline_rejects_weights_that_fail_validation():
     path = build_schedule("static_path", 3)
     W = path.weights[0].copy()
     W[0, 1] += 1e-6
-    skewed = GraphSchedule(adjacency=path.adjacency, weights=[W], window=1)
+    skewed = GraphSchedule([W], window=1)
     config = build_run_config({"agents": 3, "max_rounds": 2})
     with pytest.raises(ValueError, match="phase 0 weights fail validation"):
         diffusion_baseline(problem, config, schedule=skewed)

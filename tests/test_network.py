@@ -1,6 +1,8 @@
 """Graph schedules, connectivity checking and mixing weights against
 loop-based oracles."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,17 +16,16 @@ from oracles import metropolis_scalar, strongly_connected_bfs
 
 
 def schedule_from_edge_sets(n, edge_sets, window):
-    """Build a schedule by hand (identity weights keep validation happy for
-    connectivity-only checks; weights are not exercised)."""
+    """Build a schedule by hand whose phases weigh each link, self-loops
+    included, by 1: the connectivity checks read only the links, and
+    these weights are not stochastic."""
     phases = []
     for edges in edge_sets:
         A = np.eye(n, dtype=bool)
         for i, j in edges:
             A[i, j] = True
         phases.append(A)
-    return GraphSchedule(adjacency=phases,
-                         weights=[np.eye(n) for _ in phases],
-                         window=window)
+    return GraphSchedule(phases, window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +93,28 @@ def test_a_period_for_a_kind_without_phases_is_rejected(kind):
         build_schedule(kind, 5, period=3)
 
 
+def test_a_schedule_holds_phases_of_one_square_size():
+    assert [f.name for f in fields(GraphSchedule)] == ["weights", "window"]
+    for phases, window, message in (
+            ([], 1, "at least one phase"),
+            ([np.eye(2)], 0, "window must be at least 1"),
+            ([np.eye(2), np.eye(3)], 1, "square and same size"),
+            ([np.full((2, 3), 0.5)], 1, "square and same size"),
+            ([np.ones(2)], 1, "square and same size")):
+        with pytest.raises(ValueError, match=message):
+            GraphSchedule(phases, window=window)
+
+
+def test_the_adjacency_is_the_support_of_the_weights():
+    schedule = build_schedule("tv_ring_partition", 5, window=2)
+    assert len(schedule.adjacency) == schedule.period == 2
+    for A, W in zip(schedule.adjacency, schedule.weights):
+        assert A.dtype == bool
+        assert np.array_equal(A, W != 0.0)
+    with pytest.raises(AttributeError):
+        schedule.adjacency = []
+
+
 # ---------------------------------------------------------------------------
 # connectivity checking
 
@@ -108,8 +131,7 @@ def test_disconnected_components_never_connect():
     A[0, 1] = A[1, 0] = True
     A[2, 3] = A[3, 2] = True
     for window in (1, 3, 10):
-        schedule = GraphSchedule(adjacency=[A], weights=[np.eye(4)],
-                                 window=window)
+        schedule = GraphSchedule([A], window=window)
         assert not is_b_strongly_connected(schedule)
 
 
@@ -129,15 +151,14 @@ def test_check_schedule_rejects_a_broken_window_and_bad_weights():
     with pytest.raises(ValueError, match="3 agents is not strongly "
                                          "connected over windows of 1"):
         check_schedule(schedule_from_edge_sets(3, edge_sets, window=1))
-    # identity weights miss the off-diagonal edges of the adjacency
+    # rows of unit weights on two links sum to 2
     with pytest.raises(ValueError, match="phase 0 weights fail validation"):
         check_schedule(schedule_from_edge_sets(3, edge_sets, window=2))
     ring = build_schedule("tv_ring_partition", 4, window=2)
     skewed = [W.copy() for W in ring.weights]
     skewed[1][0, 0] += 1e-6
     with pytest.raises(ValueError, match="phase 1 weights fail validation"):
-        check_schedule(GraphSchedule(adjacency=ring.adjacency,
-                                     weights=skewed, window=2))
+        check_schedule(GraphSchedule(skewed, window=2))
     check_schedule(ring)
 
 
@@ -147,8 +168,7 @@ def test_connectivity_checker_agrees_with_bfs_oracle_on_random_graphs():
         n = int(rng.integers(2, 7))
         A = rng.random((n, n)) < 0.3
         A |= np.eye(n, dtype=bool)
-        schedule = GraphSchedule(adjacency=[A], weights=[np.eye(n)],
-                                 window=1)
+        schedule = GraphSchedule([A], window=1)
         assert is_b_strongly_connected(schedule) == \
             strongly_connected_bfs(A)
 
@@ -240,13 +260,13 @@ def test_validate_accepts_metropolis_output():
     A = np.eye(4, dtype=bool)
     for i, j in ((0, 1), (1, 2), (2, 3)):
         A[i, j] = A[j, i] = True
-    assert validate_weights(metropolis_weights(A), A)
+    assert validate_weights(metropolis_weights(A))
 
 
 def test_validate_rejects_row_stochastic_only():
     A = np.ones((2, 2), dtype=bool)
     W = np.array([[1.0, 0.0], [0.5, 0.5]])
-    assert not validate_weights(W, A)
+    assert not validate_weights(W)
 
 
 def test_validate_rejects_a_single_perturbed_entry():
@@ -256,39 +276,68 @@ def test_validate_rejects_a_single_perturbed_entry():
     W = metropolis_weights(A)
     W = W.copy()
     W[0, 1] += 1e-6
-    assert not validate_weights(W, A)
+    assert not validate_weights(W)
 
 
-def test_validate_rejects_pattern_mismatch_and_small_entries():
-    A = np.eye(2, dtype=bool)
-    A[0, 1] = A[1, 0] = True
-    # pattern mismatch: an entry where the graph has no edge
+def test_validate_rejects_nonzero_entries_below_the_floor():
+    assert DEFAULT_THETA_MIN > 1e-3
+    # a link of weight 1e-3 added to the path 0-1-2, between its ends
     B = np.eye(3, dtype=bool)
     B[0, 1] = B[1, 0] = True
     B[1, 2] = B[2, 1] = True
-    W = metropolis_weights(B)
-    bad_pattern = W.copy()
-    bad_pattern[0, 2] = bad_pattern[2, 0] = 1e-3
-    bad_pattern[0, 0] -= 1e-3
-    bad_pattern[2, 2] -= 1e-3
-    assert not validate_weights(bad_pattern, B)
-    # nonzero below the floor
+    faint_link = metropolis_weights(B)
+    faint_link[0, 2] = faint_link[2, 0] = 1e-3
+    faint_link[0, 0] -= 1e-3
+    faint_link[2, 2] -= 1e-3
+    assert not validate_weights(faint_link)
     tiny = np.array([[1 - 1e-3, 1e-3], [1e-3, 1 - 1e-3]])
-    assert DEFAULT_THETA_MIN > 1e-3
-    assert not validate_weights(tiny, A)
+    assert not validate_weights(tiny)
+    # a negative entry is below the floor too
+    assert not validate_weights([[1.5, -0.5], [-0.5, 1.5]])
+
+
+def test_validate_rejects_a_permutation_without_self_loops():
+    # doubly stochastic, every entry 0 or 1, but no agent keeps its own
+    # copy; the check before a run rejects a schedule made of it
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert not validate_weights(swap)
+    assert validate_weights(0.5 * (np.eye(2) + swap))
+    schedule = GraphSchedule([swap], window=1)
+    assert is_b_strongly_connected(schedule)
+    with pytest.raises(ValueError, match="phase 0 weights fail validation"):
+        check_schedule(schedule)
+
+
+def test_validate_rejects_mass_moved_within_a_row():
+    # 1e-9 moved from W[1, 2] to W[1, 0]: every row still sums to 1, and
+    # only the sums of columns 0 and 2 are off
+    W = build_schedule("static_path", 3).weights[0]
+    assert validate_weights(W)
+    W = W.copy()
+    W[1, 0] += 1e-9
+    W[1, 2] -= 1e-9
+    assert np.max(np.abs(W.sum(axis=1) - 1.0)) <= 1e-15
+    off = np.abs(W.sum(axis=0) - 1.0)
+    assert off[1] <= 1e-15 and min(off[0], off[2]) > 9e-10
+    assert not validate_weights(W)
+
+
+@pytest.mark.parametrize("W", [np.ones(2), np.full((2, 3), 1.0 / 3.0),
+                               np.ones((1, 1, 1))],
+                         ids=["vector", "wide", "3-d"])
+def test_validate_rejects_a_matrix_that_is_not_square(W):
+    assert not validate_weights(W)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
 def test_a_non_finite_weight_fails_validation(entry, value):
-    # NaN passes the pattern, theta_min and row-sum comparisons on its own
     path = build_schedule("static_path", 3)
     W = path.weights[0].copy()
     W[entry] = value
-    assert not validate_weights(W, path.adjacency[0])
+    assert not validate_weights(W)
     with pytest.raises(ValueError, match="phase 0 weights fail validation"):
-        check_schedule(GraphSchedule(adjacency=path.adjacency, weights=[W],
-                                     window=path.window))
+        check_schedule(GraphSchedule([W], window=path.window))
 
 
 # ---------------------------------------------------------------------------
@@ -320,5 +369,5 @@ def test_every_shipped_schedule_validates_its_weights():
                                     period=window))
     for schedule in cases:
         assert is_b_strongly_connected(schedule)
-        for A, W in zip(schedule.adjacency, schedule.weights):
-            assert validate_weights(W, A)
+        for W in schedule.weights:
+            assert validate_weights(W)

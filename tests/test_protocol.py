@@ -13,8 +13,8 @@ import distdict.protocol as protocol_mod
 from distdict import (GraphSpec, ProblemData, build_run_config,
                       build_schedule, centralized_oracle, check_round,
                       consensus_step, denoise_image, diffusion_baseline,
-                      make_standard_problem, make_synthetic, make_test_image,
-                      run, tracking_residual, tracking_step)
+                      gamma_sequence, make_standard_problem, make_synthetic,
+                      make_test_image, run, tracking_residual, tracking_step)
 from distdict.agents import VARIANTS
 from distdict.network import SCHEDULE_KINDS
 
@@ -185,6 +185,20 @@ def test_run_records_only_strided_rows_plus_the_final_round():
     assert trace.nu == [0, 4, 8, 10]
 
 
+def test_each_row_holds_the_step_of_the_round_that_starts_from_it():
+    # row k describes the state after trace.nu[k] rounds, and its gamma is
+    # the step the next round takes from there; row 0 holds gamma_0
+    rng = np.random.default_rng(46)
+    problem = toy_problem(rng)
+    config = config_for(problem, max_rounds=10, metric_stride=4,
+                        gamma0=0.5, eps_gamma=0.5)
+    trace = run(problem, config)
+    gammas = gamma_sequence(config.max_rounds + 1, 0.5, 0.5)
+    assert trace.nu == [0, 4, 8, 10]
+    assert trace.gamma == [gammas[nu] for nu in trace.nu]
+    assert len(set(trace.gamma)) == len(trace.gamma)
+
+
 def test_a_run_at_a_zero_gap_still_records_every_round():
     # zero data keep the codes, gradients and trackers at zero: the gap is
     # exactly 0 throughout, and the run goes on all the same
@@ -276,6 +290,26 @@ def test_check_round_names_the_round_and_the_agent_at_fault(
     np.put(getattr(state.agents[agent], field), 0, value)
     with pytest.raises(ValueError,
                        match=f"^round 6: agent {agent} has a {fault}"):
+        check_round(problem, state)
+
+
+def test_check_round_trips_just_above_its_bounds():
+    # a tracking residual of 1e-8 and a column norm of alpha (1 + 1e-9)
+    # both lie far below anything a looser bound would still catch
+    rng = np.random.default_rng(53)
+    problem = toy_problem(rng)
+    state = run(problem, config_for(problem, max_rounds=6)).state
+    check_round(problem, state)
+    tracker = state.tracker.copy()
+    state.tracker[:, 0, 0] += 1e-8
+    with pytest.raises(ValueError, match="^round 6: tracking residual "
+                                         "1.000e-08 above 1e-10"):
+        check_round(problem, state)
+    state.tracker = tracker
+    column = state.D[1][:, 2]
+    column *= problem.alpha * (1 + 1e-9) / np.linalg.norm(column)
+    with pytest.raises(ValueError, match="^round 6: agent 1 has a "
+                                         "dictionary column of norm"):
         check_round(problem, state)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from distdict import build_run_config, load_config
 from distdict.config import _KEYS
+from distdict.metrics import CSV_COLUMNS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text("utf-8")
@@ -42,3 +43,10 @@ def test_the_readme_config_example_builds_and_names_every_key(tmp_path):
     assert len(set(named)) == len(named)
     assert not set(named) & set(mapping)
     assert {*mapping, *named} == set(_KEYS)
+
+
+def test_the_readme_lists_the_trace_columns_in_order():
+    listing = TEXT.split("`trace.csv` has these columns, in order:\n")[1]
+    listing = listing.split("\n\n")[0]
+    assert tuple(re.findall(r"^- `(\w+)`:", listing, flags=re.M)) \
+        == CSV_COLUMNS
