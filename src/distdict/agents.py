@@ -114,7 +114,7 @@ def check_integer(obj, *names) -> None:
                 from None
 
 
-@dataclass
+@dataclass(eq=False)
 class AgentState:
     """Local variables of one agent, as ``protocol.RoundState.agents``
     shows them: views into the round engine's stacks."""

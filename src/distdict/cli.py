@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .agents import VARIANTS
 from .config import build_run_config, check_keys, convert, load_config
 from .core import (grad_codes, grad_dict, max_column_norm,
                    project_dictionary, x_update_linearized)
@@ -47,7 +48,7 @@ def _add_common(p: argparse.ArgumentParser, network: bool = True,
     if rounds:
         p.add_argument("--rounds", type=int, dest="rounds",
                        help="number of optimization rounds")
-        p.add_argument("--variant", choices=("plain", "linearized"),
+        p.add_argument("--variant", choices=VARIANTS,
                        help="coding-subproblem variant")
     if network:
         p.add_argument("--agents", type=int, help="number of agents")
@@ -108,7 +109,12 @@ def cmd_run(args) -> int:
     last = trace.row(len(trace) - 1)
     print(f"rounds={last['nu']} messages={last['messages']} "
           f"objective={last['objective']:.6g} delta={last['delta']:.6g} "
-          f"cons_err={last['cons_err']:.6g}")
+          f"cons_err={last['cons_err']:.6g} capped={sum(trace.flags)}")
+    if last["nu"] > 0 and not any(np.any(X) for X in trace.state.X):
+        # zero codes give zero gradients; while lam bounds every |D^T S|
+        # the coding step keeps them at zero, so no code grows back
+        print("every code is zero: the run sits at the absorbing point "
+              "X = 0, where the gap is exactly 0")
     print(f"wrote {out / 'trace.csv'}")
     return 0
 

@@ -29,7 +29,12 @@ class GraphSpec:
 @dataclass
 class RunConfig:
     """Everything a simulation run needs besides the data itself; every
-    float field must be finite, and every int field an integer."""
+    float field must be finite, and every int field an integer.
+
+    ``lam``, ``mu`` and ``alpha`` are the values that ``cli`` and
+    ``denoise_image`` pass into the ``ProblemData`` they build; a run
+    takes these three from its problem, not from the config.
+    """
 
     lam: float = 0.1
     mu: float = 0.05

@@ -88,7 +88,7 @@ class AgentGroups:
                 for j, n in enumerate(self.sizes[sl])]
 
 
-@dataclass
+@dataclass(eq=False)
 class ProblemData:
     """A problem instance with the data split into per-agent column blocks.
 

@@ -22,7 +22,7 @@ from .synthetic import partition_columns
 PIXEL_SCALE = 255.0
 
 
-@dataclass
+@dataclass(eq=False)
 class DenoiseResult:
     """Reconstructed image plus the artifacts that produced it."""
 

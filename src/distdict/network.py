@@ -22,7 +22,7 @@ SCHEDULE_KINDS = ("static_path", "static_ring", "static_random_geometric",
                   "tv_ring_partition")
 
 
-@dataclass
+@dataclass(eq=False)
 class GraphSchedule:
     """Cyclic sequence of per-phase mixing matrices.
 

@@ -41,7 +41,7 @@ from .network import GraphSchedule, build_schedule, check_schedule
 from .network import is_b_strongly_connected, validate_weights  # noqa: F401
 
 
-@dataclass
+@dataclass(eq=False)
 class RoundState:
     """Global snapshot handed to observers at the end of each round.
 
@@ -233,9 +233,13 @@ def run(problem: ProblemData, config: RunConfig, schedule: GraphSchedule = None,
     Parameters
     ----------
     problem : ProblemData
-        Column-partitioned instance; one block per agent.
+        Column-partitioned instance; one block per agent. Its ``lam``,
+        ``mu`` and ``alpha`` are the penalties and the column-norm bound
+        the run takes.
     config : RunConfig
-        Penalties, step schedules, graph spec, round budget and seed.
+        Step schedules, graph spec, round budget and seed. The run reads
+        no ``lam``, ``mu`` or ``alpha`` from it; those are the values that
+        ``cli`` and ``denoise_image`` build their ``ProblemData`` with.
     schedule : GraphSchedule, optional
         Pre-built schedule, run through ``network.check_schedule``; built
         (and so checked) from ``config.graph`` when omitted.

@@ -9,7 +9,7 @@ import numpy as np
 from .core import ProblemData
 
 
-@dataclass
+@dataclass(eq=False)
 class SyntheticInstance:
     """Ground truth behind a generated problem."""
 

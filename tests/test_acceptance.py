@@ -111,7 +111,8 @@ def test_criterion_03_stationarity_gap_drops_two_orders_in_500_rounds():
 def test_criterion_04_single_agent_run_equals_the_centralized_oracle():
     # centralized_oracle is itself a one-agent run, so the reference is the
     # independent per-agent loop on 2-d matrices at one agent, where the
-    # tracker equals the local gradient and the round is centralized SCA
+    # tracker equals the local gradient and the round is centralized SCA;
+    # both take lam, mu and alpha from the problem, not from the config
     rng = np.random.default_rng(7)
     problem = ProblemData(S_blocks=[rng.uniform(-1, 1, size=(4, 5))], K=3,
                           lam=0.125, mu=0.0625, alpha=1.0)

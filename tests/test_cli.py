@@ -45,6 +45,22 @@ def test_run_writes_a_trace(tmp_path, capsys):
     assert len(lines) == 7  # header + rounds 0..5
     assert lines[1].startswith("0,0,")
     assert lines[-1].startswith("5,10,")
+    out = capsys.readouterr().out
+    assert " capped=0\n" in out
+    assert "absorbing" not in out
+
+
+def test_run_reports_the_absorbing_zero_state(tmp_path, capsys):
+    # lam at least alpha times every data column's norm bounds every
+    # |d^T s| over feasible atoms d, so every code stays zero
+    config = tmp_path / "run.cfg"
+    config.write_text("M = 6\nK = 4\nN = 12\nk0 = 2\nlam = 100\n")
+    assert main(["run", "--config", str(config), "--rounds", "5",
+                 "--agents", "3", "--out-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert " delta=0 " in lines[0]
+    assert lines[1] == ("every code is zero: the run sits at the absorbing "
+                        "point X = 0, where the gap is exactly 0")
 
 
 def test_run_zero_rounds_emits_only_the_initial_row(tmp_path):
